@@ -22,28 +22,25 @@ __all__ = [
     "no_grad",
     "set_nan_guard",
     "add",
-    "sub",
     "mul",
-    "div",
     "scale",
     "matmul",
     "const_matmul",
     "concat",
     "slice_cols",
     "take_rows",
+    "split_heads",
+    "merge_heads",
+    "class_means",
     "sum_",
     "mean",
     "relu",
-    "log",
-    "exp",
-    "sqrt",
-    "clamp_min",
     "softmax",
+    "log_softmax",
     "layernorm",
     "dropout",
-    "l2norm_rows",
+    "normalize_rows",
     "cosine_rows",
-    "required_ops",
     "grad_check",
     "GradCheckReport",
 ]
@@ -104,20 +101,11 @@ class Tensor:
     def __radd__(self, other):
         return add(other, self)
 
-    def __sub__(self, other):
-        return sub(self, other)
-
-    def __rsub__(self, other):
-        return sub(other, self)
-
     def __mul__(self, other):
         return mul(self, other)
 
     def __rmul__(self, other):
         return mul(other, self)
-
-    def __truediv__(self, other):
-        return div(self, other)
 
     def __matmul__(self, other):
         return matmul(self, other)
@@ -219,16 +207,6 @@ def add(a, b) -> Tensor:
     ))
 
 
-def sub(a, b) -> Tensor:
-    a = _wrap(a, b if isinstance(b, Tensor) else None)
-    b = _wrap(b, a)
-    out = a.values - b.values
-    return _make(out, (a, b), (
-        lambda g: _unbroadcast(g, a.values.shape),
-        lambda g: _unbroadcast(-g, b.values.shape),
-    ))
-
-
 def mul(a, b) -> Tensor:
     a = _wrap(a, b if isinstance(b, Tensor) else None)
     b = _wrap(b, a)
@@ -236,16 +214,6 @@ def mul(a, b) -> Tensor:
     return _make(out, (a, b), (
         lambda g: _unbroadcast(g * b.values, a.values.shape),
         lambda g: _unbroadcast(g * a.values, b.values.shape),
-    ))
-
-
-def div(a, b) -> Tensor:
-    a = _wrap(a, b if isinstance(b, Tensor) else None)
-    b = _wrap(b, a)
-    out = a.values / b.values
-    return _make(out, (a, b), (
-        lambda g: _unbroadcast(g / b.values, a.values.shape),
-        lambda g: _unbroadcast(-g * a.values / (b.values * b.values), b.values.shape),
     ))
 
 
@@ -259,17 +227,23 @@ def scale(x, c: float) -> Tensor:
 # linear algebra
 # ---------------------------------------------------------------------------
 
+def _t(v: np.ndarray) -> np.ndarray:
+    return np.swapaxes(v, -1, -2)
+
+
 def matmul(a, b, transpose_b: bool = False) -> Tensor:
+    """a @ b (or a @ b^T), batched over any leading axes numpy broadcasts."""
     a = _wrap(a)
     b = _wrap(b)
-    bv = b.values.T if transpose_b else b.values
+    bv = _t(b.values) if transpose_b else b.values
     out = a.values @ bv
 
     def grad_a(g):
-        return g @ (b.values if transpose_b else b.values.T)
+        return _unbroadcast(g @ _t(bv), a.values.shape)
 
     def grad_b(g):
-        return g.T @ a.values if transpose_b else a.values.T @ g
+        gb = _t(g) @ a.values if transpose_b else _t(a.values) @ g
+        return _unbroadcast(gb, b.values.shape)
 
     return _make(out, (a, b), (grad_a, grad_b))
 
@@ -337,6 +311,34 @@ def take_rows(x, idx) -> Tensor:
     return _make(out, (x,), (vjp,))
 
 
+def split_heads(x, n_heads: int) -> Tensor:
+    """[n x m] -> [h x n x m/h]; head i owns columns i*m/h:(i+1)*m/h."""
+    x = _wrap(x)
+    n, m = x.values.shape
+    out = x.values.reshape(n, n_heads, m // n_heads).transpose(1, 0, 2)
+    return _make(out, (x,), (lambda g: g.transpose(1, 0, 2).reshape(n, m),))
+
+
+def merge_heads(x) -> Tensor:
+    """[h x n x m/h] -> [n x m], the inverse of split_heads."""
+    x = _wrap(x)
+    h, n, w = x.values.shape
+    out = x.values.transpose(1, 0, 2).reshape(n, h * w)
+    return _make(out, (x,), (lambda g: g.reshape(n, h, w).transpose(1, 0, 2),))
+
+
+def class_means(x, labels, n_way: int) -> Tensor:
+    """[n_way x d] mean of the rows of `x` carrying each label 0..n_way-1."""
+    labels = np.asarray(labels, dtype=np.int64)
+    onehot = (labels[None, :] == np.arange(n_way)[:, None]).astype(np.float64)
+    counts = onehot.sum(axis=1, keepdims=True)
+    empty = np.nonzero(counts[:, 0] == 0)[0]
+    if empty.size:
+        raise ValueError(f"class {empty[0]} has no support rows")
+    x = _wrap(x)
+    return const_matmul((onehot / counts).astype(x.values.dtype), x)
+
+
 # ---------------------------------------------------------------------------
 # reductions
 # ---------------------------------------------------------------------------
@@ -380,30 +382,6 @@ def relu(x) -> Tensor:
     return _make(out, (x,), (lambda g: g * (x.values > 0),))
 
 
-def log(x) -> Tensor:
-    x = _wrap(x)
-    return _make(np.log(x.values), (x,), (lambda g: g / x.values,))
-
-
-def exp(x) -> Tensor:
-    x = _wrap(x)
-    out = np.exp(x.values)
-    return _make(out, (x,), (lambda g: g * out,))
-
-
-def sqrt(x) -> Tensor:
-    x = _wrap(x)
-    out = np.sqrt(x.values)
-    return _make(out, (x,), (lambda g: g * 0.5 / out,))
-
-
-def clamp_min(x, floor: float) -> Tensor:
-    x = _wrap(x)
-    out = np.maximum(x.values, floor)
-    # Pass-through subgradient where unclamped.
-    return _make(out, (x,), (lambda g: g * (x.values > floor),))
-
-
 def softmax(x) -> Tensor:
     """Row softmax over the last axis, max-shifted for stability."""
     x = _wrap(x)
@@ -418,28 +396,46 @@ def softmax(x) -> Tensor:
     return _make(out, (x,), (vjp,))
 
 
-def layernorm(x, eps: float = LAYERNORM_EPS) -> Tensor:
-    """Standardize each row over the last axis (pre-affine LayerNorm).
+def log_softmax(x) -> Tensor:
+    """Row log-softmax over the last axis; finite for any logit gap."""
+    x = _wrap(x)
+    shifted = x.values - x.values.max(axis=-1, keepdims=True)
+    out = shifted - np.log(np.exp(shifted).sum(axis=-1, keepdims=True))
+
+    def vjp(g):
+        return g - np.exp(out) * g.sum(axis=-1, keepdims=True)
+
+    return _make(out, (x,), (vjp,))
+
+
+def layernorm(x, gamma, beta, eps: float = LAYERNORM_EPS) -> Tensor:
+    """Row LayerNorm over the last axis with its affine: xhat * gamma + beta.
 
     The denominator is sqrt(max(var, eps)): rows with variance above eps are
     standardized exactly (mean 0, variance 1), near-constant rows stay finite.
     """
     x = _wrap(x)
-    d = x.values.shape[-1]
+    gamma = _wrap(gamma, x)
+    beta = _wrap(beta, x)
     mu = x.values.mean(axis=-1, keepdims=True)
     centered = x.values - mu
     var = (centered * centered).mean(axis=-1, keepdims=True)
     denom = np.sqrt(np.maximum(var, eps))
-    out = centered / denom
+    xhat = centered / denom
     active = var > eps
 
-    def vjp(g):
+    def grad_x(g):
+        g = g * gamma.values
         g_centered = g - g.mean(axis=-1, keepdims=True)
         # Active rows get the variance term; clipped rows see a constant denom.
-        corr = out * (g * out).mean(axis=-1, keepdims=True)
+        corr = xhat * (g * xhat).mean(axis=-1, keepdims=True)
         return np.where(active, (g_centered - corr) / denom, g_centered / denom)
 
-    return _make(out, (x,), (vjp,))
+    return _make(xhat * gamma.values + beta.values, (x, gamma, beta), (
+        grad_x,
+        lambda g: _unbroadcast(g * xhat, gamma.values.shape),
+        lambda g: _unbroadcast(g, beta.values.shape),
+    ))
 
 
 def dropout(x, p: float, rng: np.random.Generator) -> Tensor:
@@ -453,18 +449,21 @@ def dropout(x, p: float, rng: np.random.Generator) -> Tensor:
     return _make(out, (x,), (lambda g: g * keep * factor,))
 
 
-def l2norm_rows(x, keepdims: bool = True) -> Tensor:
-    """Euclidean norm of each row; zero rows get zero gradient."""
+def normalize_rows(x, floor: float) -> Tensor:
+    """x / max(||row||, floor): unit rows, short rows scaled by 1/floor.
+
+    A zero row stays a zero row.
+    """
     x = _wrap(x)
-    out = np.sqrt((x.values * x.values).sum(axis=-1, keepdims=keepdims))
+    norm = np.sqrt((x.values * x.values).sum(axis=-1, keepdims=True))
+    denom = np.maximum(norm, floor)
+    out = x.values / denom
+    active = norm > floor
 
     def vjp(g):
-        if not keepdims:
-            g = np.expand_dims(g, -1)
-        safe = np.where(out == 0, 1.0, out)
-        if not keepdims:
-            safe = np.expand_dims(safe, -1)
-        return g * x.values / safe
+        # Unit rows lose the radial component; floored rows scale linearly.
+        radial = out * (g * out).sum(axis=-1, keepdims=True)
+        return np.where(active, g - radial, g) / denom
 
     return _make(out, (x,), (vjp,))
 
@@ -472,37 +471,11 @@ def l2norm_rows(x, keepdims: bool = True) -> Tensor:
 def cosine_rows(a, b, zero_floor: float = 1e-12) -> Tensor:
     """Cosine similarity of every row of `a` against every row of `b`.
 
-    Composed from primitive ops, so gradients come for free. Rows whose norm
-    is at/below zero are treated as zero vectors: their cosines are 0.
+    Rows whose norm is at/below `zero_floor` count as zero vectors: their
+    cosines are 0.
     """
-    a = _wrap(a)
-    b = _wrap(b)
-    an = div(a, clamp_min(l2norm_rows(a), zero_floor))
-    bn = div(b, clamp_min(l2norm_rows(b), zero_floor))
-    return matmul(an, bn, transpose_b=True)
-
-
-def required_ops() -> tuple[str, ...]:
-    """The op surface the model pipeline needs, each with gradients."""
-    return (
-        "matmul",
-        "add",
-        "mul",
-        "sub",
-        "broadcast",
-        "concat",
-        "slice",
-        "mean",
-        "sum",
-        "l2norm",
-        "softmax",
-        "layernorm",
-        "relu",
-        "dropout",
-        "cosine",
-        "log",
-        "scale",
-    )
+    return matmul(normalize_rows(a, zero_floor), normalize_rows(b, zero_floor),
+                  transpose_b=True)
 
 
 # ---------------------------------------------------------------------------

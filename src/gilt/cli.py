@@ -179,66 +179,6 @@ def write_manifest(out_dir: Path, command: str, resolved: dict,
 
 
 # ---------------------------------------------------------------------------
-# dataset loading
-# ---------------------------------------------------------------------------
-
-def _load_corpus(registry_path, dataset: str):
-    """Resolve a registry entry into a Corpus; directories hold one graph
-    per *.json file, with corpus-wide graph tags reassigned from the entry's
-    recorded seed so the assignment replays exactly."""
-    from .graphs import (Corpus, DataError, assign_graph_splits,
-                         load_graph, load_registry)
-
-    reg = load_registry(registry_path)
-    if dataset not in reg:
-        raise DataError(f"dataset {dataset!r} not in registry {registry_path}")
-    entry = reg[dataset]
-    base = Path(registry_path).parent
-    target = Path(entry["path"])
-    if not target.is_absolute():
-        target = base / target
-
-    if entry.get("format") == "corpus" or target.is_dir():
-        files = sorted(
-            f for f in target.glob("*.json")
-            if f.name not in ("registry.json", "manifest.json")
-        )
-        if not files:
-            raise DataError(f"corpus directory {target} holds no graph files")
-        corpus = Corpus(graphs=tuple(
-            load_graph(f, name=f.stem) for f in files))
-        if any(g.graph_label is not None for g in corpus.graphs):
-            corpus = assign_graph_splits(
-                corpus,
-                tuple(entry.get("graph_split_fractions", (0.6, 0.2, 0.2))),
-                seed=int(entry.get("graph_split_seed", 0)))
-        return corpus
-    g = load_graph(target, format=entry.get("format", "json"), name=dataset)
-    return Corpus(graphs=(g,))
-
-
-def _corpus_for(args):
-    """Dataset argument is a registry name when --registry is given, else a
-    path (file or corpus directory)."""
-    from .graphs import Corpus, DataError, load_graph
-
-    if args.registry:
-        return _load_corpus(args.registry, args.dataset)
-    target = Path(args.dataset)
-    if target.is_dir():
-        files = sorted(
-            f for f in target.glob("*.json")
-            if f.name not in ("registry.json", "manifest.json")
-        )
-        if not files:
-            raise DataError(f"corpus directory {target} holds no graph files")
-        return Corpus(graphs=tuple(load_graph(f, name=f.stem) for f in files))
-    if not target.exists():
-        raise DataError(f"no dataset at {target}")
-    return Corpus(graphs=(load_graph(target, name=target.stem),))
-
-
-# ---------------------------------------------------------------------------
 # commands
 # ---------------------------------------------------------------------------
 
@@ -309,14 +249,12 @@ def cmd_pretrain(args) -> int:
         if field not in flat:
             raise ConfigError(f"config is missing required field {field}")
 
-    from .graphs import DataError
+    from .graphs import DataError, load_corpus
     from .train import TrainingDiverged, train
 
-    registry = Path(flat["data.registry"])
-    if not registry.is_absolute():
-        registry = Path(args.config).parent / registry
+    registry = Path(args.config).parent / flat["data.registry"]
     try:
-        corpus = _load_corpus(registry, flat["data.dataset"])
+        corpus = load_corpus(flat["data.dataset"], registry)
     except DataError as exc:
         raise _Fail(EXIT_DATA, str(exc)) from exc
 
@@ -362,7 +300,7 @@ def _ablated(model_cfg, ablations):
 
 def cmd_eval(args) -> int:
     started = time.time()
-    from .graphs import DataError
+    from .graphs import DataError, load_corpus
     from .train import load_checkpoint
     from .train import config_from_sidecar
     from .evaluate import (LeakageError, append_results_row, evaluate,
@@ -379,7 +317,7 @@ def cmd_eval(args) -> int:
     model_cfg = _ablated(model_cfg, args.ablate)
 
     try:
-        corpus = _corpus_for(args)
+        corpus = load_corpus(args.dataset, args.registry or None)
     except DataError as exc:
         raise _Fail(EXIT_DATA, str(exc)) from exc
 
@@ -421,14 +359,14 @@ def cmd_eval(args) -> int:
 
 def cmd_tokenize(args) -> int:
     started = time.time()
-    from .graphs import DataError
+    from .graphs import DataError, load_corpus
     from .episodes import EpisodeSampler
     from .model import GraphBank, ModelConfig, episode_tokens, init_params, params_to_tensors
     from .tokens import freeze_tokens, write_tokens
     from . import autodiff as ad
 
     try:
-        corpus = _corpus_for(args)
+        corpus = load_corpus(args.dataset, args.registry or None)
     except DataError as exc:
         raise _Fail(EXIT_DATA, str(exc)) from exc
 

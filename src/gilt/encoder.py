@@ -60,6 +60,5 @@ def encode(adj: sp.spmatrix, x, params: dict[str, ad.Tensor],
         h = ad.const_matmul(adj, h)
         if variant == "nonlinear":
             h = ad.relu(ad.matmul(h, params[f"enc_w{i}"]))
-        h = ad.layernorm(h)
-        h = ad.add(ad.mul(h, params[f"enc_ln{i}_gamma"]), params[f"enc_ln{i}_beta"])
+        h = ad.layernorm(h, params[f"enc_ln{i}_gamma"], params[f"enc_ln{i}_beta"])
     return h

@@ -168,6 +168,7 @@ def evaluate(corpus: Corpus, arrays: dict[str, np.ndarray], cfg: ModelConfig,
     params = params_to_tensors(arrays, requires_grad=False)
     if bank is None:
         bank = GraphBank(corpus, cfg)
+    bank.use_model(digest_before, cfg)
 
     report = EvalReport(level=level, n_way=n_way, k_shot=k_shot,
                         episodes_per_run=episodes_per_run,
@@ -181,11 +182,12 @@ def evaluate(corpus: Corpus, arrays: dict[str, np.ndarray], cfg: ModelConfig,
         for _ in range(episodes_per_run):
             episode = sampler.sample()
             assert_no_leakage(episode, corpus)
-            probs = episode_forward(bank, episode, params, cfg, train=False)
-            pred = np.argmax(probs.values, axis=1)
+            logp = episode_forward(bank, episode, params, cfg, train=False)
+            pred = np.argmax(logp.values, axis=1)
             accs.append(accuracy(pred, episode.query_labels))
             if level == "link":
-                pos_score = probs.values[:, 1]
+                # log is monotone, so log-probabilities rank like probabilities
+                pos_score = logp.values[:, 1]
                 aucs.append(roc_auc(pos_score, episode.query_labels))
                 hits.append(hits_at_k(pos_score, episode.query_labels, hits_k))
         run = {"seed": int(seed), "accuracy": float(np.mean(accs))}

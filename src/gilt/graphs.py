@@ -402,13 +402,38 @@ def load_registry(path) -> dict[str, dict]:
     return reg
 
 
-def resolve_dataset(registry_path, dataset: str) -> Graph:
-    reg = load_registry(registry_path)
-    if dataset not in reg:
-        raise DataError(f"dataset {dataset!r} not in registry {registry_path}")
-    entry = reg[dataset]
-    base = Path(registry_path).parent
-    target = Path(entry["path"])
-    if not target.is_absolute():
-        target = base / target
-    return load_graph(target, format=entry.get("format", "json"), name=dataset)
+def load_corpus(dataset: str, registry=None) -> Corpus:
+    """Load a dataset as a Corpus.
+
+    With a registry, `dataset` names an entry whose path resolves relative to
+    the registry file; a corpus entry (or directory) re-derives corpus-wide
+    graph tags from the entry's recorded seed, so the assignment replays
+    exactly. Without one, `dataset` is a graph file or a directory of them.
+    A corpus directory holds one graph per *.json file.
+    """
+    entry: dict = {}
+    if registry is not None:
+        reg = load_registry(registry)
+        if dataset not in reg:
+            raise DataError(f"dataset {dataset!r} not in registry {registry}")
+        entry = reg[dataset]
+        target = Path(registry).parent / entry["path"]
+    else:
+        target = Path(dataset)
+        if not target.exists():
+            raise DataError(f"no dataset at {target}")
+
+    fmt = entry.get("format", "json")
+    if fmt == "corpus" or (fmt == "json" and target.is_dir()):
+        files = sorted(f for f in target.glob("*.json")
+                       if f.name not in ("registry.json", "manifest.json"))
+        if not files:
+            raise DataError(f"corpus directory {target} holds no graph files")
+        corpus = Corpus(graphs=tuple(load_graph(f, name=f.stem) for f in files))
+        if registry is not None and any(g.graph_label is not None for g in corpus.graphs):
+            corpus = assign_graph_splits(
+                corpus, tuple(entry.get("graph_split_fractions", (0.6, 0.2, 0.2))),
+                seed=int(entry.get("graph_split_seed", 0)))
+        return corpus
+    name = target.stem if registry is None else dataset
+    return Corpus(graphs=(load_graph(target, format=fmt, name=name),))

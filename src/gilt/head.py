@@ -4,7 +4,7 @@ After the transformer runs, each token's trailing d columns are the class
 space (where support tokens started with their class prototype and queries
 started with zeros). The head averages the support class-space vectors per
 class into prototypes, scores each query by cosine similarity against
-them, and softmaxes the scores under a fixed temperature. Nothing here is
+them, and log-softmaxes the scores under a fixed temperature. Nothing here is
 learned, so adapting to a new task needs no gradient steps at all.
 """
 from __future__ import annotations
@@ -14,7 +14,6 @@ import numpy as np
 from . import autodiff as ad
 
 TEMPERATURE = 10.0
-LOG_FLOOR = 1e-12
 
 
 def class_space(tokens: ad.Tensor, d: int, full_token: bool = False) -> ad.Tensor:
@@ -27,24 +26,15 @@ def class_space(tokens: ad.Tensor, d: int, full_token: bool = False) -> ad.Tenso
 def predict(s_out: ad.Tensor, q_out: ad.Tensor, support_labels: np.ndarray,
             n_way: int, d: int, temperature: float = TEMPERATURE,
             full_token: bool = False) -> ad.Tensor:
-    """Class probabilities [Q x n_way] for each query token."""
-    labels = np.asarray(support_labels, dtype=np.int64)
-    sup = class_space(s_out, d, full_token)
-    qry = class_space(q_out, d, full_token)
-    protos = []
-    for c in range(n_way):
-        idx = np.nonzero(labels == c)[0]
-        if idx.size == 0:
-            raise ValueError(f"class {c} has no support rows")
-        protos.append(ad.mean(ad.take_rows(sup, idx), axis=0, keepdims=True))
-    scores = ad.cosine_rows(qry, ad.concat(protos, axis=0))
-    return ad.softmax(ad.scale(scores, temperature))
+    """Class log-probabilities [Q x n_way] for each query token."""
+    protos = ad.class_means(class_space(s_out, d, full_token), support_labels, n_way)
+    scores = ad.cosine_rows(class_space(q_out, d, full_token), protos)
+    return ad.log_softmax(ad.scale(scores, temperature))
 
 
-def episode_loss(probs: ad.Tensor, query_labels: np.ndarray) -> ad.Tensor:
+def episode_loss(logp: ad.Tensor, query_labels: np.ndarray) -> ad.Tensor:
     """Mean negative log-probability of the true classes."""
     labels = np.asarray(query_labels, dtype=np.int64)
-    onehot = np.zeros(probs.values.shape)
-    onehot[np.arange(labels.shape[0]), labels] = 1.0
-    p_true = ad.sum_(ad.mul(probs, onehot), axis=1)
-    return ad.scale(ad.mean(ad.log(ad.clamp_min(p_true, LOG_FLOOR))), -1.0)
+    weights = np.zeros(logp.values.shape)
+    weights[np.arange(labels.shape[0]), labels] = -1.0 / labels.shape[0]
+    return ad.sum_(ad.mul(logp, weights))

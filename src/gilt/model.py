@@ -1,4 +1,4 @@
-"""End-to-end episode forward pass: graph in, class probabilities out.
+"""End-to-end episode forward pass: graph in, class log-probabilities out.
 
 This module wires the stages together: aligned features (optionally through
 a trainable projection), structural encoding, item representations, token
@@ -94,6 +94,8 @@ class GraphBank:
     cfg: ModelConfig
     _prepared: dict = field(default_factory=dict)
     _encoded: dict = field(default_factory=dict)
+    _encoded_for: tuple | None = None
+    _encoder_cfg: ModelConfig | None = None
 
     def prepared(self, gi: int) -> PreparedGraph:
         if gi not in self._prepared:
@@ -106,13 +108,28 @@ class GraphBank:
             )
         return self._prepared[gi]
 
+    def use_model(self, digest: str, cfg: ModelConfig) -> None:
+        """Tie cached encodings to one model: a different parameter digest or
+        encoder setting empties the cache before it can serve stale rows."""
+        key = (digest, cfg.encoder_layers, cfg.encoder_variant, cfg.dtype)
+        if key != self._encoded_for:
+            self._encoded.clear()
+            self._encoded_for = key
+        self._encoder_cfg = cfg
+
     def encoded(self, gi: int, params: dict[str, ad.Tensor]) -> ad.Tensor:
-        """Deterministic eval-time encoder output, computed once per graph."""
+        """Deterministic eval-time encoder output, computed once per graph.
+
+        The cache is keyed by graph index only, so a caller that shares one
+        bank across models must call `use_model(digest, cfg)` first; the
+        encoder then runs with that cfg (else with the bank's own cfg).
+        """
         if gi not in self._encoded:
             prep = self.prepared(gi)
+            cfg = self._encoder_cfg or self.cfg
             with ad.no_grad():
                 self._encoded[gi] = _encode_graph(
-                    prep, params, self.cfg, train=False, rng=None)
+                    prep, params, cfg, train=False, rng=None)
         return self._encoded[gi]
 
     def clear_encoded(self):
@@ -175,7 +192,7 @@ def episode_tokens(bank: GraphBank, episode: Episode,
 def episode_forward(bank: GraphBank, episode: Episode,
                     params: dict[str, ad.Tensor], cfg: ModelConfig,
                     train: bool = False) -> ad.Tensor:
-    """Class probabilities [Q x n_way] for one episode."""
+    """Class log-probabilities [Q x n_way] for one episode."""
     rng = np.random.default_rng(episode.aug_seed) if train else None
     t_sup, t_qry = episode_tokens(bank, episode, params, cfg, train, rng)
     s_out, q_out = transformer_forward(
@@ -190,5 +207,5 @@ def episode_forward(bank: GraphBank, episode: Episode,
 def episode_probs_and_loss(bank: GraphBank, episode: Episode,
                            params: dict[str, ad.Tensor], cfg: ModelConfig,
                            train: bool = False):
-    probs = episode_forward(bank, episode, params, cfg, train=train)
-    return probs, episode_loss(probs, episode.query_labels)
+    logp = episode_forward(bank, episode, params, cfg, train=train)
+    return logp, episode_loss(logp, episode.query_labels)

@@ -44,16 +44,7 @@ def mean_pool(h: ad.Tensor) -> ad.Tensor:
 
 def class_prototypes(reprs: ad.Tensor, labels: np.ndarray, n_way: int) -> ad.Tensor:
     """[n_way x d] L2-normalized class means; a zero mean stays a zero row."""
-    labels = np.asarray(labels, dtype=np.int64)
-    rows = []
-    for c in range(n_way):
-        idx = np.nonzero(labels == c)[0]
-        if idx.size == 0:
-            raise ValueError(f"class {c} has no support rows")
-        rows.append(ad.mean(ad.take_rows(reprs, idx), axis=0, keepdims=True))
-    means = ad.concat(rows, axis=0)
-    norms = ad.clamp_min(ad.l2norm_rows(means), PROTO_NORM_FLOOR)
-    return ad.div(means, norms)
+    return ad.normalize_rows(ad.class_means(reprs, labels, n_way), PROTO_NORM_FLOOR)
 
 
 def build_tokens(support: ad.Tensor, support_labels: np.ndarray,

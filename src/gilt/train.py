@@ -218,18 +218,29 @@ def save_checkpoint(path, arrays: dict[str, np.ndarray], opt: AdamWState,
 
 
 def load_checkpoint(path):
-    """Returns (param arrays, AdamWState, sidecar dict)."""
+    """Returns (param arrays, AdamWState, sidecar dict).
+
+    A malformed or truncated file, or arrays that do not match the model the
+    sidecar describes, raises ValueError.
+    """
     path = Path(path)
     raw = path.read_bytes()
     if raw[:4] != CKPT_MAGIC:
         raise ValueError(f"{path} is not a checkpoint (bad magic)")
-    version, count = struct.unpack_from("<HI", raw, 4)
+
+    def unpack(fmt: str, off: int) -> tuple:
+        try:
+            return struct.unpack_from(fmt, raw, off)
+        except struct.error as exc:
+            raise ValueError(f"checkpoint {path} is truncated at byte {len(raw)}") from exc
+
+    version, count = unpack("<HI", 4)
     if version != CKPT_VERSION:
         raise ValueError(f"unsupported checkpoint version {version}")
     off = 10
     named: dict[str, np.ndarray] = {}
     for _ in range(count):
-        (nlen,) = struct.unpack_from("<H", raw, off)
+        (nlen,) = unpack("<H", off)
         off += 2
         name = raw[off:off + nlen].decode()
         off += nlen
@@ -237,12 +248,13 @@ def load_checkpoint(path):
         if dtype is None:
             raise ValueError(f"unknown dtype code in checkpoint for {name}")
         off += 1
-        (ndim,) = struct.unpack_from("<B", raw, off)
+        (ndim,) = unpack("<B", off)
         off += 1
-        shape = struct.unpack_from(f"<{ndim}I", raw, off)
+        shape = unpack(f"<{ndim}I", off)
         off += 4 * ndim
         nbytes = int(np.prod(shape, dtype=np.int64)) * dtype.itemsize if ndim else dtype.itemsize
         count_items = int(np.prod(shape, dtype=np.int64)) if ndim else 1
+        # frombuffer raises ValueError itself when the data runs past the end
         arr = np.frombuffer(raw, dtype=dtype, count=count_items, offset=off).reshape(shape).copy()
         off += nbytes
         named[name] = arr
@@ -264,7 +276,24 @@ def load_checkpoint(path):
 
     sidecar_path = path.with_suffix(path.suffix + ".json")
     sidecar = json.loads(sidecar_path.read_text()) if sidecar_path.exists() else {}
+    if sidecar:
+        _check_against_sidecar(path, params, sidecar)
     return params, opt, sidecar
+
+
+def _check_against_sidecar(path, params: dict[str, np.ndarray], sidecar: dict) -> None:
+    try:
+        expected = {k: v.shape for k, v in
+                    init_params(config_from_sidecar(sidecar)[0]).items()}
+    except (KeyError, TypeError, ValueError) as exc:
+        raise ValueError(f"checkpoint sidecar for {path} is invalid: {exc}") from exc
+    if set(params) != set(expected):
+        odd = sorted(set(params) ^ set(expected))
+        raise ValueError(f"checkpoint {path} arrays do not match its sidecar model: {odd}")
+    for name, shape in expected.items():
+        if params[name].shape != shape:
+            raise ValueError(f"checkpoint {path} array {name} has shape "
+                             f"{params[name].shape}, its sidecar model needs {shape}")
 
 
 def config_from_sidecar(sidecar: dict) -> tuple[ModelConfig, TrainConfig]:

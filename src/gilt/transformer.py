@@ -57,27 +57,17 @@ def transformer_init(d: int, n_layers: int, n_heads: int, ffn_hidden: int,
     return params
 
 
-def _ln(x, gamma, beta):
-    return ad.add(ad.mul(ad.layernorm(x), gamma), beta)
-
-
 def _mha(a, b, wq, wk, wv, wo, n_heads: int, dropout: float, rng):
     """Attention of rows of `a` over rows of `b`; returns [rows(a) x m]."""
-    m = a.values.shape[1]
-    hw = m // n_heads
-    q = ad.matmul(a, wq)
-    k = ad.matmul(b, wk)
-    v = ad.matmul(b, wv)
-    heads = []
-    for h in range(n_heads):
-        lo, hi = h * hw, (h + 1) * hw
-        scores = ad.matmul(ad.slice_cols(q, lo, hi),
-                           ad.slice_cols(k, lo, hi), transpose_b=True)
-        probs = ad.softmax(ad.scale(scores, 1.0 / np.sqrt(hw)))
-        if dropout > 0.0:
-            probs = ad.dropout(probs, dropout, rng)
-        heads.append(ad.matmul(probs, ad.slice_cols(v, lo, hi)))
-    return ad.matmul(ad.concat(heads, axis=1), wo)
+    hw = a.values.shape[1] // n_heads
+    q = ad.split_heads(ad.matmul(a, wq), n_heads)
+    k = ad.split_heads(ad.matmul(b, wk), n_heads)
+    v = ad.split_heads(ad.matmul(b, wv), n_heads)
+    scores = ad.matmul(q, k, transpose_b=True)
+    probs = ad.softmax(ad.scale(scores, 1.0 / np.sqrt(hw)))
+    if dropout > 0.0:
+        probs = ad.dropout(probs, dropout, rng)
+    return ad.matmul(ad.merge_heads(ad.matmul(probs, v)), wo)
 
 
 def _ffn(x, w1, b1, w2, b2, dropout: float, rng):
@@ -103,14 +93,17 @@ def transformer_forward(t_support: ad.Tensor, t_query: ad.Tensor,
         if unshared:
             cross = (p("wq2"), p("wk2"), p("wv2"), p("wo2"))
 
-        a = _ln(ts, ln1_g, ln1_b)
+        a = ad.layernorm(ts, ln1_g, ln1_b)
         ts = ad.add(ts, _mha(a, a, *attn, n_heads=n_heads, dropout=dropout, rng=rng))
         # stage two reads the *updated* support, re-normalized
-        tq = ad.add(tq, _mha(_ln(tq, ln1_g, ln1_b), _ln(ts, ln1_g, ln1_b),
+        tq = ad.add(tq, _mha(ad.layernorm(tq, ln1_g, ln1_b),
+                             ad.layernorm(ts, ln1_g, ln1_b),
                              *cross, n_heads=n_heads, dropout=dropout, rng=rng))
 
         ffn = (p("ffn_w1"), p("ffn_b1"), p("ffn_w2"), p("ffn_b2"))
         ln2_g, ln2_b = p("ln2_gamma"), p("ln2_beta")
-        ts = ad.add(ts, _ffn(_ln(ts, ln2_g, ln2_b), *ffn, dropout=dropout, rng=rng))
-        tq = ad.add(tq, _ffn(_ln(tq, ln2_g, ln2_b), *ffn, dropout=dropout, rng=rng))
+        ts = ad.add(ts, _ffn(ad.layernorm(ts, ln2_g, ln2_b), *ffn,
+                             dropout=dropout, rng=rng))
+        tq = ad.add(tq, _ffn(ad.layernorm(tq, ln2_g, ln2_b), *ffn,
+                             dropout=dropout, rng=rng))
     return ts, tq

@@ -12,11 +12,13 @@ import os
 import subprocess
 import sys
 import time
+from pathlib import Path
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
+import gilt
 from gilt import autodiff as ad
 from gilt.encoder import normalize_adjacency
 from gilt.episodes import EpisodeSampler
@@ -188,8 +190,8 @@ def test_criterion_2_randomized_invariants():
         perm = rng.permutation(s)
         s_out_p, q_out_p = transformer_forward(
             ad.Tensor(ts.values[perm]), tq, params, layers, heads)
-        probs = predict(s_out, q_out, labels, 2, d).values
-        probs_p = predict(s_out_p, q_out_p, labels[perm], 2, d).values
+        probs = np.exp(predict(s_out, q_out, labels, 2, d).values)
+        probs_p = np.exp(predict(s_out_p, q_out_p, labels[perm], 2, d).values)
         worst_perm = max(worst_perm, float(np.max(np.abs(probs - probs_p))))
 
         # the label half of a query token is all-zero, bitwise
@@ -425,7 +427,11 @@ def test_criterion_9_determinism_and_roundtrip(bench, tmp_path):
         "data.registry=corpus/registry.json", "data.dataset=synth",
     ]) + "\n")
 
-    env = dict(os.environ, GILT_THREADS="1")
+    # the child runs in tmp_path, so a relative PYTHONPATH (as in the Tier-1
+    # command) would no longer find the package: hand it the absolute root
+    pkg_root = str(Path(gilt.__file__).resolve().parents[1])
+    pythonpath = os.pathsep.join(p for p in (pkg_root, os.environ.get("PYTHONPATH")) if p)
+    env = dict(os.environ, GILT_THREADS="1", PYTHONPATH=pythonpath)
 
     def run(args):
         proc = subprocess.run([sys.executable, "-m", "gilt.cli"] + args,

@@ -180,6 +180,24 @@ class TestEvalCommand:
         assert (tmp_path / "results.csv").exists()
         assert json.loads((tmp_path / "manifest.json").read_text())["checkpoints"]
 
+    def test_truncated_checkpoint_exits_3(self, corpus_dir, tmp_path, capsys):
+        from gilt.model import init_params
+        from gilt.train import AdamWState, TrainConfig, save_checkpoint
+
+        cfg = ModelConfig(d=2, encoder_layers=1, transformer_layers=0)
+        arrays = init_params(cfg)
+        path = save_checkpoint(tmp_path / "t.ckpt", arrays, AdamWState.fresh(arrays),
+                               cfg, TrainConfig(), epoch=0)
+        raw = path.read_bytes()
+        cut = tmp_path / "cut.ckpt"
+        cut.with_suffix(".ckpt.json").write_text(path.with_suffix(".ckpt.json").read_text())
+        for n in range(len(raw)):
+            cut.write_bytes(raw[:n])
+            code = main(["eval", str(cut), str(corpus_dir), "--level", "node",
+                         "--out", str(tmp_path / "out")])
+            assert code == 3, n
+        assert "cannot load checkpoint" in capsys.readouterr().err
+
     def test_dataset_as_plain_path(self, trained, corpus_dir, tmp_path):
         ckpt = trained / "a" / "final.ckpt"
         code = main(["eval", str(ckpt), str(corpus_dir / "g0.json"),

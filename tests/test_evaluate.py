@@ -1,3 +1,4 @@
+import dataclasses
 import json
 
 import numpy as np
@@ -27,10 +28,17 @@ from gilt.graphs import (
     make_graph,
     make_synthetic,
 )
-from gilt.model import ModelConfig, init_params
+from gilt.model import GraphBank, ModelConfig, init_params
 
 CFG = ModelConfig(d=4, encoder_layers=2, transformer_layers=1, n_heads=2,
                   ffn_hidden=8, dropout=0.1)
+
+
+def _noisy(arrays, seed, scale=0.5):
+    # fresh encoder affines are the same for every seed; perturb them so two
+    # models really encode differently
+    rng = np.random.default_rng(seed)
+    return {k: v + rng.uniform(-scale, scale, size=v.shape) for k, v in arrays.items()}
 
 
 def brute_force_auc(scores, labels):
@@ -232,6 +240,26 @@ class TestEvaluateProtocol:
                      episodes_per_run=2, seeds=(0, 1))
         assert a.to_json() == b.to_json()
         assert params_digest(arrays) == before
+
+    def test_shared_bank_never_serves_another_models_encodings(self, eval_corpus):
+        cfg = dataclasses.replace(CFG, seed=3)
+        a = _noisy(init_params(cfg), seed=1)
+        b = _noisy(init_params(cfg), seed=2)
+        shared = GraphBank(eval_corpus, cfg)
+        evaluate(eval_corpus, a, cfg, "node", 2, 2, episodes_per_run=2,
+                 seeds=(0,), bank=shared)
+        reused = evaluate(eval_corpus, b, cfg, "node", 2, 2, episodes_per_run=2,
+                          seeds=(0,), bank=shared)
+        fresh = evaluate(eval_corpus, b, cfg, "node", 2, 2, episodes_per_run=2,
+                         seeds=(0,))
+        assert reused.to_json() == fresh.to_json()
+        # a truncated encoder is a different encoding too
+        shallow = dataclasses.replace(cfg, encoder_layers=1)
+        reused = evaluate(eval_corpus, b, shallow, "node", 2, 2,
+                          episodes_per_run=2, seeds=(0,), bank=shared)
+        fresh = evaluate(eval_corpus, b, shallow, "node", 2, 2,
+                         episodes_per_run=2, seeds=(0,))
+        assert reused.to_json() == fresh.to_json()
 
     def test_report_files(self, eval_corpus, tmp_path):
         arrays = init_params(CFG)

@@ -14,11 +14,11 @@ from gilt.graphs import (
     SyntheticSpec,
     assign_graph_splits,
     assign_split,
+    load_corpus,
     load_graph,
     load_registry,
     make_graph,
     make_synthetic,
-    resolve_dataset,
     write_graph,
 )
 
@@ -257,15 +257,27 @@ class TestRegistry:
         write_graph(g, tmp_path / "toy.json")
         reg = tmp_path / "registry.json"
         reg.write_text(json.dumps({"toy": {"path": "toy.json", "format": "json"}}))
-        loaded = resolve_dataset(reg, "toy")
+        (loaded,) = load_corpus("toy", reg).graphs
         assert loaded.node_count == 3
         assert loaded.name == "toy"
+
+    def test_plain_path_and_directory(self, tmp_path):
+        write_graph(path_graph(), tmp_path / "a.json")
+        write_graph(path_graph(), tmp_path / "b.json")
+        (single,) = load_corpus(str(tmp_path / "a.json")).graphs
+        assert single.name == "a"
+        assert [g.name for g in load_corpus(str(tmp_path)).graphs] == ["a", "b"]
+        with pytest.raises(DataError, match="no dataset at"):
+            load_corpus(str(tmp_path / "missing.json"))
+        (tmp_path / "empty").mkdir()
+        with pytest.raises(DataError, match="holds no graph files"):
+            load_corpus(str(tmp_path / "empty"))
 
     def test_unknown_dataset(self, tmp_path):
         reg = tmp_path / "registry.json"
         reg.write_text("{}")
         with pytest.raises(DataError, match="not in registry"):
-            resolve_dataset(reg, "missing")
+            load_corpus("missing", reg)
 
     def test_malformed_registry(self, tmp_path):
         reg = tmp_path / "registry.json"

@@ -38,16 +38,16 @@ class TestPredict:
         ])
         q_out = t([[5.0, 5.0, 1.0, 1.0]])
         labels = np.array([0, 0, 1, 1])
-        probs = predict(s_out, q_out, labels, n_way=2, d=d, temperature=10.0)
+        logp = predict(s_out, q_out, labels, n_way=2, d=d, temperature=10.0)
         # cosine of (1,1) with both axes is 1/sqrt(2); equal scores, so uniform
-        assert np.max(np.abs(probs.values - 0.5)) < 1e-12
+        assert np.max(np.abs(np.exp(logp.values) - 0.5)) < 1e-12
 
         q_out = t([[5.0, 5.0, 2.0, 0.5]])
-        probs = predict(s_out, q_out, labels, n_way=2, d=d, temperature=10.0)
+        logp = predict(s_out, q_out, labels, n_way=2, d=d, temperature=10.0)
         qv = np.array([2.0, 0.5])
         cos = qv / np.linalg.norm(qv)
         expect = softmax_np(10.0 * cos[None, :])
-        assert np.max(np.abs(probs.values - expect)) < 1e-12
+        assert np.max(np.abs(logp.values - np.log(expect))) < 1e-12
 
     def test_leading_columns_ignored(self):
         rng = np.random.default_rng(0)
@@ -73,9 +73,9 @@ class TestPredict:
 
     def test_rows_sum_to_one(self):
         rng = np.random.default_rng(2)
-        probs = predict(t(rng.standard_normal((9, 6))), t(rng.standard_normal((4, 6))),
-                        np.array([0, 0, 0, 1, 1, 1, 2, 2, 2]), 3, 3)
-        assert np.max(np.abs(probs.values.sum(axis=1) - 1.0)) < 1e-12
+        logp = predict(t(rng.standard_normal((9, 6))), t(rng.standard_normal((4, 6))),
+                       np.array([0, 0, 0, 1, 1, 1, 2, 2, 2]), 3, 3)
+        assert np.max(np.abs(np.exp(logp.values).sum(axis=1) - 1.0)) < 1e-12
 
     def test_temperature_sharpens(self):
         rng = np.random.default_rng(3)
@@ -93,21 +93,24 @@ class TestPredict:
 
 class TestEpisodeLoss:
     def test_uniform_probs_give_log_n(self):
-        probs = t(np.full((6, 4), 0.25))
-        loss = episode_loss(probs, np.array([0, 1, 2, 3, 0, 1]))
+        logp = t(np.log(np.full((6, 4), 0.25)))
+        loss = episode_loss(logp, np.array([0, 1, 2, 3, 0, 1]))
         assert np.isclose(loss.values.item(), np.log(4.0))
 
     def test_hand_value(self):
-        probs = t([[0.7, 0.3], [0.2, 0.8]])
-        loss = episode_loss(probs, np.array([0, 1]))
+        logp = t(np.log([[0.7, 0.3], [0.2, 0.8]]))
+        loss = episode_loss(logp, np.array([0, 1]))
         expect = -(np.log(0.7) + np.log(0.8)) / 2.0
         assert np.isclose(loss.values.item(), expect, atol=1e-12)
 
-    def test_floor_keeps_loss_finite(self):
-        probs = t([[1.0, 0.0]])
-        loss = episode_loss(probs, np.array([1]))
-        assert np.isfinite(loss.values.item())
-        assert np.isclose(loss.values.item(), -np.log(1e-12))
+    def test_large_gap_keeps_loss_finite(self):
+        # the true class sits 1000 nats below: its probability underflows
+        # to 0, its log-probability does not
+        logits = t([[0.0, -1000.0]], grad=True)
+        loss = episode_loss(ad.log_softmax(logits), np.array([1]))
+        assert np.isclose(loss.values.item(), 1000.0)
+        loss.backward()
+        assert np.allclose(logits.grad, [[1.0, -1.0]])
 
     def test_gradients_through_head(self):
         rng = np.random.default_rng(4)
@@ -119,8 +122,8 @@ class TestEpisodeLoss:
         q_labels = np.array([2, 0, 1])
 
         def loss():
-            probs = predict(params["s"], params["q"], labels, 3, 3)
-            return episode_loss(probs, q_labels)
+            return episode_loss(predict(params["s"], params["q"], labels, 3, 3),
+                                q_labels)
 
         report = ad.grad_check(loss, params, tol=1e-4)
         assert report.passed, report
@@ -130,6 +133,6 @@ class TestEpisodeLoss:
         d = 2
         s_out = t([[0.0, 0.0, 1.0, 0.0], [0.0, 0.0, 0.0, 1.0]])
         q_out = t([[0.0, 0.0, 2.0, 0.0], [0.0, 0.0, 0.0, 5.0]])
-        probs = predict(s_out, q_out, np.array([0, 1]), 2, d, temperature=10.0)
-        loss = episode_loss(probs, np.array([0, 1]))
+        logp = predict(s_out, q_out, np.array([0, 1]), 2, d, temperature=10.0)
+        loss = episode_loss(logp, np.array([0, 1]))
         assert loss.values.item() < 0.01

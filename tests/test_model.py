@@ -4,6 +4,7 @@ import pytest
 from gilt import autodiff as ad
 from gilt.episodes import EpisodeSampler
 from gilt.graphs import (
+    TRAIN,
     Corpus,
     SyntheticSpec,
     assign_graph_splits,
@@ -19,6 +20,7 @@ from gilt.model import (
     init_params,
     params_to_tensors,
 )
+from gilt.train import desk_preset
 
 CFG = ModelConfig(d=4, encoder_layers=2, transformer_layers=1, n_heads=2,
                   ffn_hidden=8, dropout=0.0, seed=0)
@@ -61,25 +63,25 @@ class TestForward:
     def test_node_probs_well_formed(self, node_setup):
         bank, sampler = node_setup
         params = params_to_tensors(init_params(CFG))
-        probs = episode_forward(bank, sampler.sample(), params, CFG)
-        assert probs.values.shape[1] == 2
-        assert np.all(np.isfinite(probs.values))
-        assert np.max(np.abs(probs.values.sum(axis=1) - 1.0)) < 1e-10
+        logp = episode_forward(bank, sampler.sample(), params, CFG)
+        assert logp.values.shape[1] == 2
+        assert np.all(np.isfinite(logp.values))
+        assert np.max(np.abs(np.exp(logp.values).sum(axis=1) - 1.0)) < 1e-10
 
     def test_link_episode_runs(self, link_setup):
         bank, sampler = link_setup
         params = params_to_tensors(init_params(CFG))
-        probs, loss = episode_probs_and_loss(bank, sampler.sample(), params, CFG)
-        assert probs.values.shape[1] == 2
+        logp, loss = episode_probs_and_loss(bank, sampler.sample(), params, CFG)
+        assert logp.values.shape[1] == 2
         assert np.isfinite(loss.values.item())
 
     def test_graph_episode_runs(self, graph_setup):
         bank, sampler = graph_setup
         params = params_to_tensors(init_params(CFG))
         ep = sampler.sample()
-        probs = episode_forward(bank, ep, params, CFG)
-        assert probs.values.shape == (ep.query_size, 2)
-        assert np.max(np.abs(probs.values.sum(axis=1) - 1.0)) < 1e-10
+        logp = episode_forward(bank, ep, params, CFG)
+        assert logp.values.shape == (ep.query_size, 2)
+        assert np.max(np.abs(np.exp(logp.values).sum(axis=1) - 1.0)) < 1e-10
 
     def test_train_equals_eval_without_stochasticity(self, node_setup):
         bank, sampler = node_setup
@@ -184,3 +186,51 @@ class TestEvalCache:
         cached = episode_forward(bank, ep, params, CFG, train=False)
         fresh = episode_forward(bank, ep, params, CFG, train=True)
         assert np.max(np.abs(cached.values - fresh.values)) < 1e-12
+
+
+def _tape_nodes(root) -> int:
+    """Tensors reachable from `root` through the tape's parent links."""
+    seen, stack = set(), [root]
+    while stack:
+        node = stack.pop()
+        if id(node) not in seen:
+            seen.add(id(node))
+            stack.extend(node._parents)
+    return len(seen)
+
+
+class TestTapeBudget:
+    """One desk-preset training episode (epoch 0: 10 shots, 64 queries,
+    augmentation and dropout on) records at most this many tape nodes."""
+
+    BUDGET = {"node": 160, "link": 160, "graph": 700}
+
+    @pytest.fixture(scope="class")
+    def desk(self):
+        g = make_synthetic(SyntheticSpec(4, 40, 0.3, 0.05, 8, 2.0, 0.5, seed=20))
+        g = assign_split(g, (0.6, 0.2, 0.2), "node", seed=21)
+        g = assign_split(g, (0.6, 0.2, 0.2), "link", seed=22)
+        # 15 train graphs per class: 40 support graphs plus 20 queries, the
+        # shape of a desk graph episode on a 100-graph 60/20/20 corpus
+        graphs = []
+        for i in range(60):
+            s = make_synthetic(SyntheticSpec(2, 4, 0.6, 0.2, 8, 1.0, 0.4, seed=200 + i))
+            graphs.append(make_graph(s.node_count, s.edges, s.features,
+                                     graph_label=i % 4, graph_split_tag=TRAIN))
+        model_cfg, train_cfg = desk_preset()
+        return {"node": Corpus(graphs=(g,)), "link": Corpus(graphs=(g,)),
+                "graph": Corpus(graphs=tuple(graphs))}, model_cfg, train_cfg
+
+    @pytest.mark.parametrize("level", ["node", "link", "graph"])
+    def test_desk_episode_within_budget(self, desk, level):
+        corpora, model_cfg, train_cfg = desk
+        sampler = EpisodeSampler(
+            corpora[level], level, n_way=2 if level == "link" else train_cfg.n_way,
+            k_shot=train_cfg.shot_start, query_size=train_cfg.query_size,
+            policy="pretrain", seed=0, feat_drop=train_cfg.feat_drop,
+            edge_drop=train_cfg.edge_drop)
+        params = params_to_tensors(init_params(model_cfg))
+        bank = GraphBank(corpora[level], model_cfg)
+        _, loss = episode_probs_and_loss(bank, sampler.sample(), params, model_cfg,
+                                         train=True)
+        assert _tape_nodes(loss) <= self.BUDGET[level]

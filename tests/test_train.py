@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -29,6 +31,7 @@ from gilt.train import (
 
 SMALL_MODEL = ModelConfig(d=8, encoder_layers=2, transformer_layers=1, n_heads=2,
                           ffn_hidden=16, dropout=0.1)
+TINY_MODEL = ModelConfig(d=2, encoder_layers=1, transformer_layers=0)
 
 
 def small_train(**overrides) -> TrainConfig:
@@ -136,7 +139,8 @@ class TestCheckpoints:
     def test_round_trip_bit_exact(self, tmp_path):
         model_cfg = SMALL_MODEL
         arrays = init_params(model_cfg)
-        arrays["half_precision"] = np.random.default_rng(0).standard_normal(5).astype(np.float32)
+        # one float32 array exercises the second dtype code
+        arrays["enc_ln0_beta"] = np.random.default_rng(0).standard_normal(8).astype(np.float32)
         opt = AdamWState.fresh(arrays)
         opt.step = 17
         for k in opt.m:
@@ -162,6 +166,32 @@ class TestCheckpoints:
         p.write_bytes(b"XXXX" + bytes(16))
         with pytest.raises(ValueError, match="magic"):
             load_checkpoint(p)
+
+    def test_truncated_at_every_offset_is_value_error(self, tmp_path):
+        arrays = init_params(TINY_MODEL)
+        path = save_checkpoint(tmp_path / "t.ckpt", arrays, AdamWState.fresh(arrays),
+                               TINY_MODEL, small_train(), epoch=0)
+        raw = path.read_bytes()
+        cut = tmp_path / "cut.ckpt"
+        cut.with_suffix(".ckpt.json").write_text(path.with_suffix(".ckpt.json").read_text())
+        for n in range(len(raw)):
+            cut.write_bytes(raw[:n])
+            with pytest.raises(ValueError):
+                load_checkpoint(cut)
+
+    def test_arrays_must_match_sidecar_model(self, tmp_path):
+        arrays = init_params(SMALL_MODEL)
+        opt = AdamWState.fresh(arrays)
+        narrow = dataclasses.replace(SMALL_MODEL, d=4)
+        path = save_checkpoint(tmp_path / "m.ckpt", arrays, opt, narrow,
+                               small_train(), epoch=0)
+        with pytest.raises(ValueError, match="shape"):
+            load_checkpoint(path)
+        unshared = dataclasses.replace(SMALL_MODEL, unshared_attention=True)
+        path = save_checkpoint(tmp_path / "m.ckpt", arrays, opt, unshared,
+                               small_train(), epoch=0)
+        with pytest.raises(ValueError, match="tf0_wq2"):
+            load_checkpoint(path)
 
     def test_trailing_bytes_rejected(self, tmp_path):
         arrays = {"w": np.ones(3)}

@@ -26,8 +26,9 @@ def make_inputs(S=8, Q=5, d=3, seed=0):
     return ts, tq
 
 
-def reference_single_head_layer(ts, tq, p):
-    """Independent numpy spelling of one layer with one head, no dropout."""
+def reference_layer(ts, tq, p, n_heads=1, dropout=0.0, rng=None):
+    """Independent numpy spelling of one layer: a loop over heads, each head
+    drawing its own attention-dropout mask in turn, then the FFN masks."""
     def ln(x, g, b):
         mu = x.mean(axis=1, keepdims=True)
         var = x.var(axis=1, keepdims=True)
@@ -38,20 +39,30 @@ def reference_single_head_layer(ts, tq, p):
         e = np.exp(z)
         return e / e.sum(axis=1, keepdims=True)
 
+    def drop(x):
+        if dropout == 0.0:
+            return x
+        return x * (rng.random(x.shape) >= dropout) * (1.0 / (1.0 - dropout))
+
     def attend(src, ctx):
         q = src @ p["tf0_wq"]
         k = ctx @ p["tf0_wk"]
         v = ctx @ p["tf0_wv"]
-        probs = softmax(q @ k.T / np.sqrt(q.shape[1]))
-        return probs @ v @ p["tf0_wo"]
+        hw = q.shape[1] // n_heads
+        heads = []
+        for h in range(n_heads):
+            cols = slice(h * hw, (h + 1) * hw)
+            probs = drop(softmax(q[:, cols] @ k[:, cols].T / np.sqrt(hw)))
+            heads.append(probs @ v[:, cols])
+        return np.concatenate(heads, axis=1) @ p["tf0_wo"]
 
     g1, b1 = p["tf0_ln1_gamma"], p["tf0_ln1_beta"]
     ts = ts + attend(ln(ts, g1, b1), ln(ts, g1, b1))
     tq = tq + attend(ln(tq, g1, b1), ln(ts, g1, b1))
 
     def ffn(x):
-        h = np.maximum(ln(x, p["tf0_ln2_gamma"], p["tf0_ln2_beta"]) @ p["tf0_ffn_w1"]
-                       + p["tf0_ffn_b1"], 0.0)
+        h = drop(np.maximum(ln(x, p["tf0_ln2_gamma"], p["tf0_ln2_beta"]) @ p["tf0_ffn_w1"]
+                            + p["tf0_ffn_b1"], 0.0))
         return h @ p["tf0_ffn_w2"] + p["tf0_ffn_b2"]
 
     return ts + ffn(ts), tq + ffn(tq)
@@ -77,9 +88,22 @@ class TestArchitecture:
         ts, tq = make_inputs(S=6, Q=4, d=2, seed=3)
         arrays = densify(transformer_init(2, 1, 1, 8, seed=4))
         s, q = transformer_forward(ts, tq, as_tensors(arrays), 1, 1)
-        ref_s, ref_q = reference_single_head_layer(ts.values, tq.values, arrays)
+        ref_s, ref_q = reference_layer(ts.values, tq.values, arrays)
         assert np.max(np.abs(s.values - ref_s)) < 1e-12
         assert np.max(np.abs(q.values - ref_q)) < 1e-12
+
+    def test_batched_heads_match_per_head_reference(self):
+        # heads run as one batched op; the reference loops over column blocks
+        # and draws each head's dropout mask in turn from the same generator
+        ts, tq = make_inputs(S=6, Q=4, d=3, seed=23)
+        arrays = densify(transformer_init(3, 1, 3, 8, seed=24))
+        for dropout in (0.0, 0.3):
+            s, q = transformer_forward(ts, tq, as_tensors(arrays), 1, 3, dropout=dropout,
+                                       rng=np.random.default_rng(25))
+            ref_s, ref_q = reference_layer(ts.values, tq.values, arrays, n_heads=3,
+                                           dropout=dropout, rng=np.random.default_rng(25))
+            assert np.max(np.abs(s.values - ref_s)) < 1e-12
+            assert np.max(np.abs(q.values - ref_q)) < 1e-12
 
     def test_width_must_split_over_heads(self):
         with pytest.raises(ValueError, match="divisible"):
