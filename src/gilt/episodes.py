@@ -10,7 +10,9 @@ split with disjoint items; "eval" draws support from the train split and
 query from the test split, which is the protocol every reported number
 uses. Link episodes are binary (edge vs non-edge) with a fixed 3:1
 negative-to-positive ratio on both sides; negatives are rejection-sampled
-node pairs that avoid every true edge in the graph.
+node pairs that avoid every true edge in the graph. Edge membership goes
+through the graph's cached key index (`Graph.edge_rows`), built once per
+graph; only the pairs an episode has drawn are kept in a per-episode set.
 """
 from __future__ import annotations
 
@@ -164,26 +166,36 @@ class EpisodeSampler:
 
     # -- link level -------------------------------------------------------
 
-    def _sample_negatives(self, g: Graph, count: int, banned: set) -> list:
+    def _sample_negatives(self, g: Graph, count: int, drawn: set) -> list:
+        """Rejection-sample `count` pairs that are neither edges of `g` nor in
+        `drawn` (the pairs this episode already holds, updated in place).
+
+        Each endpoint is one scalar draw, the stream every episode is pinned
+        to. A round draws only as many candidates as are still missing, so
+        it never draws past the pair that completes the set, and tests them
+        against the edge index in one lookup.
+        """
+        n = g.node_count
         out = []
         limit = 200 * count + 1000
         tries = 0
         while len(out) < count:
-            tries += 1
-            if tries > limit:
+            if tries >= limit:
                 raise DataError(
                     f"could not find {count} non-edges in graph {g.name or '?'}; "
                     "graph too dense for negative sampling"
                 )
-            u = int(self.rng.integers(g.node_count))
-            v = int(self.rng.integers(g.node_count))
-            if u == v:
-                continue
-            pair = (min(u, v), max(u, v))
-            if pair in banned:
-                continue
-            banned.add(pair)
-            out.append(pair)
+            batch = []
+            for _ in range(min(count - len(out), limit - tries)):
+                tries += 1
+                u = int(self.rng.integers(n))
+                v = int(self.rng.integers(n))
+                if u != v:
+                    batch.append((min(u, v), max(u, v)))
+            for pair, row in zip(batch, g.edge_rows(batch)):
+                if row < 0 and pair not in drawn:
+                    drawn.add(pair)
+                    out.append(pair)
         return out
 
     def _sample_link(self, k_shot: int) -> Episode:
@@ -208,9 +220,9 @@ class EpisodeSampler:
             q_pos = min(q_pos, len(query_e))
             qry_pos = g.edges[self.rng.choice(query_e, size=q_pos, replace=False)]
 
-        banned = g.edge_set()
-        sup_neg = self._sample_negatives(g, self.negative_ratio * k_shot, banned)
-        qry_neg = self._sample_negatives(g, self.negative_ratio * len(qry_pos), banned)
+        drawn: set = set()
+        sup_neg = self._sample_negatives(g, self.negative_ratio * k_shot, drawn)
+        qry_neg = self._sample_negatives(g, self.negative_ratio * len(qry_pos), drawn)
 
         sup_refs = np.concatenate([sup_pos, np.asarray(sup_neg).reshape(-1, 2)])
         sup_labels = [1] * len(sup_pos) + [0] * len(sup_neg)

@@ -91,21 +91,21 @@ def assert_no_leakage(episode: Episode, corpus: Corpus) -> None:
             raise LeakageError("support and query nodes overlap")
     elif episode.level == "link":
         g = corpus.graphs[episode.graph_index]
-        by_split = {
-            TRAIN: {tuple(e) for e in g.edges[g.edge_split == TRAIN]},
-            TEST: {tuple(e) for e in g.edges[g.edge_split == TEST]},
-        }
-        all_edges = g.edge_set()
         for refs, labels, side in (
             (episode.support_refs, episode.support_labels, TRAIN),
             (episode.query_refs, episode.query_labels, TEST),
         ):
-            for (u, v), y in zip(refs, labels):
-                pair = (min(int(u), int(v)), max(int(u), int(v)))
-                if y == 1 and pair not in by_split[side]:
+            rows = g.edge_rows(refs)
+            labels = np.asarray(labels)
+            wrong_side = (rows < 0) | (g.edge_split[rows] != side)
+            bad = ((labels == 1) & wrong_side) | ((labels == 0) & (rows >= 0))
+            if bad.any():
+                i = int(np.argmax(bad))
+                u, v = (int(x) for x in refs[i])
+                pair = (min(u, v), max(u, v))
+                if labels[i] == 1:
                     raise LeakageError(f"positive pair {pair} not a {side}-split edge")
-                if y == 0 and pair in all_edges:
-                    raise LeakageError(f"negative pair {pair} is a real edge")
+                raise LeakageError(f"negative pair {pair} is a real edge")
     else:
         tags = np.array([g.graph_split_tag for g in corpus.graphs])
         if np.any(tags[episode.support_refs] != TRAIN):

@@ -11,6 +11,7 @@ from __future__ import annotations
 import csv
 import json
 from dataclasses import dataclass, field, replace
+from functools import cached_property
 from pathlib import Path
 
 import numpy as np
@@ -54,6 +55,12 @@ class Graph:
 
     node_split / edge_split are per-item tags in {TRAIN, VALID, TEST};
     graph_split_tag is the whole-graph tag used by graph-level tasks.
+
+    Edge membership goes through one per-graph key index, `edge_keys`, built
+    on first use and cached on the instance. `dataclasses.replace` makes a
+    new instance with an empty cache, so the index always describes the
+    instance's own `edges`, and the rows `edge_rows` returns index its own
+    `edge_split`.
     """
 
     node_count: int
@@ -85,7 +92,30 @@ class Graph:
         return tuple(levels)
 
     def edge_set(self) -> set[tuple[int, int]]:
+        """Every edge as a (lo, hi) tuple. The package looks edges up through
+        `edge_rows`; `perfbench/tracing.py` still wraps this method by name."""
         return {(int(a), int(b)) for a, b in self.edges}
+
+    @cached_property
+    def edge_keys(self) -> np.ndarray:
+        """Read-only int64 key lo * node_count + hi of each edge row.
+
+        Strictly increasing, because `edges` rows are unique and sorted
+        lexicographically, so a key's position is its edge row.
+        """
+        return _frozen(self.edges[:, 0] * self.node_count + self.edges[:, 1])
+
+    def edge_rows(self, pairs) -> np.ndarray:
+        """Edge row of each node pair (either order), or -1 for a non-edge."""
+        pairs = np.asarray(pairs, dtype=np.int64).reshape(-1, 2)
+        lo = np.minimum(pairs[:, 0], pairs[:, 1])
+        hi = np.maximum(pairs[:, 0], pairs[:, 1])
+        keys = lo * self.node_count + hi
+        rows = np.searchsorted(self.edge_keys, keys)
+        # out-of-range endpoints could alias another pair's key
+        found = (lo >= 0) & (hi < self.node_count) & (rows < self.edge_count)
+        found[found] = self.edge_keys[rows[found]] == keys[found]
+        return np.where(found, rows, -1)
 
 
 def make_graph(

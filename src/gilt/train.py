@@ -26,7 +26,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .episodes import SHOT_END, SHOT_START, EpisodeSampler, shots_at
-from .graphs import Corpus
+from .graphs import Corpus, DataError
 from .model import (
     GraphBank,
     ModelConfig,
@@ -361,11 +361,15 @@ def train(corpus: Corpus, model_cfg: ModelConfig, train_cfg: TrainConfig,
           stop_after: int | None = None) -> TrainResult:
     """Run (or resume) pre-training; stop_after ends the run early but keeps
     every schedule pinned to train_cfg.epochs, so a stopped run resumes into
-    exactly the run it would have been."""
+    exactly the run it would have been. A resume checkpoint that is missing
+    or cannot be loaded raises DataError."""
     bank = GraphBank(corpus, model_cfg)
     start_epoch = 0
     if resume_from is not None:
-        arrays, opt, sidecar = load_checkpoint(resume_from)
+        try:
+            arrays, opt, sidecar = load_checkpoint(resume_from)
+        except (OSError, ValueError) as exc:
+            raise DataError(f"cannot load checkpoint {resume_from}: {exc}") from exc
         start_epoch = int(sidecar.get("epoch", -1)) + 1
     else:
         arrays = init_params(model_cfg)

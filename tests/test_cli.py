@@ -165,6 +165,24 @@ class TestPretrainCommand:
                        "data.dataset=synth\n")
         assert main(["pretrain", str(cfg), "--out", str(tmp_path)]) == 3
 
+    def test_resume_from_missing_checkpoint_exits_3(self, trained, tmp_path, capsys):
+        code = main(["pretrain", str(trained / "run.cfg"), "--out", str(tmp_path),
+                     "--resume", str(tmp_path / "nope.ckpt")])
+        assert code == 3
+        assert "cannot load checkpoint" in capsys.readouterr().err
+
+    def test_resume_from_truncated_checkpoint_exits_3(self, trained, tmp_path, capsys):
+        src = trained / "a" / "last.ckpt"
+        raw = src.read_bytes()
+        cut = tmp_path / "cut.ckpt"
+        cut.with_suffix(".ckpt.json").write_text(src.with_suffix(".ckpt.json").read_text())
+        for n in (0, 3, 4, 9, 10, len(raw) // 2, len(raw) - 1):
+            cut.write_bytes(raw[:n])
+            code = main(["pretrain", str(trained / "run.cfg"),
+                         "--out", str(tmp_path / "out"), "--resume", str(cut)])
+            assert code == 3, n
+            assert "cannot load checkpoint" in capsys.readouterr().err, n
+
 
 class TestEvalCommand:
     def test_report_and_manifest(self, trained, corpus_dir, tmp_path):

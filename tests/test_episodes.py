@@ -184,6 +184,113 @@ class TestLinkEpisodes:
             s.sample()
 
 
+class SetBasedSampler(EpisodeSampler):
+    """Reference link sampler: one Python set of every edge per episode,
+    which also collects the drawn negatives, tested one pair at a time."""
+
+    def _sample_negatives(self, g, count, banned):
+        out = []
+        limit = 200 * count + 1000
+        tries = 0
+        while len(out) < count:
+            tries += 1
+            if tries > limit:
+                raise DataError(
+                    f"could not find {count} non-edges in graph {g.name or '?'}; "
+                    "graph too dense for negative sampling"
+                )
+            u = int(self.rng.integers(g.node_count))
+            v = int(self.rng.integers(g.node_count))
+            if u == v:
+                continue
+            pair = (min(u, v), max(u, v))
+            if pair in banned:
+                continue
+            banned.add(pair)
+            out.append(pair)
+        return out
+
+    def _sample_link(self, k_shot):
+        gi = self._eligible[self.rng.integers(len(self._eligible))]
+        g = self.corpus.graphs[gi]
+        train_e = np.nonzero(g.edge_split == TRAIN)[0]
+        query_e = np.nonzero(g.edge_split == self._query_pool_tag())[0]
+        q_pos = max(1, self.query_size // (1 + self.negative_ratio))
+        need_train = k_shot + (q_pos if self.policy == "pretrain" else 0)
+        picks = self.rng.choice(train_e, size=need_train, replace=False)
+        sup_pos = g.edges[picks[:k_shot]]
+        if self.policy == "pretrain":
+            qry_pos = g.edges[picks[k_shot:]]
+        else:
+            q_pos = min(q_pos, len(query_e))
+            qry_pos = g.edges[self.rng.choice(query_e, size=q_pos, replace=False)]
+        banned = {(int(a), int(b)) for a, b in g.edges}
+        sup_neg = self._sample_negatives(g, self.negative_ratio * k_shot, banned)
+        qry_neg = self._sample_negatives(g, self.negative_ratio * len(qry_pos), banned)
+        sup_refs = np.concatenate([sup_pos, np.asarray(sup_neg).reshape(-1, 2)])
+        sup_labels = [1] * len(sup_pos) + [0] * len(sup_neg)
+        q_refs = np.concatenate([qry_pos, np.asarray(qry_neg).reshape(-1, 2)])
+        q_labels = [1] * len(qry_pos) + [0] * len(qry_neg)
+        return self._finish(gi, sup_refs, sup_labels, q_refs, q_labels,
+                            np.array([0, 1]), k_shot)
+
+
+def _link_corpus(n_per_class, intra, inter, seed):
+    g = make_synthetic(SyntheticSpec(3, n_per_class, intra, inter, 4, 1.0, 0.5, seed=seed))
+    return Corpus(graphs=(assign_split(g, (0.6, 0.2, 0.2), "link", seed=seed + 1),))
+
+
+class TestLinkSamplerMatchesSetReference:
+    # dense: about half of all pairs are edges, so many draws are rejected
+    CORPORA = {"dense": (12, 0.6, 0.45, 5), "sparse": (100, 0.03, 0.005, 6)}
+
+    @pytest.mark.parametrize("policy", ["pretrain", "eval"])
+    @pytest.mark.parametrize("density", sorted(CORPORA))
+    def test_identical_episodes(self, density, policy):
+        corpus = _link_corpus(*self.CORPORA[density])
+        for seed in range(4):
+            new = EpisodeSampler(corpus, "link", 2, 3, query_size=24,
+                                 policy=policy, seed=seed)
+            ref = SetBasedSampler(corpus, "link", 2, 3, query_size=24,
+                                  policy=policy, seed=seed)
+            for k in (3, 1, 5):
+                a, b = new.sample(k_shot=k), ref.sample(k_shot=k)
+                assert np.array_equal(a.support_refs, b.support_refs)
+                assert np.array_equal(a.support_labels, b.support_labels)
+                assert np.array_equal(a.query_refs, b.query_refs)
+                assert np.array_equal(a.query_labels, b.query_labels)
+                assert a.aug_seed == b.aug_seed
+                assert new.rng.bit_generator.state == ref.rng.bit_generator.state
+
+    @pytest.mark.parametrize("policy", ["pretrain", "eval"])
+    @pytest.mark.parametrize("density", sorted(CORPORA))
+    def test_negatives_unique_across_support_and_query(self, density, policy):
+        corpus = _link_corpus(*self.CORPORA[density])
+        s = EpisodeSampler(corpus, "link", 2, 4, query_size=40, policy=policy, seed=9)
+        for _ in range(5):
+            ep = s.sample()
+            neg = [tuple(r) for r, y in zip(ep.support_refs.tolist(), ep.support_labels)
+                   if y == 0]
+            neg += [tuple(r) for r, y in zip(ep.query_refs.tolist(), ep.query_labels)
+                    if y == 0]
+            assert len(neg) == len(set(neg)) == 4 * 3 + 3 * 10
+
+    def test_same_draws_before_giving_up(self):
+        n = 7
+        edges = [[i, j] for i in range(n) for j in range(i + 1, n) if (i, j) != (0, 1)]
+        g = assign_split(make_graph(n, edges, np.zeros((n, 2))), (0.6, 0.2, 0.2),
+                         "link", seed=0)
+        corpus = Corpus(graphs=(g,))
+        new = EpisodeSampler(corpus, "link", 2, 1, query_size=4, seed=1)
+        ref = SetBasedSampler(corpus, "link", 2, 1, query_size=4, seed=1)
+        with pytest.raises(DataError, match="dense") as a:
+            new.sample()
+        with pytest.raises(DataError, match="dense") as b:
+            ref.sample()
+        assert str(a.value) == str(b.value)
+        assert new.rng.bit_generator.state == ref.rng.bit_generator.state
+
+
 class TestGraphEpisodes:
     def test_refs_are_corpus_indices(self, graph_corpus):
         s = EpisodeSampler(graph_corpus, "graph", 2, 3, seed=0)

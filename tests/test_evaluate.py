@@ -194,6 +194,77 @@ class TestLeakageGuard:
             assert_no_leakage(sampler.sample(), corpus)
 
 
+def link_episode(support, support_labels, query, query_labels):
+    return Episode(level="link", n_way=2, k_shot=1, graph_index=0,
+                   support_refs=np.asarray(support).reshape(-1, 2),
+                   support_labels=np.asarray(support_labels),
+                   query_refs=np.asarray(query).reshape(-1, 2),
+                   query_labels=np.asarray(query_labels),
+                   class_ids=np.array([0, 1]))
+
+
+def split_path_graph():
+    # path 0-1-...-7; edge row i is (i, i+1)
+    split = np.array([TRAIN, TRAIN, TRAIN, VALID, VALID, TEST, TEST], dtype=np.int8)
+    return make_graph(8, [[i, i + 1] for i in range(7)], np.zeros((8, 2)),
+                      edge_split=split)
+
+
+class TestLinkLeakageGuard:
+    def test_clean_episode_passes_in_either_order(self):
+        corpus = Corpus(graphs=(split_path_graph(),))
+        assert_no_leakage(link_episode([[0, 1], [2, 1], [0, 7]], [1, 1, 0],
+                                       [[6, 5], [6, 7], [1, 4]], [1, 1, 0]), corpus)
+
+    @pytest.mark.parametrize("support, labels, query, qlabels, message", [
+        # a VALID-split positive, in support and in query
+        ([[3, 4]], [1], [[5, 6]], [1], r"positive pair \(3, 4\) not a 0-split"),
+        ([[0, 1]], [1], [[4, 5]], [1], r"positive pair \(4, 5\) not a 2-split"),
+        # a TEST edge given reversed as a support positive
+        ([[6, 5]], [1], [[5, 6]], [1], r"positive pair \(5, 6\) not a 0-split"),
+        # a non-edge given as a positive
+        ([[0, 1]], [1], [[0, 7]], [1], r"positive pair \(0, 7\) not a 2-split"),
+        # a reversed negative that is a real edge, in support and in query
+        ([[0, 1], [4, 3]], [1, 0], [[5, 6]], [1], r"negative pair \(3, 4\) is a real edge"),
+        ([[0, 1]], [1], [[5, 6], [2, 1]], [1, 0], r"negative pair \(1, 2\) is a real edge"),
+    ])
+    def test_rejects_and_names_pair(self, support, labels, query, qlabels, message):
+        corpus = Corpus(graphs=(split_path_graph(),))
+        with pytest.raises(LeakageError, match=message):
+            assert_no_leakage(link_episode(support, labels, query, qlabels), corpus)
+
+    def test_first_offending_pair_is_named(self):
+        corpus = Corpus(graphs=(split_path_graph(),))
+        # three offenders: the guard reports the first, support before query
+        ep = link_episode([[0, 1], [2, 3], [3, 4]], [1, 0, 1], [[4, 5]], [1])
+        with pytest.raises(LeakageError, match=r"negative pair \(2, 3\)"):
+            assert_no_leakage(ep, corpus)
+
+    def test_resplit_graph_checked_against_its_own_split(self):
+        g = split_path_graph()
+        ep = link_episode([[0, 1]], [1], [[5, 6]], [1])
+        assert_no_leakage(ep, Corpus(graphs=(g,)))   # builds g's edge index
+        flipped = dataclasses.replace(g, edge_split=g.edge_split[::-1].copy())
+        with pytest.raises(LeakageError, match=r"positive pair \(0, 1\) not a 0-split"):
+            assert_no_leakage(ep, Corpus(graphs=(flipped,)))
+        resplit = assign_split(g, (0.6, 0.2, 0.2), "link", seed=1)
+        moved = np.nonzero((resplit.edge_split == TRAIN) & (g.edge_split != TRAIN))[0]
+        test_row = np.nonzero(resplit.edge_split == TEST)[0][0]
+        ep = link_episode(g.edges[moved[:1]], [1], g.edges[[test_row]], [1])
+        assert_no_leakage(ep, Corpus(graphs=(resplit,)))
+        with pytest.raises(LeakageError, match="not a 0-split"):
+            assert_no_leakage(ep, Corpus(graphs=(g,)))
+
+    def test_sampled_link_eval_episodes_always_pass(self):
+        g = make_synthetic(SyntheticSpec(3, 30, 0.3, 0.05, 6, 2.0, 0.5, seed=1))
+        g = assign_split(g, (0.6, 0.2, 0.2), "link", seed=2)
+        corpus = Corpus(graphs=(g,))
+        sampler = EpisodeSampler(corpus, "link", 2, 3, query_size=64,
+                                 policy="eval", seed=3)
+        for _ in range(20):
+            assert_no_leakage(sampler.sample(), corpus)
+
+
 class TestParamsDigest:
     def test_sensitive_to_content(self):
         a = {"w": np.arange(4.0)}

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 
 import numpy as np
@@ -224,6 +225,48 @@ class TestSplits:
         a = assign_split(g, (0.6, 0.2, 0.2), "node", seed=0).node_split
         b = assign_split(g, (0.6, 0.2, 0.2), "node", seed=1).node_split
         assert not np.array_equal(a, b)
+
+
+class TestEdgeIndex:
+    def test_keys_strictly_increasing_and_decode_to_edges(self):
+        g = make_synthetic(SyntheticSpec(3, 30, 0.3, 0.05, 4, 1.0, 0.5, seed=7))
+        keys = g.edge_keys
+        assert keys.dtype == np.int64 and keys.shape == (g.edge_count,)
+        assert np.all(np.diff(keys) > 0)
+        decoded = np.stack([keys // g.node_count, keys % g.node_count], axis=1)
+        assert np.array_equal(decoded, g.edges)
+        assert not keys.flags.writeable
+        assert g.edge_keys is keys  # built once per graph
+
+    def test_rows_match_edge_set(self):
+        g = make_synthetic(SyntheticSpec(3, 10, 0.4, 0.1, 4, 1.0, 0.5, seed=3))
+        n = g.node_count
+        pairs = np.array([(u, v) for u in range(n) for v in range(n)])
+        rows = g.edge_rows(pairs)
+        edges = g.edge_set()
+        for (u, v), row in zip(pairs.tolist(), rows):
+            pair = (min(u, v), max(u, v))
+            if pair in edges:
+                assert tuple(g.edges[row]) == pair
+            else:
+                assert row == -1
+
+    def test_out_of_range_and_empty(self):
+        g = path_graph(4)   # edges (0,1) (1,2) (2,3); key(0, 6) == key(1, 2)
+        assert g.edge_rows([[0, 6], [-1, 5], [1, 2], [3, 2]]).tolist() == [-1, -1, 1, 2]
+        assert g.edge_rows(np.zeros((0, 2), dtype=np.int64)).shape == (0,)
+        bare = make_graph(3, np.zeros((0, 2)), np.zeros((3, 2)))
+        assert bare.edge_keys.shape == (0,)
+        assert bare.edge_rows([[0, 1]]).tolist() == [-1]
+
+    def test_replaced_graph_gets_its_own_index(self):
+        g = path_graph(5)
+        assert g.edge_keys.tolist() == [1, 7, 13, 19]
+        star = make_graph(5, [[0, 1], [0, 2], [0, 3], [0, 4]], np.zeros((5, 2)))
+        h = dataclasses.replace(g, edges=star.edges)
+        assert h.edge_keys.tolist() == [1, 2, 3, 4]
+        assert h.edge_rows([[2, 0]]).tolist() == [1]
+        assert g.edge_rows([[2, 0]]).tolist() == [-1]
 
 
 class TestCorpus:
