@@ -298,22 +298,30 @@ def _ablated(model_cfg, ablations):
     return model_cfg
 
 
+def _load_model(path):
+    """Parameters and model config from a checkpoint; a missing, unreadable
+    or malformed checkpoint is a data error."""
+    from .train import config_from_sidecar, load_checkpoint
+
+    try:
+        arrays, _, sidecar = load_checkpoint(path)
+        model_cfg, _ = config_from_sidecar(sidecar)
+    except (OSError, ValueError, KeyError) as exc:
+        raise _Fail(EXIT_DATA, f"cannot load checkpoint {path}: {exc}") from exc
+    return arrays, model_cfg
+
+
 def cmd_eval(args) -> int:
     started = time.time()
     from .graphs import DataError, load_corpus
-    from .train import load_checkpoint
-    from .train import config_from_sidecar
     from .evaluate import (LeakageError, append_results_row, evaluate,
                            sweep_shots, write_report, write_sweep)
 
-    ckpt = Path(args.checkpoint)
-    if not ckpt.exists():
-        raise _Fail(EXIT_DATA, f"no checkpoint at {ckpt}")
     try:
-        arrays, _, sidecar = load_checkpoint(ckpt)
-        model_cfg, _ = config_from_sidecar(sidecar)
-    except (ValueError, KeyError) as exc:
-        raise _Fail(EXIT_DATA, f"cannot load checkpoint {ckpt}: {exc}") from exc
+        ks = tuple(int(v) for v in args.sweep_k.split(",")) if args.sweep_k else None
+    except ValueError as exc:
+        raise ConfigError(f"--sweep-k expects a comma list of integers: {exc}") from exc
+    arrays, model_cfg = _load_model(args.checkpoint)
     model_cfg = _ablated(model_cfg, args.ablate)
 
     try:
@@ -325,8 +333,7 @@ def cmd_eval(args) -> int:
     out.mkdir(parents=True, exist_ok=True)
     seeds = tuple(range(args.runs))
     try:
-        if args.sweep_k:
-            ks = tuple(int(v) for v in args.sweep_k.split(","))
+        if ks:
             rows = sweep_shots(corpus, arrays, model_cfg, args.level, args.n,
                                ks=ks, episodes_per_run=args.episodes,
                                seeds=seeds, query_size=args.queries)
@@ -353,7 +360,8 @@ def cmd_eval(args) -> int:
         raise _Fail(EXIT_DATA, f"leakage guard tripped: {exc}") from exc
 
     resolved = {k: str(v) for k, v in vars(args).items() if k != "func"}
-    write_manifest(out, "eval", resolved, checkpoints=[ckpt], started=started)
+    write_manifest(out, "eval", resolved, checkpoints=[Path(args.checkpoint)],
+                   started=started)
     return EXIT_OK
 
 
@@ -371,12 +379,7 @@ def cmd_tokenize(args) -> int:
         raise _Fail(EXIT_DATA, str(exc)) from exc
 
     if args.checkpoint:
-        from .train import config_from_sidecar, load_checkpoint
-        try:
-            arrays, _, sidecar = load_checkpoint(args.checkpoint)
-            model_cfg, _ = config_from_sidecar(sidecar)
-        except (ValueError, KeyError) as exc:
-            raise _Fail(EXIT_DATA, f"cannot load checkpoint: {exc}") from exc
+        arrays, model_cfg = _load_model(args.checkpoint)
     else:
         model_cfg = ModelConfig(seed=args.seed)
         arrays = init_params(model_cfg)

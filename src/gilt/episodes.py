@@ -8,11 +8,17 @@ task through the support set, not by memorizing label ids.
 Two pool policies exist. "pretrain" draws support and query from the train
 split with disjoint items; "eval" draws support from the train split and
 query from the test split, which is the protocol every reported number
-uses. Link episodes are binary (edge vs non-edge) with a fixed 3:1
-negative-to-positive ratio on both sides; negatives are rejection-sampled
-node pairs that avoid every true edge in the graph. Edge membership goes
-through the graph's cached key index (`Graph.edge_rows`), built once per
-graph; only the pairs an episode has drawn are kept in a per-episode set.
+uses.
+
+Node and graph episodes take one labelled-item path (`_sample_labelled`):
+an item has a class label and a split tag, and only the items differ by
+level. Node items are one graph's nodes, tagged by its `node_split`; graph
+items are the corpus's graphs, tagged by `graph_split_tag`. Link episodes
+are binary (edge vs non-edge) with a fixed 3:1 negative-to-positive ratio on
+both sides; negatives are rejection-sampled node pairs that avoid every true
+edge in the graph. Edge membership goes through the graph's cached key index
+(`Graph.edge_rows`), built once per graph; only the pairs an episode has
+drawn are kept in a per-episode set.
 """
 from __future__ import annotations
 
@@ -117,52 +123,65 @@ class EpisodeSampler:
             aug_seed=int(self.rng.integers(0, 2 ** 31 - 1)),
         )
 
-    # -- node level -------------------------------------------------------
+    # -- node and graph level: one labelled-item path ----------------------
+
+    def _sample_labelled(self, k_shot: int, train_items: np.ndarray,
+                         query_items: np.ndarray, labels: np.ndarray,
+                         graph_index: int, where: str) -> Episode:
+        """N-way K-shot episode over labelled items: `labels[i]` is item i's
+        class, supports come from `train_items`, queries from `query_items`
+        minus the supports. `where` names the item source in errors."""
+        classes, n_train = np.unique(labels[train_items], return_counts=True)
+        if self.policy == "pretrain":
+            ok = classes[n_train >= k_shot + 1]
+        else:
+            in_query = np.isin(classes, labels[query_items])
+            ok = classes[(n_train >= k_shot) & in_query]
+        if len(ok) < self.n_way:
+            raise DataError(
+                f"{where}: only {len(ok)} classes have enough examples "
+                f"for {self.n_way}-way {k_shot}-shot ({self.policy})"
+            )
+        class_ids = self.rng.choice(ok, size=self.n_way, replace=False)
+
+        sup_refs = np.concatenate([
+            self.rng.choice(train_items[labels[train_items] == c], size=k_shot,
+                            replace=False)
+            for c in class_ids
+        ])
+        pool = query_items[np.isin(labels[query_items], class_ids)
+                           & ~np.isin(query_items, sup_refs)]
+        if not pool.size:
+            raise DataError(f"{where}: query pool empty after removing support")
+        q_refs = self.rng.choice(pool, size=min(self.query_size, len(pool)),
+                                 replace=False)
+        q_labels = np.argmax(labels[q_refs][:, None] == class_ids, axis=1)
+        return self._finish(graph_index, sup_refs,
+                            np.repeat(np.arange(self.n_way), k_shot),
+                            q_refs, q_labels, class_ids, k_shot)
 
     def _sample_node(self, k_shot: int) -> Episode:
         gi = self._eligible[self.rng.integers(len(self._eligible))]
         g = self.corpus.graphs[gi]
         if g.node_split is None:
             raise DataError(f"graph {gi} has no node split; assign one first")
-        train_idx = np.nonzero(g.node_split == TRAIN)[0]
-        query_idx = np.nonzero(g.node_split == self._query_pool_tag())[0]
-        labels = g.node_labels
+        return self._sample_labelled(
+            k_shot, np.nonzero(g.node_split == TRAIN)[0],
+            np.nonzero(g.node_split == self._query_pool_tag())[0],
+            g.node_labels, gi, f"graph {gi}")
 
-        ok = []
-        for c in np.unique(labels):
-            n_train = int(np.sum(labels[train_idx] == c))
-            n_query = int(np.sum(labels[query_idx] == c))
-            if self.policy == "pretrain":
-                if n_train >= k_shot + 1:
-                    ok.append(c)
-            elif n_train >= k_shot and n_query >= 1:
-                ok.append(c)
-        if len(ok) < self.n_way:
-            raise DataError(
-                f"graph {gi}: only {len(ok)} classes have enough examples "
-                f"for {self.n_way}-way {k_shot}-shot ({self.policy})"
-            )
-        class_ids = self.rng.choice(np.asarray(ok), size=self.n_way, replace=False)
-
-        sup_refs, sup_labels = [], []
-        taken = set()
-        for ep_label, c in enumerate(class_ids):
-            pool = train_idx[labels[train_idx] == c]
-            picks = self.rng.choice(pool, size=k_shot, replace=False)
-            sup_refs.extend(int(v) for v in picks)
-            sup_labels.extend([ep_label] * k_shot)
-            taken.update(int(v) for v in picks)
-
-        mask = np.isin(labels[query_idx], class_ids)
-        pool = [int(v) for v in query_idx[mask] if int(v) not in taken]
-        if not pool:
-            raise DataError(f"graph {gi}: query pool empty after removing support")
-        size = min(self.query_size, len(pool))
-        q_refs = self.rng.choice(np.asarray(pool), size=size, replace=False)
-        remap = {int(c): i for i, c in enumerate(class_ids)}
-        q_labels = [remap[int(labels[v])] for v in q_refs]
-        return self._finish(gi, sup_refs, sup_labels, q_refs, q_labels,
-                            class_ids, k_shot)
+    def _sample_graph(self, k_shot: int) -> Episode:
+        graphs = self.corpus.graphs
+        eligible = np.asarray(self._eligible, dtype=np.int64)
+        tags = np.array([graphs[i].graph_split_tag for i in eligible])
+        if any(t is None for t in tags):
+            raise DataError("graph-level episodes need corpus-wide split tags")
+        labels = np.full(len(graphs), -1, dtype=np.int64)
+        labels[eligible] = [graphs[i].graph_label for i in eligible]
+        return self._sample_labelled(
+            k_shot, eligible[tags == TRAIN],
+            eligible[tags == self._query_pool_tag()],
+            labels, -1, "graph level")
 
     # -- link level -------------------------------------------------------
 
@@ -230,52 +249,6 @@ class EpisodeSampler:
         q_labels = [1] * len(qry_pos) + [0] * len(qry_neg)
         return self._finish(gi, sup_refs, sup_labels, q_refs, q_labels,
                             np.array([0, 1]), k_shot)
-
-    # -- graph level ------------------------------------------------------
-
-    def _sample_graph(self, k_shot: int) -> Episode:
-        tags = [g.graph_split_tag for g in self.corpus.graphs]
-        if any(t is None for i, t in enumerate(tags) if i in self._eligible):
-            raise DataError("graph-level episodes need corpus-wide split tags")
-        lab = {i: self.corpus.graphs[i].graph_label for i in self._eligible}
-        train_pool = [i for i in self._eligible if tags[i] == TRAIN]
-        query_pool = [i for i in self._eligible if tags[i] == self._query_pool_tag()]
-
-        ok = []
-        for c in sorted({v for v in lab.values()}):
-            n_train = sum(1 for i in train_pool if lab[i] == c)
-            n_query = sum(1 for i in query_pool if lab[i] == c)
-            if self.policy == "pretrain":
-                if n_train >= k_shot + 1:
-                    ok.append(c)
-            elif n_train >= k_shot and n_query >= 1:
-                ok.append(c)
-        if len(ok) < self.n_way:
-            raise DataError(
-                f"only {len(ok)} graph classes have enough graphs for "
-                f"{self.n_way}-way {k_shot}-shot ({self.policy})"
-            )
-        class_ids = self.rng.choice(np.asarray(ok), size=self.n_way, replace=False)
-
-        sup_refs, sup_labels = [], []
-        taken = set()
-        for ep_label, c in enumerate(class_ids):
-            pool = [i for i in train_pool if lab[i] == c]
-            picks = self.rng.choice(np.asarray(pool), size=k_shot, replace=False)
-            sup_refs.extend(int(v) for v in picks)
-            sup_labels.extend([ep_label] * k_shot)
-            taken.update(int(v) for v in picks)
-
-        pool = [i for i in query_pool if lab[i] in set(int(c) for c in class_ids)
-                and i not in taken]
-        if not pool:
-            raise DataError("graph query pool empty after removing support")
-        size = min(self.query_size, len(pool))
-        q_refs = self.rng.choice(np.asarray(pool), size=size, replace=False)
-        remap = {int(c): i for i, c in enumerate(class_ids)}
-        q_labels = [remap[lab[int(v)]] for v in q_refs]
-        return self._finish(-1, sup_refs, sup_labels, q_refs, q_labels,
-                            class_ids, k_shot)
 
     # -- entry point ------------------------------------------------------
 

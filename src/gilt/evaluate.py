@@ -80,16 +80,10 @@ def hits_at_k(scores, labels, k: int) -> float:
 # ---------------------------------------------------------------------------
 
 def assert_no_leakage(episode: Episode, corpus: Corpus) -> None:
-    """Hard-abort when an eval episode touches the wrong split side."""
-    if episode.level == "node":
-        g = corpus.graphs[episode.graph_index]
-        if np.any(g.node_split[episode.support_refs] != TRAIN):
-            raise LeakageError("support node outside the train split")
-        if np.any(g.node_split[episode.query_refs] != TEST):
-            raise LeakageError("query node outside the test split")
-        if set(map(int, episode.support_refs)) & set(map(int, episode.query_refs)):
-            raise LeakageError("support and query nodes overlap")
-    elif episode.level == "link":
+    """Hard-abort when an eval episode touches the wrong split side: node
+    and graph supports must be tagged train and queries test; a link
+    positive must be an edge of its side's split, a negative no edge."""
+    if episode.level == "link":
         g = corpus.graphs[episode.graph_index]
         for refs, labels, side in (
             (episode.support_refs, episode.support_labels, TRAIN),
@@ -106,12 +100,15 @@ def assert_no_leakage(episode: Episode, corpus: Corpus) -> None:
                 if labels[i] == 1:
                     raise LeakageError(f"positive pair {pair} not a {side}-split edge")
                 raise LeakageError(f"negative pair {pair} is a real edge")
+        return
+    if episode.level == "node":
+        tags = corpus.graphs[episode.graph_index].node_split
     else:
         tags = np.array([g.graph_split_tag for g in corpus.graphs])
-        if np.any(tags[episode.support_refs] != TRAIN):
-            raise LeakageError("support graph outside the train split")
-        if np.any(tags[episode.query_refs] != TEST):
-            raise LeakageError("query graph outside the test split")
+    if np.any(tags[episode.support_refs] != TRAIN):
+        raise LeakageError(f"support {episode.level} outside the train split")
+    if np.any(tags[episode.query_refs] != TEST):
+        raise LeakageError(f"query {episode.level} outside the test split")
 
 
 def params_digest(arrays: dict[str, np.ndarray]) -> str:
@@ -163,12 +160,16 @@ def evaluate(corpus: Corpus, arrays: dict[str, np.ndarray], cfg: ModelConfig,
              level: str, n_way: int, k_shot: int, episodes_per_run: int = 8,
              seeds=DEFAULT_SEEDS, query_size: int = 2048, hits_k: int = 10,
              bank: GraphBank | None = None) -> EvalReport:
-    """Frozen-model evaluation over several independently seeded runs."""
+    """Frozen-model evaluation over several independently seeded runs.
+
+    A passed `bank` is used only when `bank.corpus is corpus and bank.cfg ==
+    cfg`; any other bank is ignored and a fresh one is built.
+    """
     digest_before = params_digest(arrays)
     params = params_to_tensors(arrays, requires_grad=False)
-    if bank is None:
+    if bank is None or bank.corpus is not corpus or bank.cfg != cfg:
         bank = GraphBank(corpus, cfg)
-    bank.use_model(digest_before, cfg)
+    bank.use_model(digest_before)
 
     report = EvalReport(level=level, n_way=n_way, k_shot=k_shot,
                         episodes_per_run=episodes_per_run,

@@ -135,7 +135,6 @@ class AlignSpec:
     unified_dim: int
     mode: str = "pad"               # "pad" | "learnable-projection"
     intermediate_dim: int = 64
-    incremental_threshold: int = INCREMENTAL_THRESHOLD
 
     def __post_init__(self):
         if self.mode not in ("pad", "learnable-projection"):
@@ -155,33 +154,20 @@ class AlignedFeatures:
 
     x: np.ndarray
     pca: PCAModel
-    col_mean: np.ndarray
-    col_sd: np.ndarray
     needs_projection: bool
 
-    @property
-    def width(self) -> int:
-        return int(self.x.shape[1])
 
-
-def align_features(features, spec: AlignSpec, method: str = "auto",
-                   seed: int = 0) -> AlignedFeatures:
+def align_features(features, spec: AlignSpec) -> AlignedFeatures:
     x = np.asarray(features, dtype=np.float64)
     n, d_in = x.shape
     target = spec.intermediate_dim if spec.mode == "learnable-projection" else spec.unified_dim
     q = min(d_in, n, target)
-    pca = fit_pca(
-        x, q, method=method,
-        incremental_threshold=spec.incremental_threshold, seed=seed,
-    )
-    reduced = pca_transform(pca, x)
-    scaled, mean, sd = scale_columns(reduced)
+    pca = fit_pca(x, q)
+    scaled, _, _ = scale_columns(pca_transform(pca, x))
     if q < target:
         scaled = np.concatenate([scaled, np.zeros((n, target - q))], axis=1)
     return AlignedFeatures(
         x=scaled,
         pca=pca,
-        col_mean=mean,
-        col_sd=sd,
         needs_projection=spec.mode == "learnable-projection",
     )

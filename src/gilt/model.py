@@ -88,14 +88,19 @@ class PreparedGraph:
 
 @dataclass
 class GraphBank:
-    """Per-corpus cache of prepared inputs and (eval-only) encoder outputs."""
+    """Per-corpus cache of prepared inputs and (eval-only) encoder outputs.
+
+    A bank is bound to one corpus and one cfg: its caches are keyed by graph
+    index only and built with its own cfg, so `evaluate` ignores a passed
+    bank unless `bank.corpus is corpus and bank.cfg == cfg`. `use_model`
+    ties the encodings to one parameter set.
+    """
 
     corpus: Corpus
     cfg: ModelConfig
     _prepared: dict = field(default_factory=dict)
     _encoded: dict = field(default_factory=dict)
-    _encoded_for: tuple | None = None
-    _encoder_cfg: ModelConfig | None = None
+    _encoded_for: str | None = None
 
     def prepared(self, gi: int) -> PreparedGraph:
         if gi not in self._prepared:
@@ -108,28 +113,18 @@ class GraphBank:
             )
         return self._prepared[gi]
 
-    def use_model(self, digest: str, cfg: ModelConfig) -> None:
-        """Tie cached encodings to one model: a different parameter digest or
-        encoder setting empties the cache before it can serve stale rows."""
-        key = (digest, cfg.encoder_layers, cfg.encoder_variant, cfg.dtype)
-        if key != self._encoded_for:
+    def use_model(self, digest: str) -> None:
+        """Tie cached encodings to one parameter set: a different digest
+        empties the cache before it can serve another model's rows."""
+        if digest != self._encoded_for:
             self._encoded.clear()
-            self._encoded_for = key
-        self._encoder_cfg = cfg
+            self._encoded_for = digest
 
     def encoded(self, gi: int, params: dict[str, ad.Tensor]) -> ad.Tensor:
-        """Deterministic eval-time encoder output, computed once per graph.
-
-        The cache is keyed by graph index only, so a caller that shares one
-        bank across models must call `use_model(digest, cfg)` first; the
-        encoder then runs with that cfg (else with the bank's own cfg).
-        """
+        """Deterministic eval-time encoder output, computed once per graph."""
         if gi not in self._encoded:
-            prep = self.prepared(gi)
-            cfg = self._encoder_cfg or self.cfg
             with ad.no_grad():
-                self._encoded[gi] = _encode_graph(
-                    prep, params, cfg, train=False, rng=None)
+                self._encoded[gi] = _encode_graph(self.prepared(gi), params, self.cfg)
         return self._encoded[gi]
 
     def clear_encoded(self):
@@ -137,16 +132,17 @@ class GraphBank:
 
 
 def _encode_graph(prep: PreparedGraph, params: dict[str, ad.Tensor],
-                  cfg: ModelConfig, train: bool, rng,
+                  cfg: ModelConfig, rng=None,
                   feat_drop: float = 0.0, edge_drop: float = 0.0) -> ad.Tensor:
+    """Encoder output for one graph; nonzero drop rates augment with `rng`."""
     dtype = cfg.np_dtype()
     x = ad.Tensor(prep.aligned.x.astype(dtype, copy=False))
-    if train and feat_drop > 0.0:
+    if feat_drop > 0.0:
         x = ad.dropout(x, feat_drop, rng)
     if prep.aligned.needs_projection:
         x = ad.matmul(x, params["proj_w"])
     adj = prep.adj
-    if train and edge_drop > 0.0:
+    if edge_drop > 0.0:
         edges = prep.graph.edges
         keep = rng.random(edges.shape[0]) >= edge_drop
         adj = normalize_adjacency(prep.graph.node_count, edges[keep]).astype(dtype)
@@ -154,30 +150,20 @@ def _encode_graph(prep: PreparedGraph, params: dict[str, ad.Tensor],
 
 
 def _item_reprs(bank: GraphBank, episode: Episode, params, cfg, train, rng):
-    if episode.level in ("node", "link"):
-        prep = bank.prepared(episode.graph_index)
+    def encoded(gi: int) -> ad.Tensor:
         if train:
-            h = _encode_graph(prep, params, cfg, train, rng,
-                              episode.feat_drop, episode.edge_drop)
-        else:
-            h = bank.encoded(episode.graph_index, params)
-        sup = item_repr(h, episode.level, episode.support_refs)
-        qry = item_repr(h, episode.level, episode.query_refs)
-        return sup, qry
+            return _encode_graph(bank.prepared(gi), params, cfg, rng,
+                                 episode.feat_drop, episode.edge_drop)
+        return bank.encoded(gi, params)
 
-    # graph level: one pooled row per referenced graph
-    def pooled(gi: int) -> ad.Tensor:
-        prep = bank.prepared(gi)
-        if train:
-            h = _encode_graph(prep, params, cfg, train, rng,
-                              episode.feat_drop, episode.edge_drop)
-        else:
-            h = bank.encoded(gi, params)
-        return mean_pool(h)
-
-    sup = ad.concat([pooled(int(gi)) for gi in episode.support_refs], axis=0)
-    qry = ad.concat([pooled(int(gi)) for gi in episode.query_refs], axis=0)
-    return sup, qry
+    if episode.level == "graph":
+        # one pooled row per referenced graph
+        def pooled(refs) -> ad.Tensor:
+            return ad.concat([mean_pool(encoded(int(gi))) for gi in refs], axis=0)
+        return pooled(episode.support_refs), pooled(episode.query_refs)
+    h = encoded(episode.graph_index)
+    return (item_repr(h, episode.level, episode.support_refs),
+            item_repr(h, episode.level, episode.query_refs))
 
 
 def episode_tokens(bank: GraphBank, episode: Episode,

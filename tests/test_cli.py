@@ -261,6 +261,23 @@ class TestEvalCommand:
                      "--level", "node", "--out", str(tmp_path)])
         assert code == 3
 
+    def test_checkpoint_that_is_a_directory_exits_3(self, corpus_dir, tmp_path, capsys):
+        code = main(["eval", str(tmp_path), "synth",
+                     "--registry", str(corpus_dir / "registry.json"),
+                     "--level", "node", "--out", str(tmp_path / "out")])
+        assert code == 3
+        assert "cannot load checkpoint" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("value", ["1,x", "1,,2", "two", "1.5"])
+    def test_malformed_sweep_k_is_usage_error(self, trained, corpus_dir, tmp_path,
+                                              capsys, value):
+        code = main(["eval", str(trained / "a" / "final.ckpt"), "synth",
+                     "--registry", str(corpus_dir / "registry.json"),
+                     "--level", "node", "--n", "2", "--sweep-k", value,
+                     "--out", str(tmp_path)])
+        assert code == 2
+        assert "--sweep-k" in capsys.readouterr().err
+
 
 class TestTokenizeCommand:
     def test_export_and_header(self, corpus_dir, tmp_path):
@@ -285,6 +302,22 @@ class TestTokenizeCommand:
         code = main(["tokenize", str(tmp_path / "missing.json"),
                      "--level", "node", "--out", str(tmp_path)])
         assert code == 3
+
+    @pytest.mark.parametrize("name", ["missing.ckpt", "."])
+    def test_unreadable_checkpoint_exits_3(self, corpus_dir, tmp_path, capsys, name):
+        code = main(["tokenize", str(corpus_dir / "g0.json"), "--level", "node",
+                     "--n", "2", "--k", "2", "--checkpoint", str(tmp_path / name),
+                     "--out", str(tmp_path / "out")])
+        assert code == 3
+        assert "cannot load checkpoint" in capsys.readouterr().err
+
+    def test_with_trained_checkpoint(self, trained, corpus_dir, tmp_path):
+        code = main(["tokenize", str(corpus_dir / "g0.json"), "--level", "node",
+                     "--n", "2", "--k", "2", "--queries", "4",
+                     "--checkpoint", str(trained / "a" / "final.ckpt"),
+                     "--out", str(tmp_path)])
+        assert code == 0
+        assert read_tokens(tmp_path / "tokens.bin").d == 6
 
 
 class TestUsageErrors:

@@ -291,6 +291,158 @@ class TestLinkSamplerMatchesSetReference:
         assert new.rng.bit_generator.state == ref.rng.bit_generator.state
 
 
+class PerLevelSampler(EpisodeSampler):
+    """Reference node and graph samplers: one body per level, class counts
+    and query pools built with Python loops and sets."""
+
+    def _sample_node(self, k_shot):
+        gi = self._eligible[self.rng.integers(len(self._eligible))]
+        g = self.corpus.graphs[gi]
+        if g.node_split is None:
+            raise DataError(f"graph {gi} has no node split; assign one first")
+        train_idx = np.nonzero(g.node_split == TRAIN)[0]
+        query_idx = np.nonzero(g.node_split == self._query_pool_tag())[0]
+        labels = g.node_labels
+        ok = []
+        for c in np.unique(labels):
+            n_train = int(np.sum(labels[train_idx] == c))
+            n_query = int(np.sum(labels[query_idx] == c))
+            if self.policy == "pretrain":
+                if n_train >= k_shot + 1:
+                    ok.append(c)
+            elif n_train >= k_shot and n_query >= 1:
+                ok.append(c)
+        if len(ok) < self.n_way:
+            raise DataError(f"graph {gi}: only {len(ok)} classes")
+        class_ids = self.rng.choice(np.asarray(ok), size=self.n_way, replace=False)
+        sup_refs, sup_labels = [], []
+        taken = set()
+        for ep_label, c in enumerate(class_ids):
+            pool = train_idx[labels[train_idx] == c]
+            picks = self.rng.choice(pool, size=k_shot, replace=False)
+            sup_refs.extend(int(v) for v in picks)
+            sup_labels.extend([ep_label] * k_shot)
+            taken.update(int(v) for v in picks)
+        mask = np.isin(labels[query_idx], class_ids)
+        pool = [int(v) for v in query_idx[mask] if int(v) not in taken]
+        if not pool:
+            raise DataError(f"graph {gi}: query pool empty after removing support")
+        size = min(self.query_size, len(pool))
+        q_refs = self.rng.choice(np.asarray(pool), size=size, replace=False)
+        remap = {int(c): i for i, c in enumerate(class_ids)}
+        q_labels = [remap[int(labels[v])] for v in q_refs]
+        return self._finish(gi, sup_refs, sup_labels, q_refs, q_labels,
+                            class_ids, k_shot)
+
+    def _sample_graph(self, k_shot):
+        tags = [g.graph_split_tag for g in self.corpus.graphs]
+        if any(t is None for i, t in enumerate(tags) if i in self._eligible):
+            raise DataError("graph-level episodes need corpus-wide split tags")
+        lab = {i: self.corpus.graphs[i].graph_label for i in self._eligible}
+        train_pool = [i for i in self._eligible if tags[i] == TRAIN]
+        query_pool = [i for i in self._eligible if tags[i] == self._query_pool_tag()]
+        ok = []
+        for c in sorted({v for v in lab.values()}):
+            n_train = sum(1 for i in train_pool if lab[i] == c)
+            n_query = sum(1 for i in query_pool if lab[i] == c)
+            if self.policy == "pretrain":
+                if n_train >= k_shot + 1:
+                    ok.append(c)
+            elif n_train >= k_shot and n_query >= 1:
+                ok.append(c)
+        if len(ok) < self.n_way:
+            raise DataError(f"only {len(ok)} graph classes")
+        class_ids = self.rng.choice(np.asarray(ok), size=self.n_way, replace=False)
+        sup_refs, sup_labels = [], []
+        taken = set()
+        for ep_label, c in enumerate(class_ids):
+            pool = [i for i in train_pool if lab[i] == c]
+            picks = self.rng.choice(np.asarray(pool), size=k_shot, replace=False)
+            sup_refs.extend(int(v) for v in picks)
+            sup_labels.extend([ep_label] * k_shot)
+            taken.update(int(v) for v in picks)
+        pool = [i for i in query_pool if lab[i] in set(int(c) for c in class_ids)
+                and i not in taken]
+        if not pool:
+            raise DataError("graph query pool empty after removing support")
+        size = min(self.query_size, len(pool))
+        q_refs = self.rng.choice(np.asarray(pool), size=size, replace=False)
+        remap = {int(c): i for i, c in enumerate(class_ids)}
+        q_labels = [remap[lab[int(v)]] for v in q_refs]
+        return self._finish(-1, sup_refs, sup_labels, q_refs, q_labels,
+                            class_ids, k_shot)
+
+
+def _draw(sampler, k):
+    """An episode's arrays, or the kind of error drawing it raised."""
+    try:
+        ep = sampler.sample(k_shot=k)
+    except DataError as exc:
+        return ("error", "query pool" in str(exc))
+    return (ep.graph_index, ep.support_refs, ep.support_labels, ep.query_refs,
+            ep.query_labels, ep.class_ids, ep.aug_seed)
+
+
+def _same_draw(a, b):
+    return len(a) == len(b) and all(
+        x == y if not isinstance(x, np.ndarray)
+        else x.dtype == y.dtype and np.array_equal(x, y)
+        for x, y in zip(a, b))
+
+
+def _oracle_corpora():
+    # node level: uneven classes, so some (n, k) combinations cannot be served
+    sizes = [12, 6, 3, 9]
+    labels = np.repeat(np.arange(4), sizes)
+    n = len(labels)
+    feats = np.random.default_rng(0).standard_normal((n, 3))
+    ring = [[i, (i + 1) % n] for i in range(n)]
+    nodes = assign_split(make_graph(n, ring, feats, node_labels=labels),
+                         (0.6, 0.2, 0.2), "node", seed=2)
+    node = Corpus(graphs=(nodes, assign_split(nodes, (0.5, 0.25, 0.25), "node", seed=3)))
+    # graph level: 4 uneven classes, plus graphs that cannot serve the level
+    graphs = [make_graph(3, [[0, 1], [1, 2]], np.full((3, 2), float(i)),
+                         graph_label=[0, 0, 1, 2, 0, 1, 3, 0, 3, 2][i % 10])
+              for i in range(40)]
+    graphs = list(assign_graph_splits(Corpus(graphs=tuple(graphs)),
+                                      (0.5, 0.25, 0.25), seed=4).graphs)
+    graphs[5] = nodes
+    graphs[17] = nodes
+    return {"node": node, "graph": Corpus(graphs=tuple(graphs))}
+
+
+class TestLabelledSamplerMatchesPerLevelReference:
+    CORPORA = _oracle_corpora()
+
+    @pytest.mark.parametrize("policy", ["pretrain", "eval"])
+    @pytest.mark.parametrize("level", ["node", "graph"])
+    def test_identical_episodes_and_errors(self, level, policy):
+        corpus = self.CORPORA[level]
+        outcomes = set()
+        for seed in range(3):
+            for n in (2, 3, 4):
+                for q in (1, 4, 64):
+                    new = EpisodeSampler(corpus, level, n, 2, query_size=q,
+                                         policy=policy, seed=seed)
+                    ref = PerLevelSampler(corpus, level, n, 2, query_size=q,
+                                          policy=policy, seed=seed)
+                    for k in (1, 2, 3, 5):
+                        a, b = _draw(new, k), _draw(ref, k)
+                        assert _same_draw(a, b), (seed, n, q, k)
+                        assert new.rng.bit_generator.state == ref.rng.bit_generator.state
+                        outcomes.add(a[0] if a[0] == "error" else "episode")
+        assert outcomes == {"episode", "error"}
+
+    def test_graph_level_skips_graphs_without_a_label(self):
+        corpus = self.CORPORA["graph"]
+        assert 5 not in corpus.supporting("graph")
+        assert corpus.graphs[5].graph_split_tag is None
+        s = EpisodeSampler(corpus, "graph", 2, 1, policy="eval", seed=0)
+        for _ in range(20):
+            ep = s.sample()
+            assert not {5, 17} & set(ep.support_refs.tolist() + ep.query_refs.tolist())
+
+
 class TestGraphEpisodes:
     def test_refs_are_corpus_indices(self, graph_corpus):
         s = EpisodeSampler(graph_corpus, "graph", 2, 3, seed=0)

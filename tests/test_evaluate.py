@@ -24,6 +24,7 @@ from gilt.graphs import (
     VALID,
     Corpus,
     SyntheticSpec,
+    assign_graph_splits,
     assign_split,
     make_graph,
     make_synthetic,
@@ -194,6 +195,47 @@ class TestLeakageGuard:
             assert_no_leakage(sampler.sample(), corpus)
 
 
+def tagged_graph_corpus():
+    # graph i has tag TAGS[i]; graph 6 is a node-level graph with no tag
+    tags = [TRAIN, TRAIN, TRAIN, VALID, TEST, TEST]
+    graphs = [make_graph(2, [[0, 1]], np.zeros((2, 2)), graph_label=i % 2,
+                         graph_split_tag=t) for i, t in enumerate(tags)]
+    return Corpus(graphs=tuple(graphs) + (leaky_node_graph(),))
+
+
+def graph_episode(support, query):
+    return Episode(level="graph", n_way=2, k_shot=1, graph_index=-1,
+                   support_refs=np.asarray(support),
+                   support_labels=np.asarray([0, 1][:len(support)]),
+                   query_refs=np.asarray(query),
+                   query_labels=np.asarray([0, 1][:len(query)]),
+                   class_ids=np.array([0, 1]))
+
+
+class TestGraphLeakageGuard:
+    def test_clean_episode_passes(self):
+        assert_no_leakage(graph_episode([0, 1], [4, 5]), tagged_graph_corpus())
+
+    @pytest.mark.parametrize("support, query, message", [
+        ([0, 4], [5], "support graph"),     # support graph from the test split
+        ([0, 3], [5], "support graph"),     # support graph from the valid split
+        ([0, 6], [5], "support graph"),     # support graph with no tag
+        ([0, 1], [2, 5], "query graph"),    # query graph from the train split
+        ([0, 1], [3], "query graph"),       # query graph from the valid split
+    ])
+    def test_wrong_side_aborts(self, support, query, message):
+        with pytest.raises(LeakageError, match=message):
+            assert_no_leakage(graph_episode(support, query), tagged_graph_corpus())
+
+    def test_sampled_graph_eval_episodes_always_pass(self):
+        graphs = tuple(make_graph(3, [[0, 1], [1, 2]], np.zeros((3, 2)), graph_label=i % 3)
+                       for i in range(30))
+        corpus = assign_graph_splits(Corpus(graphs=graphs), (0.5, 0.25, 0.25), seed=1)
+        sampler = EpisodeSampler(corpus, "graph", 3, 2, policy="eval", seed=2)
+        for _ in range(20):
+            assert_no_leakage(sampler.sample(), corpus)
+
+
 def link_episode(support, support_labels, query, query_labels):
     return Episode(level="link", n_way=2, k_shot=1, graph_index=0,
                    support_refs=np.asarray(support).reshape(-1, 2),
@@ -324,13 +366,17 @@ class TestEvaluateProtocol:
         fresh = evaluate(eval_corpus, b, cfg, "node", 2, 2, episodes_per_run=2,
                          seeds=(0,))
         assert reused.to_json() == fresh.to_json()
-        # a truncated encoder is a different encoding too
-        shallow = dataclasses.replace(cfg, encoder_layers=1)
-        reused = evaluate(eval_corpus, b, shallow, "node", 2, 2,
-                          episodes_per_run=2, seeds=(0,), bank=shared)
-        fresh = evaluate(eval_corpus, b, shallow, "node", 2, 2,
-                         episodes_per_run=2, seeds=(0,))
-        assert reused.to_json() == fresh.to_json()
+        # a bank built for another cfg must not serve this one: a truncated
+        # encoder, other prepared features, another prepared width
+        for change in ({"encoder_layers": 1}, {"align_mode": "learnable-projection"},
+                       {"d": 6}):
+            other = dataclasses.replace(cfg, **change)
+            c = _noisy(init_params(other), seed=2)
+            reused = evaluate(eval_corpus, c, other, "node", 2, 2,
+                              episodes_per_run=2, seeds=(0,), bank=shared)
+            fresh = evaluate(eval_corpus, c, other, "node", 2, 2,
+                             episodes_per_run=2, seeds=(0,))
+            assert reused.to_json() == fresh.to_json(), change
 
     def test_report_files(self, eval_corpus, tmp_path):
         arrays = init_params(CFG)
