@@ -248,13 +248,17 @@ def matmul(a, b, transpose_b: bool = False) -> Tensor:
     return _make(out, (a, b), (grad_a, grad_b))
 
 
-def const_matmul(mat, x) -> Tensor:
-    """Left-multiply by a constant (possibly sparse) matrix: mat @ x."""
+def const_matmul(mat, x, symmetric: bool = False) -> Tensor:
+    """Left-multiply by a constant (possibly sparse) matrix: mat @ x.
+
+    `symmetric=True` promises `mat.T @ g == mat @ g` bit for bit, so the
+    backward multiplies by `mat` instead of building its transpose.
+    """
     x = _wrap(x)
     out = mat @ x.values
     if sp.issparse(mat):
         out = np.asarray(out)
-    mat_t = mat.T
+    mat_t = mat if symmetric else mat.T
 
     def grad_x(g):
         r = mat_t @ g

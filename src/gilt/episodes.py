@@ -16,9 +16,10 @@ level. Node items are one graph's nodes, tagged by its `node_split`; graph
 items are the corpus's graphs, tagged by `graph_split_tag`. Link episodes
 are binary (edge vs non-edge) with a fixed 3:1 negative-to-positive ratio on
 both sides; negatives are rejection-sampled node pairs that avoid every true
-edge in the graph. Edge membership goes through the graph's cached key index
-(`Graph.edge_rows`), built once per graph; only the pairs an episode has
-drawn are kept in a per-episode set.
+edge in the graph. Each rejection round draws all its candidate endpoints in
+one vectorized call and tests them against the graph's cached key index
+(`Graph.edge_rows`), built once per graph, in one lookup; only the pairs an
+episode has drawn are kept in a per-episode set.
 """
 from __future__ import annotations
 
@@ -189,10 +190,12 @@ class EpisodeSampler:
         """Rejection-sample `count` pairs that are neither edges of `g` nor in
         `drawn` (the pairs this episode already holds, updated in place).
 
-        Each endpoint is one scalar draw, the stream every episode is pinned
-        to. A round draws only as many candidates as are still missing, so
-        it never draws past the pair that completes the set, and tests them
-        against the edge index in one lookup.
+        A round draws only as many candidates as are still missing, so it
+        never draws past the pair that completes the set. It draws them in
+        one `rng.integers(n, size=(m, 2))` call, which in C order is the u,
+        v, u, v ... stream of scalar draws every episode is pinned to. Pairs
+        with u == v are skipped; the rest are tested against the edge index
+        in one lookup.
         """
         n = g.node_count
         out = []
@@ -204,15 +207,12 @@ class EpisodeSampler:
                     f"could not find {count} non-edges in graph {g.name or '?'}; "
                     "graph too dense for negative sampling"
                 )
-            batch = []
-            for _ in range(min(count - len(out), limit - tries)):
-                tries += 1
-                u = int(self.rng.integers(n))
-                v = int(self.rng.integers(n))
-                if u != v:
-                    batch.append((min(u, v), max(u, v)))
-            for pair, row in zip(batch, g.edge_rows(batch)):
-                if row < 0 and pair not in drawn:
+            m = min(count - len(out), limit - tries)
+            tries += m
+            uv = self.rng.integers(n, size=(m, 2))
+            uv = np.sort(uv[uv[:, 0] != uv[:, 1]], axis=1)
+            for pair in map(tuple, uv[g.edge_rows(uv) < 0].tolist()):
+                if pair not in drawn:
                     drawn.add(pair)
                     out.append(pair)
         return out

@@ -108,7 +108,7 @@ class GraphBank:
             adj = normalize_adjacency(g.node_count, g.edges)
             self._prepared[gi] = PreparedGraph(
                 graph=g,
-                adj=adj.astype(self.cfg.np_dtype()),
+                adj=adj.astype(self.cfg.np_dtype(), copy=False),
                 aligned=align_features(g.features, self.cfg.align_spec()),
             )
         return self._prepared[gi]
@@ -145,7 +145,8 @@ def _encode_graph(prep: PreparedGraph, params: dict[str, ad.Tensor],
     if edge_drop > 0.0:
         edges = prep.graph.edges
         keep = rng.random(edges.shape[0]) >= edge_drop
-        adj = normalize_adjacency(prep.graph.node_count, edges[keep]).astype(dtype)
+        adj = normalize_adjacency(prep.graph.node_count, edges[keep]).astype(
+            dtype, copy=False)
     return encode(adj, x, params, cfg.encoder_layers, cfg.encoder_variant)
 
 

@@ -220,8 +220,9 @@ def save_checkpoint(path, arrays: dict[str, np.ndarray], opt: AdamWState,
 def load_checkpoint(path):
     """Returns (param arrays, AdamWState, sidecar dict).
 
-    A malformed or truncated file, or arrays that do not match the model the
-    sidecar describes, raises ValueError.
+    A malformed or truncated file, a sidecar file that is not a JSON object,
+    or arrays that do not match the model the sidecar describes, raises
+    ValueError. Without a sidecar file the sidecar dict is empty.
     """
     path = Path(path)
     raw = path.read_bytes()
@@ -275,9 +276,12 @@ def load_checkpoint(path):
     opt = AdamWState(m=m, v=v, step=step)
 
     sidecar_path = path.with_suffix(path.suffix + ".json")
-    sidecar = json.loads(sidecar_path.read_text()) if sidecar_path.exists() else {}
-    if sidecar:
-        _check_against_sidecar(path, params, sidecar)
+    if not sidecar_path.exists():
+        return params, opt, {}
+    sidecar = json.loads(sidecar_path.read_text())
+    if not isinstance(sidecar, dict):
+        raise ValueError(f"checkpoint sidecar {sidecar_path} is not a JSON object")
+    _check_against_sidecar(path, params, sidecar)
     return params, opt, sidecar
 
 

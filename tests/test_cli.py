@@ -117,6 +117,17 @@ def trained(corpus_dir, tmp_path_factory):
     return out
 
 
+# sidecars that parse but are falsy, so a truthiness test used to skip them
+FALSY_SIDECARS = ["[]", "0", "null", '""']
+
+
+def _with_sidecar(src, tmp_path, sidecar: str):
+    ckpt = tmp_path / "t.ckpt"
+    ckpt.write_bytes(src.read_bytes())
+    ckpt.with_suffix(".ckpt.json").write_text(sidecar)
+    return ckpt
+
+
 class TestSynth:
     def test_outputs(self, corpus_dir):
         assert (corpus_dir / "g0.json").exists()
@@ -268,6 +279,15 @@ class TestEvalCommand:
         assert code == 3
         assert "cannot load checkpoint" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("sidecar", FALSY_SIDECARS)
+    def test_falsy_sidecar_exits_3(self, trained, corpus_dir, tmp_path, capsys, sidecar):
+        ckpt = _with_sidecar(trained / "a" / "final.ckpt", tmp_path, sidecar)
+        code = main(["eval", str(ckpt), "synth",
+                     "--registry", str(corpus_dir / "registry.json"),
+                     "--level", "node", "--out", str(tmp_path / "out")])
+        assert code == 3
+        assert "not a JSON object" in capsys.readouterr().err
+
     @pytest.mark.parametrize("value", ["1,x", "1,,2", "two", "1.5"])
     def test_malformed_sweep_k_is_usage_error(self, trained, corpus_dir, tmp_path,
                                               capsys, value):
@@ -310,6 +330,15 @@ class TestTokenizeCommand:
                      "--out", str(tmp_path / "out")])
         assert code == 3
         assert "cannot load checkpoint" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("sidecar", FALSY_SIDECARS)
+    def test_falsy_sidecar_exits_3(self, trained, corpus_dir, tmp_path, capsys, sidecar):
+        ckpt = _with_sidecar(trained / "a" / "final.ckpt", tmp_path, sidecar)
+        code = main(["tokenize", str(corpus_dir / "g0.json"), "--level", "node",
+                     "--n", "2", "--k", "2", "--checkpoint", str(ckpt),
+                     "--out", str(tmp_path / "out")])
+        assert code == 3
+        assert "not a JSON object" in capsys.readouterr().err
 
     def test_with_trained_checkpoint(self, trained, corpus_dir, tmp_path):
         code = main(["tokenize", str(corpus_dir / "g0.json"), "--level", "node",

@@ -52,6 +52,83 @@ class TestNormalizedAdjacency:
         assert sp.issparse(adj) and adj.format == "csr"
 
 
+def diags_reference(node_count, edges):
+    # the COO -> CSR -> D @ A @ D construction the edge-list build replaced
+    edges = np.asarray(edges, dtype=np.int64).reshape(-1, 2)
+    loops = np.arange(node_count, dtype=np.int64)
+    rows = np.concatenate([edges[:, 0], edges[:, 1], loops])
+    cols = np.concatenate([edges[:, 1], edges[:, 0], loops])
+    a = sp.coo_matrix(
+        (np.ones(rows.shape[0]), (rows, cols)),
+        shape=(node_count, node_count),
+    ).tocsr()
+    deg = np.asarray(a.sum(axis=1)).ravel()
+    d_inv_sqrt = sp.diags(1.0 / np.sqrt(deg))
+    return (d_inv_sqrt @ a @ d_inv_sqrt).tocsr()
+
+
+def assert_same_csr(a, b):
+    assert a.shape == b.shape
+    for name in ("indptr", "indices", "data"):
+        x, y = getattr(a, name), getattr(b, name)
+        assert x.dtype == y.dtype, name
+        assert x.tobytes() == y.tobytes(), name
+
+
+def _dropped(edges, rate, seed):
+    keep = np.random.default_rng(seed).random(edges.shape[0]) >= rate
+    return edges[keep]
+
+
+def _cases():
+    cases = []
+    for seed in range(6):
+        g = make_synthetic(SyntheticSpec(4, 20, 0.4, 0.05, 8, 1.0, 0.2, seed=seed))
+        cases.append(pytest.param(g.node_count, g.edges, id=f"graph{seed}"))
+        cases.append(pytest.param(g.node_count, _dropped(g.edges, 0.1, seed),
+                                  id=f"graph{seed}-dropped"))
+    g = make_synthetic(SyntheticSpec(3, 300, 0.04, 0.004, 4, 1.0, 0.2, seed=9))
+    cases.append(pytest.param(g.node_count, g.edges, id="900-nodes"))
+    cases.append(pytest.param(g.node_count, _dropped(g.edges, 0.1, 9),
+                              id="900-nodes-dropped"))
+    return cases + [
+        pytest.param(5, [[0, 1], [1, 0], [0, 1], [2, 3], [3, 4], [4, 3]],
+                     id="duplicate-edges"),
+        pytest.param(4, [[0, 0], [1, 1], [1, 1], [0, 1], [2, 3]], id="self-loops"),
+        pytest.param(6, [[1, 2], [2, 4]], id="isolated-nodes"),
+        pytest.param(4, np.empty((0, 2), dtype=np.int64), id="no-edges"),
+        pytest.param(5, [[4, 0], [3, 1], [0, 2], [2, 1]], id="unsorted-rows"),
+    ]
+
+
+CASES = _cases()
+
+
+class TestEdgeListBuildMatchesDiagsReference:
+    @pytest.mark.parametrize("n,edges", CASES)
+    def test_same_csr_bytes(self, n, edges):
+        assert_same_csr(normalize_adjacency(n, edges), diags_reference(n, edges))
+
+    @pytest.mark.parametrize("n,edges", CASES)
+    def test_exactly_symmetric(self, n, edges):
+        adj = normalize_adjacency(n, edges)
+        assert_same_csr(adj.T.tocsr(), adj)
+        assert adj.has_sorted_indices
+
+    def test_edge_listed_three_times_is_symmetric_where_the_product_was_not(self):
+        # (d_i * 3) * d_j and (d_j * 3) * d_i can round apart, so D @ A @ D
+        # was not exactly symmetric here; the edge-list build computes both
+        # mirror entries as the one with row <= col, which is the old value
+        edges = [[0, 1]] * 3 + [[1, 2]] * 3 + [[0, 2]]
+        adj = normalize_adjacency(3, edges).toarray()
+        ref = diags_reference(3, edges).toarray()
+        assert not np.array_equal(ref, ref.T)
+        assert np.array_equal(adj, adj.T)
+        upper = np.triu_indices(3)
+        assert np.array_equal(adj[upper], ref[upper])
+        assert np.max(np.abs(adj - ref)) <= 2 * np.finfo(np.float64).eps
+
+
 def tensor_params(arrays):
     return {k: ad.Tensor(v, requires_grad=True) for k, v in arrays.items()}
 
@@ -148,3 +225,42 @@ class TestEncode:
         a = encode(self.adj, self.x, params, 2).values
         b = encode(self.adj, self.x, params, 2).values
         assert a.tobytes() == b.tobytes()
+
+
+def encode_via_transpose(adj, x, params, n_layers, variant):
+    # the propagation stack with a backward that multiplies by adj.T
+    h = x
+    for i in range(n_layers):
+        h = ad.const_matmul(adj, h)
+        if variant == "nonlinear":
+            h = ad.relu(ad.matmul(h, params[f"enc_w{i}"]))
+        h = ad.layernorm(h, params[f"enc_ln{i}_gamma"], params[f"enc_ln{i}_beta"])
+    return h
+
+
+class TestSymmetricBackward:
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    @pytest.mark.parametrize("variant", ["linear", "nonlinear"])
+    def test_bitwise_equal_to_transpose_backward(self, variant, dtype):
+        g = make_synthetic(SyntheticSpec(4, 30, 0.3, 0.03, 8, 1.0, 0.2, seed=5))
+        adj = normalize_adjacency(g.node_count, g.edges).astype(dtype)
+        rng = np.random.default_rng(0)
+        w = rng.standard_normal((g.node_count, 8)).astype(dtype)
+        arrays = encoder_init(8, 3, variant=variant, dtype=dtype)
+        for k in arrays:
+            arrays[k] = (arrays[k] + 0.1 * rng.standard_normal(arrays[k].shape)).astype(dtype)
+        x0 = g.features.astype(dtype)
+
+        def run(fn):
+            params = tensor_params(arrays)
+            x = ad.Tensor(x0, requires_grad=True)
+            h = fn(adj, x, params, 3, variant)
+            ad.sum_(ad.mul(ad.mul(h, h), w)).backward()
+            return h.values, x.grad, {k: p.grad for k, p in params.items()}
+
+        h, gx, grads = run(encode)
+        h_ref, gx_ref, grads_ref = run(encode_via_transpose)
+        assert h.dtype == dtype and h.tobytes() == h_ref.tobytes()
+        assert gx.dtype == dtype and gx.tobytes() == gx_ref.tobytes()
+        for k in grads_ref:
+            assert grads[k].tobytes() == grads_ref[k].tobytes(), k

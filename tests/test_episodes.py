@@ -290,6 +290,26 @@ class TestLinkSamplerMatchesSetReference:
         assert str(a.value) == str(b.value)
         assert new.rng.bit_generator.state == ref.rng.bit_generator.state
 
+    @pytest.mark.parametrize("ratio", [1, 3])
+    @pytest.mark.parametrize("policy", ["pretrain", "eval"])
+    def test_three_node_graph(self, policy, ratio):
+        # a third of all draws have u == v and (0, 2) is the only non-edge,
+        # so every episode ends in the limit error after the same draws
+        g = make_graph(3, [[0, 1], [1, 2]], np.zeros((3, 2)),
+                       edge_split=[TRAIN, TRAIN if policy == "pretrain" else TEST])
+        corpus = Corpus(graphs=(g,))
+        for seed in range(6):
+            new = EpisodeSampler(corpus, "link", 2, 1, query_size=2, policy=policy,
+                                 seed=seed, negative_ratio=ratio)
+            ref = SetBasedSampler(corpus, "link", 2, 1, query_size=2, policy=policy,
+                                  seed=seed, negative_ratio=ratio)
+            with pytest.raises(DataError, match="dense") as a:
+                new.sample()
+            with pytest.raises(DataError, match="dense") as b:
+                ref.sample()
+            assert str(a.value) == str(b.value)
+            assert new.rng.bit_generator.state == ref.rng.bit_generator.state
+
 
 class PerLevelSampler(EpisodeSampler):
     """Reference node and graph samplers: one body per level, class counts

@@ -1,7 +1,9 @@
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 from gilt import autodiff as ad
+from gilt.encoder import normalize_adjacency
 from gilt.episodes import EpisodeSampler
 from gilt.graphs import (
     TRAIN,
@@ -234,3 +236,33 @@ class TestTapeBudget:
         _, loss = episode_probs_and_loss(bank, sampler.sample(), params, model_cfg,
                                          train=True)
         assert _tape_nodes(loss) <= self.BUDGET[level]
+
+
+class TestNoTransposeInEncoderHops:
+    SPARSE = (sp.csr_matrix, sp.csc_matrix, sp.coo_matrix,
+              sp.csr_array, sp.csc_array, sp.coo_array)
+
+    @pytest.fixture
+    def transposes(self, monkeypatch):
+        calls = []
+        for cls in self.SPARSE:
+            def counted(self, *args, _orig=cls.transpose, **kwargs):
+                calls.append(type(self).__name__)
+                return _orig(self, *args, **kwargs)
+            monkeypatch.setattr(cls, "transpose", counted)
+        return calls
+
+    def test_counter_sees_a_transpose_backward(self, transposes):
+        adj = normalize_adjacency(3, np.array([[0, 1], [1, 2]]))
+        ad.const_matmul(adj, np.ones((3, 2)))
+        assert transposes == ["csr_matrix"]
+
+    def test_graph_training_step_builds_no_transpose(self, graph_setup, transposes):
+        bank, _ = graph_setup
+        sampler = EpisodeSampler(bank.corpus, "graph", 2, 2, query_size=4, seed=7,
+                                 feat_drop=0.1, edge_drop=0.2)
+        params = params_to_tensors(init_params(CFG))
+        _, loss = episode_probs_and_loss(bank, sampler.sample(), params, CFG, train=True)
+        loss.backward()
+        assert all(p.grad is not None for p in params.values())
+        assert transposes == []
