@@ -8,18 +8,19 @@ feature matrix onto a fixed width d so one model can read them all:
   * "learnable-projection" mode: PCA to a fixed intermediate width; a dense
     trainable map (owned by the model) lifts that to d.
 
-PCA runs exactly (one SVD) when the matrix is small, and as a single-pass
-streaming fit (mean/scatter accumulation + orthogonal iteration) when the
-entry count crosses the incremental threshold, so fitting never needs the
-whole matrix materialized twice. Columns of the aligned output are
-standardized to zero mean / unit variance; a constant column becomes all
-zeros rather than dividing by zero.
+PCA runs exactly (one SVD) when the matrix is small. Once the entry count
+crosses the incremental threshold it streams instead: the centred d_in x d_in
+covariance is accumulated block by block, then one eigensolve returns its
+exact top-q eigenpairs, so fitting never needs a centred copy of the whole
+matrix. Columns of the aligned output are standardized to zero mean / unit
+variance; a constant column becomes all zeros rather than dividing by zero.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 
 import numpy as np
+import scipy.linalg
 
 INCREMENTAL_THRESHOLD = 10 ** 7
 
@@ -55,35 +56,21 @@ def _fit_exact(x: np.ndarray, q: int) -> PCAModel:
     )
 
 
-def _fit_incremental(x, q: int, batch_size: int, seed: int,
-                     max_iter: int, tol: float) -> PCAModel:
+def _fit_incremental(x, q: int, batch_size: int) -> PCAModel:
     n, d = x.shape
-    total = np.zeros(d)
-    scatter = np.zeros((d, d))
+    mean = x.mean(axis=0)
+    # centre each block before it enters the scatter: subtracting n * mean^2
+    # afterwards cancels catastrophically when features share a large offset
+    cov = np.zeros((d, d))
     for start in range(0, n, batch_size):
-        block = np.asarray(x[start:start + batch_size], dtype=np.float64)
-        total += block.sum(axis=0)
-        scatter += block.T @ block
-    mean = total / n
-    cov = (scatter - n * np.outer(mean, mean)) / max(n - 1, 1)
-
-    rng = np.random.default_rng(seed)
-    basis, _ = np.linalg.qr(rng.standard_normal((d, q)))
-    for _ in range(max_iter):
-        refreshed, _ = np.linalg.qr(cov @ basis)
-        drift = np.linalg.norm(refreshed @ (refreshed.T @ basis) - basis)
-        basis = refreshed
-        if drift < tol:
-            break
-    # Rayleigh-Ritz inside the converged subspace recovers the directions
-    small = basis.T @ cov @ basis
-    evals, evecs = np.linalg.eigh(small)
-    order = np.argsort(evals)[::-1]
-    components = (basis @ evecs[:, order]).T
-    explained = np.maximum(evals[order], 0.0)
+        block = x[start:start + batch_size] - mean
+        cov += block.T @ block
+    cov /= max(n - 1, 1)
+    evals, evecs = scipy.linalg.eigh(cov, subset_by_index=[d - q, d - 1])
+    explained = np.maximum(evals[::-1], 0.0)
     return PCAModel(
         mean=mean,
-        components=_fix_signs(components),
+        components=_fix_signs(evecs[:, ::-1].T),
         explained_variance=explained,
         method="incremental",
         degenerate=bool(np.any(explained < 1e-12)),
@@ -92,12 +79,13 @@ def _fit_incremental(x, q: int, batch_size: int, seed: int,
 
 def fit_pca(x, n_components: int, method: str = "auto",
             incremental_threshold: int = INCREMENTAL_THRESHOLD,
-            batch_size: int = 4096, seed: int = 0,
-            max_iter: int = 200, tol: float = 1e-10) -> PCAModel:
+            batch_size: int = 512) -> PCAModel:
     """Fit PCA with n_components <= min(n, d_in).
 
     method "auto" picks the streaming fit once n*d_in crosses the
-    incremental threshold; "exact"/"incremental" force a route.
+    incremental threshold; "exact"/"incremental" force a route. The
+    streaming fit accumulates the centred covariance over batch_size-row
+    blocks and takes its exact top n_components eigenvectors.
     """
     x = np.asarray(x, dtype=np.float64)
     if x.ndim != 2:
@@ -111,7 +99,7 @@ def fit_pca(x, n_components: int, method: str = "auto",
     if method == "exact":
         return _fit_exact(x, q)
     if method == "incremental":
-        return _fit_incremental(x, q, batch_size, seed, max_iter, tol)
+        return _fit_incremental(x, q, batch_size)
     raise ValueError(f"unknown PCA method {method!r}")
 
 

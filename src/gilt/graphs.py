@@ -198,20 +198,49 @@ def _load_json(path: Path, name: str) -> Graph:
         payload = json.loads(path.read_text())
     except json.JSONDecodeError as exc:
         raise DataError(f"malformed JSON in {path}: {exc}") from exc
+    if not isinstance(payload, dict):
+        raise DataError(f"JSON graph {path} is not an object")
     for key in ("nodes", "edges", "features"):
         if key not in payload:
             raise DataError(f"JSON graph missing required key {key!r}")
-    features = np.asarray(payload["features"], dtype=np.float64)
+    nodes = _json_ints(payload["nodes"], "nodes", path)
+    edges = _json_ints(payload["edges"], "edges", path)
+    extra = {key: None if payload.get(key) is None else _json_ints(payload[key], key, path)
+             for key in ("labels", "graph_label", "node_split", "edge_split")}
+    for key, value in (("nodes", nodes), ("graph_label", extra["graph_label"])):
+        if value is not None and value.ndim != 0:
+            raise DataError(f"{key!r} in {path} must be a single integer")
+    if edges.size == 0:
+        edges = edges.reshape(0, 2)
+    if edges.ndim != 2 or edges.shape[1] != 2:
+        raise DataError(f"'edges' in {path} must be [[src, dst], ...], "
+                        f"got shape {edges.shape}")
+    try:
+        features = np.asarray(payload["features"], dtype=np.float64)
+    except (TypeError, ValueError) as exc:
+        raise DataError(f"'features' in {path} is not a numeric matrix: {exc}") from exc
     return make_graph(
-        node_count=payload["nodes"],
-        edges=np.asarray(payload["edges"], dtype=np.int64).reshape(-1, 2),
+        node_count=nodes,
+        edges=edges,
         features=features,
-        node_labels=payload.get("labels"),
-        graph_label=payload.get("graph_label"),
-        node_split=payload.get("node_split"),
-        edge_split=payload.get("edge_split"),
+        node_labels=extra["labels"],
+        graph_label=extra["graph_label"],
+        node_split=extra["node_split"],
+        edge_split=extra["edge_split"],
         name=name,
     )
+
+
+def _json_ints(value, key: str, path: Path) -> np.ndarray:
+    """A JSON integer or nested integer list as int64; a fractional, boolean
+    or non-numeric value is rejected rather than truncated."""
+    try:
+        arr = np.asarray(value)
+    except ValueError as exc:
+        raise DataError(f"{key!r} in {path} is ragged: {exc}") from exc
+    if arr.size and arr.dtype.kind not in "iu":
+        raise DataError(f"{key!r} in {path} must hold integers")
+    return arr.astype(np.int64)
 
 
 def _load_edge_list(path: Path, name: str) -> Graph:
@@ -235,7 +264,10 @@ def _load_edge_list(path: Path, name: str) -> Graph:
     labels = None
     labels_file = path / "labels.csv"
     if labels_file.exists():
-        labels = [int(float(v[0])) for v in _read_csv_rows(labels_file)]
+        try:
+            labels = [int(float(v[0])) for v in _read_csv_rows(labels_file)]
+        except ValueError as exc:
+            raise DataError(f"non-numeric label in {labels_file}: {exc}") from exc
         if len(labels) != features.shape[0]:
             raise DataError(
                 f"labels.csv has {len(labels)} rows but features.csv has {features.shape[0]}"
@@ -447,6 +479,9 @@ def load_corpus(dataset: str, registry=None) -> Corpus:
         if dataset not in reg:
             raise DataError(f"dataset {dataset!r} not in registry {registry}")
         entry = reg[dataset]
+        if not isinstance(entry, dict) or not isinstance(entry.get("path"), str):
+            raise DataError(f"registry entry {dataset!r} must be an object "
+                            f"with a \"path\" string")
         target = Path(registry).parent / entry["path"]
     else:
         target = Path(dataset)
@@ -461,9 +496,14 @@ def load_corpus(dataset: str, registry=None) -> Corpus:
             raise DataError(f"corpus directory {target} holds no graph files")
         corpus = Corpus(graphs=tuple(load_graph(f, name=f.stem) for f in files))
         if registry is not None and any(g.graph_label is not None for g in corpus.graphs):
-            corpus = assign_graph_splits(
-                corpus, tuple(entry.get("graph_split_fractions", (0.6, 0.2, 0.2))),
-                seed=int(entry.get("graph_split_seed", 0)))
+            try:
+                fractions = tuple(float(f) for f in
+                                  entry.get("graph_split_fractions", (0.6, 0.2, 0.2)))
+                seed = int(entry.get("graph_split_seed", 0))
+            except (TypeError, ValueError) as exc:
+                raise DataError(f"registry entry {dataset!r} has a bad graph split: "
+                                f"{exc}") from exc
+            corpus = assign_graph_splits(corpus, fractions, seed=seed)
         return corpus
     name = target.stem if registry is None else dataset
     return Corpus(graphs=(load_graph(target, format=fmt, name=name),))

@@ -287,17 +287,28 @@ def load_checkpoint(path):
 
 def _check_against_sidecar(path, params: dict[str, np.ndarray], sidecar: dict) -> None:
     try:
-        expected = {k: v.shape for k, v in
-                    init_params(config_from_sidecar(sidecar)[0]).items()}
+        expected = init_params(config_from_sidecar(sidecar)[0])
     except (KeyError, TypeError, ValueError) as exc:
         raise ValueError(f"checkpoint sidecar for {path} is invalid: {exc}") from exc
+    _check_arrays(path, params, expected, "its sidecar model")
+
+
+def _check_arrays(path, params: dict[str, np.ndarray],
+                  expected: dict[str, np.ndarray], what: str,
+                  check_dtype: bool = False) -> None:
+    """Raise ValueError unless params has exactly the names and shapes (and,
+    with check_dtype, the dtypes) of expected, a model's init_params."""
     if set(params) != set(expected):
         odd = sorted(set(params) ^ set(expected))
-        raise ValueError(f"checkpoint {path} arrays do not match its sidecar model: {odd}")
-    for name, shape in expected.items():
-        if params[name].shape != shape:
+        raise ValueError(f"checkpoint {path} arrays do not match {what}: {odd}")
+    for name, want in expected.items():
+        got = params[name]
+        if got.shape != want.shape:
             raise ValueError(f"checkpoint {path} array {name} has shape "
-                             f"{params[name].shape}, its sidecar model needs {shape}")
+                             f"{got.shape}, {what} needs {want.shape}")
+        if check_dtype and got.dtype != want.dtype:
+            raise ValueError(f"checkpoint {path} array {name} has dtype "
+                             f"{got.dtype}, {what} needs {want.dtype}")
 
 
 def config_from_sidecar(sidecar: dict) -> tuple[ModelConfig, TrainConfig]:
@@ -365,18 +376,22 @@ def train(corpus: Corpus, model_cfg: ModelConfig, train_cfg: TrainConfig,
           stop_after: int | None = None) -> TrainResult:
     """Run (or resume) pre-training; stop_after ends the run early but keeps
     every schedule pinned to train_cfg.epochs, so a stopped run resumes into
-    exactly the run it would have been. A resume checkpoint that is missing
-    or cannot be loaded raises DataError."""
+    exactly the run it would have been. A resume checkpoint that is missing,
+    cannot be loaded, or holds arrays of another model than model_cfg raises
+    DataError."""
     bank = GraphBank(corpus, model_cfg)
     start_epoch = 0
+    arrays = init_params(model_cfg)
     if resume_from is not None:
         try:
-            arrays, opt, sidecar = load_checkpoint(resume_from)
+            loaded, opt, sidecar = load_checkpoint(resume_from)
+            _check_arrays(resume_from, loaded, arrays, "this run's model",
+                          check_dtype=True)
         except (OSError, ValueError) as exc:
             raise DataError(f"cannot load checkpoint {resume_from}: {exc}") from exc
+        arrays = loaded
         start_epoch = int(sidecar.get("epoch", -1)) + 1
     else:
-        arrays = init_params(model_cfg)
         opt = AdamWState.fresh(arrays)
     params = params_to_tensors(arrays)
 

@@ -128,6 +128,26 @@ def _with_sidecar(src, tmp_path, sidecar: str):
     return ckpt
 
 
+GOOD_GRAPH = {"nodes": 4, "edges": [[0, 1], [1, 2], [2, 3]],
+              "features": [[1.0], [2.0], [3.0], [4.0]], "labels": [0, 1, 0, 1],
+              "node_split": [0, 0, 2, 2]}
+
+# (registry entry, graph file payload): each one malformed in one place
+MALFORMED_DATA = {
+    "graph-not-object": ({"path": "g.json"}, 3),
+    "ragged-features": ({"path": "g.json"},
+                        {**GOOD_GRAPH, "features": [[1.0], [2.0, 3.0], [4.0], [5.0]]}),
+    "nodes-not-integer": ({"path": "g.json"}, {**GOOD_GRAPH, "nodes": "x"}),
+    "endpoint-not-integer": ({"path": "g.json"}, {**GOOD_GRAPH, "edges": [[0, "a"]]}),
+    "endpoint-fractional": ({"path": "g.json"}, {**GOOD_GRAPH, "edges": [[0, 1.5]]}),
+    "label-not-integer": ({"path": "g.json"}, {**GOOD_GRAPH, "labels": [0, "b", 0, 1]}),
+    "edge-row-of-3": ({"path": "g.json"}, {**GOOD_GRAPH, "edges": [[0, 1, 2]]}),
+    "edge-row-of-4": ({"path": "g.json"}, {**GOOD_GRAPH, "edges": [[0, 1, 1, 0]]}),
+    "entry-not-object": (3, GOOD_GRAPH),
+    "entry-without-path": ({}, GOOD_GRAPH),
+}
+
+
 class TestSynth:
     def test_outputs(self, corpus_dir):
         assert (corpus_dir / "g0.json").exists()
@@ -193,6 +213,27 @@ class TestPretrainCommand:
                          "--out", str(tmp_path / "out"), "--resume", str(cut)])
             assert code == 3, n
             assert "cannot load checkpoint" in capsys.readouterr().err, n
+
+    @pytest.mark.parametrize("overrides", [
+        ["--set", "model.d=4", "--epochs", "3"],
+        ["--set", "model.d=4"],
+        ["--set", "model.dtype=float32"],
+    ], ids=["other-width-epochs-left", "other-width-no-epochs-left", "other-dtype"])
+    def test_resume_with_another_model_exits_3(self, trained, tmp_path, capsys,
+                                               overrides):
+        out = tmp_path / "out"
+        code = main(["pretrain", str(trained / "run.cfg"), "--out", str(out),
+                     "--resume", str(trained / "a" / "last.ckpt")] + overrides)
+        assert code == 3
+        assert "this run's model" in capsys.readouterr().err
+        assert not (out / "final.ckpt").exists()
+
+    def test_resume_with_same_model_trains_on(self, trained, tmp_path):
+        out = tmp_path / "out"
+        code = main(["pretrain", str(trained / "run.cfg"), "--out", str(out),
+                     "--resume", str(trained / "a" / "last.ckpt"), "--epochs", "3"])
+        assert code == 0
+        assert (out / "final.ckpt").exists()
 
 
 class TestEvalCommand:
@@ -287,6 +328,26 @@ class TestEvalCommand:
                      "--level", "node", "--out", str(tmp_path / "out")])
         assert code == 3
         assert "not a JSON object" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("entry, graph", MALFORMED_DATA.values(),
+                             ids=MALFORMED_DATA.keys())
+    def test_malformed_dataset_exits_3(self, trained, tmp_path, entry, graph):
+        (tmp_path / "g.json").write_text(json.dumps(graph))
+        (tmp_path / "registry.json").write_text(json.dumps({"bad": entry}))
+        code = main(["eval", str(trained / "a" / "final.ckpt"), "bad",
+                     "--registry", str(tmp_path / "registry.json"),
+                     "--level", "node", "--out", str(tmp_path / "out")])
+        assert code == 3
+
+    def test_well_formed_dataset_control(self, trained, tmp_path):
+        # the payload every MALFORMED_DATA case starts from loads and evaluates
+        (tmp_path / "g.json").write_text(json.dumps(GOOD_GRAPH))
+        (tmp_path / "registry.json").write_text(json.dumps({"ok": {"path": "g.json"}}))
+        code = main(["eval", str(trained / "a" / "final.ckpt"), "ok",
+                     "--registry", str(tmp_path / "registry.json"),
+                     "--level", "node", "--n", "2", "--k", "1", "--runs", "1",
+                     "--episodes", "1", "--out", str(tmp_path / "out")])
+        assert code == 0
 
     @pytest.mark.parametrize("value", ["1,x", "1,,2", "two", "1.5"])
     def test_malformed_sweep_k_is_usage_error(self, trained, corpus_dir, tmp_path,

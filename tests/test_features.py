@@ -108,6 +108,30 @@ class TestIncrementalPCA:
         assert np.allclose(a.mean, b.mean, atol=1e-10)
         assert np.allclose(a.explained_variance, b.explained_variance, rtol=1e-8)
 
+    def test_large_shared_offset_does_not_cancel(self):
+        # subtracting n * mean^2 from an uncentred scatter loses the spread
+        # when every feature sits near 1e6
+        x = spectrum_data(500, 50) + 1e6
+        exact = fit_pca(x, 8, method="exact")
+        inc = fit_pca(x, 8, method="incremental", batch_size=64)
+        proj_e = exact.components.T @ exact.components
+        proj_i = inc.components.T @ inc.components
+        assert np.max(np.abs(proj_e - proj_i)) < 1e-8
+
+    def test_exact_on_near_degenerate_spectrum(self):
+        # white noise: neighbouring eigenvalues around the cut are close, so
+        # an iterative solver stalls, while the eigensolve stays exact
+        rng = np.random.default_rng(0)
+        x = rng.standard_normal((600, 200))
+        m = fit_pca(x, 8, method="incremental")
+        evals, evecs = np.linalg.eigh(np.cov(x, rowvar=False))
+        top = evecs[:, np.argsort(evals)[::-1][:8]].T
+        proj_m = m.components.T @ m.components
+        assert np.max(np.abs(proj_m - top.T @ top)) < 1e-8
+        np.testing.assert_allclose(m.explained_variance,
+                                   np.sort(evals)[::-1][:8], rtol=1e-10)
+        assert np.allclose(m.components @ m.components.T, np.eye(8), atol=1e-12)
+
     def test_auto_routing_by_entry_count(self):
         x = spectrum_data(100, 10, seed=6)
         assert fit_pca(x, 3, incremental_threshold=10 ** 7).method == "exact"

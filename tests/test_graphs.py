@@ -131,6 +131,13 @@ class TestFileFormats:
         with pytest.raises(DataError, match="non-integer"):
             load_graph(tmp_path, format="edge-list")
 
+    def test_edge_list_bad_label(self, tmp_path):
+        (tmp_path / "edges.tsv").write_text("0\t1\n")
+        (tmp_path / "features.csv").write_text("1.0\n2.0\n")
+        (tmp_path / "labels.csv").write_text("0\nb\n")
+        with pytest.raises(DataError, match="non-numeric label"):
+            load_graph(tmp_path, format="edge-list")
+
     def test_missing_path(self, tmp_path):
         with pytest.raises(DataError, match="no such"):
             load_graph(tmp_path / "absent.json")
