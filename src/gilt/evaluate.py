@@ -17,7 +17,7 @@ from __future__ import annotations
 import csv
 import hashlib
 import json
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -140,15 +140,7 @@ class EvalReport:
     hits_k: int = 10
 
     def to_json(self) -> str:
-        payload = {
-            "level": self.level, "n_way": self.n_way, "k_shot": self.k_shot,
-            "episodes_per_run": self.episodes_per_run, "seeds": list(self.seeds),
-            "per_run": self.per_run, "hits_k": self.hits_k,
-            "mean_accuracy": self.mean_accuracy, "sd_accuracy": self.sd_accuracy,
-            "mean_auc": self.mean_auc, "sd_auc": self.sd_auc,
-            "mean_hits": self.mean_hits, "sd_hits": self.sd_hits,
-        }
-        return json.dumps(payload, indent=2, sort_keys=True)
+        return json.dumps(asdict(self), indent=2, sort_keys=True)
 
 
 def _mean_sd(values):

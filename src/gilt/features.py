@@ -8,12 +8,16 @@ feature matrix onto a fixed width d so one model can read them all:
   * "learnable-projection" mode: PCA to a fixed intermediate width; a dense
     trainable map (owned by the model) lifts that to d.
 
-PCA runs exactly (one SVD) when the matrix is small. Once the entry count
-crosses the incremental threshold it streams instead: the centred d_in x d_in
-covariance is accumulated block by block, then one eigensolve returns its
-exact top-q eigenpairs, so fitting never needs a centred copy of the whole
-matrix. Columns of the aligned output are standardized to zero mean / unit
-variance; a constant column becomes all zeros rather than dividing by zero.
+PCA picks its route from the matrix's shape. A tall matrix (d_in <= n)
+streams: the centred d_in x d_in covariance is accumulated block by block,
+then one eigensolve returns its exact top-q eigenpairs, so fitting never
+needs a centred copy of the whole matrix. A wide matrix (d_in > n) takes one
+thin SVD, which costs O(n^2 d_in) where the covariance would cost O(d_in^3).
+
+Each aligned column is a PCA score divided by its own standard deviation,
+read from the fit's eigenvalue. A direction whose eigenvalue is at rounding
+level (<= max(1e-12, 1e-10 * the largest)) has no variance: its column is
+all zeros and the fit is flagged degenerate.
 """
 from __future__ import annotations
 
@@ -22,16 +26,23 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg
 
-INCREMENTAL_THRESHOLD = 10 ** 7
+BLOCK_ROWS = 512  # rows per centred block: 10 MB at 2600 features
+
+# Rounding in forming and solving the covariance leaves a null direction
+# with an eigenvalue near eps * lambda_max times a factor that grows with the
+# matrix size, so it scales with the data (~1e-16 of lambda_max on small
+# rank-deficient inputs). An eigenvalue below 1e-10 of the largest is such
+# rounding, with a wide margin; the absolute 1e-12 in fit_pca also catches
+# constant features, whose largest eigenvalue is itself rounding.
+RELATIVE_FLOOR = 1e-10
 
 
 @dataclass(frozen=True)
 class PCAModel:
     mean: np.ndarray                # [d_in]
     components: np.ndarray          # [q x d_in], orthonormal rows
-    explained_variance: np.ndarray  # [q], descending
-    method: str                     # "exact" | "incremental"
-    degenerate: bool                # some requested direction has ~zero variance
+    explained_variance: np.ndarray  # [q], descending; 0 for a null direction
+    degenerate: bool                # some requested direction has zero variance
 
 
 def _fix_signs(components: np.ndarray) -> np.ndarray:
@@ -42,50 +53,35 @@ def _fix_signs(components: np.ndarray) -> np.ndarray:
     return components * signs[:, None]
 
 
-def _fit_exact(x: np.ndarray, q: int) -> PCAModel:
-    n = x.shape[0]
+def _fit_exact(x: np.ndarray, q: int):
+    """(mean, top-q axes, their sample variances) from one thin SVD."""
     mean = x.mean(axis=0)
     _, s, vt = np.linalg.svd(x - mean, full_matrices=False)
-    explained = (s[:q] ** 2) / max(n - 1, 1)
-    return PCAModel(
-        mean=mean,
-        components=_fix_signs(vt[:q].copy()),
-        explained_variance=explained,
-        method="exact",
-        degenerate=bool(np.any(explained < 1e-12)),
-    )
+    return mean, vt[:q], s[:q] ** 2 / max(x.shape[0] - 1, 1)
 
 
-def _fit_incremental(x, q: int, batch_size: int) -> PCAModel:
+def _fit_incremental(x: np.ndarray, q: int):
+    """(mean, top-q axes, their sample variances) from the streamed covariance."""
     n, d = x.shape
     mean = x.mean(axis=0)
     # centre each block before it enters the scatter: subtracting n * mean^2
     # afterwards cancels catastrophically when features share a large offset
     cov = np.zeros((d, d))
-    for start in range(0, n, batch_size):
-        block = x[start:start + batch_size] - mean
+    for start in range(0, n, BLOCK_ROWS):
+        block = x[start:start + BLOCK_ROWS] - mean
         cov += block.T @ block
     cov /= max(n - 1, 1)
     evals, evecs = scipy.linalg.eigh(cov, subset_by_index=[d - q, d - 1])
-    explained = np.maximum(evals[::-1], 0.0)
-    return PCAModel(
-        mean=mean,
-        components=_fix_signs(evecs[:, ::-1].T),
-        explained_variance=explained,
-        method="incremental",
-        degenerate=bool(np.any(explained < 1e-12)),
-    )
+    return mean, evecs[:, ::-1].T, evals[::-1]
 
 
-def fit_pca(x, n_components: int, method: str = "auto",
-            incremental_threshold: int = INCREMENTAL_THRESHOLD,
-            batch_size: int = 512) -> PCAModel:
+def fit_pca(x, n_components: int) -> PCAModel:
     """Fit PCA with n_components <= min(n, d_in).
 
-    method "auto" picks the streaming fit once n*d_in crosses the
-    incremental threshold; "exact"/"incremental" force a route. The
-    streaming fit accumulates the centred covariance over batch_size-row
-    blocks and takes its exact top n_components eigenvectors.
+    A tall input (d_in <= n) takes the exact top eigenpairs of its centred
+    covariance, accumulated over BLOCK_ROWS-row blocks; a wide one takes a
+    thin SVD. Eigenvalues at or below max(1e-12, RELATIVE_FLOOR * largest)
+    are reported as 0 and set `degenerate`.
     """
     x = np.asarray(x, dtype=np.float64)
     if x.ndim != 2:
@@ -94,28 +90,21 @@ def fit_pca(x, n_components: int, method: str = "auto",
     q = int(n_components)
     if not 1 <= q <= min(n, d):
         raise ValueError(f"n_components={q} outside [1, min(n={n}, d={d})]")
-    if method == "auto":
-        method = "incremental" if x.size > incremental_threshold else "exact"
-    if method == "exact":
-        return _fit_exact(x, q)
-    if method == "incremental":
-        return _fit_incremental(x, q, batch_size)
-    raise ValueError(f"unknown PCA method {method!r}")
+    fit = _fit_incremental if d <= n else _fit_exact
+    mean, components, explained = fit(x, q)
+    null = explained <= max(1e-12, RELATIVE_FLOOR * explained[0])
+    explained = np.where(null, 0.0, explained)
+    return PCAModel(
+        mean=mean,
+        components=_fix_signs(components),
+        explained_variance=explained,
+        degenerate=bool(null.any()),
+    )
 
 
 def pca_transform(model: PCAModel, x) -> np.ndarray:
     x = np.asarray(x, dtype=np.float64)
     return (x - model.mean) @ model.components.T
-
-
-def scale_columns(x: np.ndarray):
-    """Standardize columns; returns (scaled, mean, sd) with sd=0 columns zeroed."""
-    x = np.asarray(x, dtype=np.float64)
-    mean = x.mean(axis=0)
-    sd = x.std(axis=0)
-    safe = np.where(sd == 0.0, 1.0, sd)
-    scaled = np.where(sd == 0.0, 0.0, (x - mean) / safe)
-    return scaled, mean, sd
 
 
 @dataclass(frozen=True)
@@ -151,7 +140,10 @@ def align_features(features, spec: AlignSpec) -> AlignedFeatures:
     target = spec.intermediate_dim if spec.mode == "learnable-projection" else spec.unified_dim
     q = min(d_in, n, target)
     pca = fit_pca(x, q)
-    scaled, _, _ = scale_columns(pca_transform(pca, x))
+    # a score column has zero mean and population variance lambda * (n-1)/n
+    sd = np.sqrt(pca.explained_variance * (n - 1) / n)
+    scores = pca_transform(pca, x)
+    scaled = np.divide(scores, sd, out=np.zeros_like(scores), where=sd > 0)
     if q < target:
         scaled = np.concatenate([scaled, np.zeros((n, target - q))], axis=1)
     return AlignedFeatures(

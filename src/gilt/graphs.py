@@ -31,6 +31,23 @@ def _frozen(arr: np.ndarray) -> np.ndarray:
     return arr
 
 
+def _integers(values, what: str, dtype=np.int64) -> np.ndarray:
+    """`values` as `dtype`. An integral float such as 2.0 is accepted; a
+    fractional, non-finite, out-of-range or non-numeric entry is rejected
+    rather than truncated or wrapped."""
+    try:
+        arr = np.asarray(values, dtype=np.float64)
+    except (TypeError, ValueError) as exc:
+        raise DataError(f"non-numeric {what}: {exc}") from exc
+    with np.errstate(invalid="ignore"):
+        out = arr.astype(dtype)
+    bad = out != arr
+    if bad.any():
+        raise DataError(f"{what} must hold integers that fit {np.dtype(dtype).name}, "
+                        f"got {float(arr[bad][0])!r}")
+    return out
+
+
 def _canonical_edges(edges: np.ndarray, node_count: int) -> np.ndarray:
     """Symmetrize, drop self-loops, deduplicate; rows sorted (lo, hi)."""
     edges = np.asarray(edges, dtype=np.int64).reshape(-1, 2)
@@ -140,21 +157,21 @@ def make_graph(
         )
     if not np.all(np.isfinite(features)):
         raise DataError("features contain NaN or Inf")
-    edges = _canonical_edges(np.asarray(edges), node_count)
+    edges = _canonical_edges(_integers(edges, "edge endpoints"), node_count)
     if node_labels is not None:
-        node_labels = np.asarray(node_labels, dtype=np.int64)
+        node_labels = _integers(node_labels, "node_labels")
         if node_labels.shape != (node_count,):
             raise DataError(
                 f"node_labels length {node_labels.shape} does not match node_count {node_count}"
             )
         node_labels = _frozen(node_labels)
     if node_split is not None:
-        node_split = np.asarray(node_split, dtype=np.int8)
+        node_split = _integers(node_split, "node_split", np.int8)
         if node_split.shape != (node_count,):
             raise DataError("node_split length mismatch")
         node_split = _frozen(node_split)
     if edge_split is not None:
-        edge_split = np.asarray(edge_split, dtype=np.int8)
+        edge_split = _integers(edge_split, "edge_split", np.int8)
         if edge_split.shape != (edges.shape[0],):
             raise DataError("edge_split length mismatch")
         edge_split = _frozen(edge_split)
@@ -163,7 +180,7 @@ def make_graph(
         edges=_frozen(edges),
         features=_frozen(features),
         node_labels=node_labels,
-        graph_label=None if graph_label is None else int(graph_label),
+        graph_label=None if graph_label is None else int(_integers(graph_label, "graph_label")),
         node_split=node_split,
         edge_split=edge_split,
         graph_split_tag=graph_split_tag,
@@ -264,10 +281,8 @@ def _load_edge_list(path: Path, name: str) -> Graph:
     labels = None
     labels_file = path / "labels.csv"
     if labels_file.exists():
-        try:
-            labels = [int(float(v[0])) for v in _read_csv_rows(labels_file)]
-        except ValueError as exc:
-            raise DataError(f"non-numeric label in {labels_file}: {exc}") from exc
+        labels = _integers([v[0] for v in _read_csv_rows(labels_file)],
+                           f"label in {labels_file}")
         if len(labels) != features.shape[0]:
             raise DataError(
                 f"labels.csv has {len(labels)} rows but features.csv has {features.shape[0]}"

@@ -249,21 +249,23 @@ def test_criterion_3_normalization_and_pca_oracles():
     h = rng.normal(size=(g.node_count, 6))
     worst = max(worst, float(np.max(np.abs(sparse @ h - dense @ h))))
 
-    # incremental and exact reductions agree on the projected geometry
+    # the streamed-covariance PCA and an SVD of the centred matrix agree on
+    # the projected geometry
     basis = np.linalg.qr(rng.normal(size=(50, 50)))[0]
     spectrum = 1.0 / np.arange(1, 51)
     x = rng.normal(size=(500, 50)) @ (basis * spectrum) + rng.normal(size=50)
-    exact = fit_pca(x, 8, method="exact")
-    inc = fit_pca(x, 8, method="incremental", batch_size=64)
-    z_e = (x - exact.mean) @ exact.components.T
-    z_i = (x - inc.mean) @ inc.components.T
-    g_e, g_i = z_e @ z_e.T, z_i @ z_i.T
-    pca_rel = float(np.linalg.norm(g_e - g_i) / np.linalg.norm(g_e))
+    pca = fit_pca(x, 8)
+    centred = x - x.mean(axis=0)
+    vt = np.linalg.svd(centred, full_matrices=False)[2][:8]
+    z_s = centred @ vt.T
+    z_p = (x - pca.mean) @ pca.components.T
+    g_s, g_p = z_s @ z_s.T, z_p @ z_p.T
+    pca_rel = float(np.linalg.norm(g_s - g_p) / np.linalg.norm(g_s))
 
     ok = worst < 1e-12 and pca_rel < 1e-2
     assert _verdict(3, ok,
                     f"adjacency normalization off closed form by {worst:.1e} "
-                    f"(<1e-12), incremental-vs-exact projected Gram rel err "
+                    f"(<1e-12), streamed-PCA-vs-SVD projected Gram rel err "
                     f"{pca_rel:.1e} (<1e-2)")
     assert worst < 1e-12
     assert pca_rel < 1e-2

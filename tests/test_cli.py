@@ -339,6 +339,21 @@ class TestEvalCommand:
                      "--level", "node", "--out", str(tmp_path / "out")])
         assert code == 3
 
+    @pytest.mark.parametrize("label", ["1.5", "2.0000001"])
+    def test_fractional_edge_list_label_exits_3(self, trained, tmp_path, capsys, label):
+        data = tmp_path / "d"
+        data.mkdir()
+        (data / "edges.tsv").write_text("0\t1\n1\t2\n2\t3\n")
+        (data / "features.csv").write_text("1.0\n2.0\n3.0\n4.0\n")
+        (data / "labels.csv").write_text(f"0\n{label}\n0\n1\n")
+        (tmp_path / "registry.json").write_text(
+            json.dumps({"bad": {"path": "d", "format": "edge-list"}}))
+        code = main(["eval", str(trained / "a" / "final.ckpt"), "bad",
+                     "--registry", str(tmp_path / "registry.json"),
+                     "--level", "node", "--out", str(tmp_path / "out")])
+        assert code == 3
+        assert "must hold integers" in capsys.readouterr().err
+
     def test_well_formed_dataset_control(self, trained, tmp_path):
         # the payload every MALFORMED_DATA case starts from loads and evaluates
         (tmp_path / "g.json").write_text(json.dumps(GOOD_GRAPH))

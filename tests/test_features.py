@@ -3,13 +3,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gilt.features import (
-    AlignSpec,
-    align_features,
-    fit_pca,
-    pca_transform,
-    scale_columns,
-)
+from gilt import features
+from gilt.features import AlignSpec, align_features, fit_pca, pca_transform
 
 
 def spectrum_data(n=500, d=50, seed=0):
@@ -86,25 +81,37 @@ class TestExactPCA:
             fit_pca(x, 0)
 
 
+def centred_svd(x, q):
+    """Reference top-q axes and sample variances from an SVD of the centred
+    matrix, computed independently of gilt."""
+    _, s, vt = np.linalg.svd(x - x.mean(axis=0), full_matrices=False)
+    return vt[:q], s[:q] ** 2 / (x.shape[0] - 1)
+
+
+def projector(components):
+    return components.T @ components
+
+
 class TestIncrementalPCA:
     def test_agrees_with_exact_on_reference_shape(self):
         x = spectrum_data(500, 50, seed=7)
-        exact = fit_pca(x, 8, method="exact")
-        inc = fit_pca(x, 8, method="incremental", batch_size=64)
-        proj_e = exact.components.T @ exact.components
-        proj_i = inc.components.T @ inc.components
-        assert np.max(np.abs(proj_e - proj_i)) < 1e-2
-        assert np.allclose(inc.mean, exact.mean, atol=1e-10)
-        assert np.allclose(inc.explained_variance, exact.explained_variance, rtol=1e-3)
+        m = fit_pca(x, 8)
+        axes, variances = centred_svd(x, 8)
+        assert np.max(np.abs(projector(m.components) - projector(axes))) < 1e-2
+        assert np.allclose(m.mean, x.mean(axis=0), atol=1e-10)
+        assert np.allclose(m.explained_variance, variances, rtol=1e-3)
 
     def test_components_orthonormal(self):
-        m = fit_pca(spectrum_data(300, 20, seed=9), 6, method="incremental")
+        m = fit_pca(spectrum_data(300, 20, seed=9), 6)
         assert np.allclose(m.components @ m.components.T, np.eye(6), atol=1e-8)
 
-    def test_batch_size_does_not_change_statistics(self):
+    def test_batch_size_does_not_change_statistics(self, monkeypatch):
+        # 17-row blocks split the 200 rows unevenly; 200 takes them in one
         x = spectrum_data(200, 10, seed=5)
-        a = fit_pca(x, 4, method="incremental", batch_size=17)
-        b = fit_pca(x, 4, method="incremental", batch_size=200)
+        monkeypatch.setattr(features, "BLOCK_ROWS", 17)
+        a = fit_pca(x, 4)
+        monkeypatch.setattr(features, "BLOCK_ROWS", 200)
+        b = fit_pca(x, 4)
         assert np.allclose(a.mean, b.mean, atol=1e-10)
         assert np.allclose(a.explained_variance, b.explained_variance, rtol=1e-8)
 
@@ -112,50 +119,92 @@ class TestIncrementalPCA:
         # subtracting n * mean^2 from an uncentred scatter loses the spread
         # when every feature sits near 1e6
         x = spectrum_data(500, 50) + 1e6
-        exact = fit_pca(x, 8, method="exact")
-        inc = fit_pca(x, 8, method="incremental", batch_size=64)
-        proj_e = exact.components.T @ exact.components
-        proj_i = inc.components.T @ inc.components
-        assert np.max(np.abs(proj_e - proj_i)) < 1e-8
+        m = fit_pca(x, 8)
+        axes, _ = centred_svd(x, 8)
+        assert np.max(np.abs(projector(m.components) - projector(axes))) < 1e-8
 
     def test_exact_on_near_degenerate_spectrum(self):
         # white noise: neighbouring eigenvalues around the cut are close, so
         # an iterative solver stalls, while the eigensolve stays exact
         rng = np.random.default_rng(0)
         x = rng.standard_normal((600, 200))
-        m = fit_pca(x, 8, method="incremental")
+        m = fit_pca(x, 8)
         evals, evecs = np.linalg.eigh(np.cov(x, rowvar=False))
         top = evecs[:, np.argsort(evals)[::-1][:8]].T
-        proj_m = m.components.T @ m.components
-        assert np.max(np.abs(proj_m - top.T @ top)) < 1e-8
+        assert np.max(np.abs(projector(m.components) - projector(top))) < 1e-8
         np.testing.assert_allclose(m.explained_variance,
                                    np.sort(evals)[::-1][:8], rtol=1e-10)
         assert np.allclose(m.components @ m.components.T, np.eye(8), atol=1e-12)
 
-    def test_auto_routing_by_entry_count(self):
-        x = spectrum_data(100, 10, seed=6)
-        assert fit_pca(x, 3, incremental_threshold=10 ** 7).method == "exact"
-        assert fit_pca(x, 3, incremental_threshold=500).method == "incremental"
+    def test_routing_by_shape(self, monkeypatch):
+        calls = []
+        streamed = features._fit_incremental
+
+        def record(x, q):
+            calls.append(x.shape)
+            return streamed(x, q)
+
+        monkeypatch.setattr(features, "_fit_incremental", record)
+        fit_pca(spectrum_data(100, 10, seed=6), 3)
+        fit_pca(spectrum_data(40, 40, seed=6), 3)
+        assert calls == [(100, 10), (40, 40)]
+
+        def refuse(x, q):
+            raise AssertionError("a wide input must not form the covariance")
+
+        monkeypatch.setattr(features, "_fit_incremental", refuse)
+        wide = spectrum_data(50, 3000, seed=6)
+        m = fit_pca(wide, 5)
+        axes, _ = centred_svd(wide, 5)
+        assert np.max(np.abs(projector(m.components) - projector(axes))) < 1e-8
+
+
+class TestZeroVariance:
+    def test_null_direction_column_is_zero(self):
+        # 20 nodes, 32 features: the centred rank is 19, so the 20th of the
+        # q = 20 directions carries no variance and must not be rescaled
+        # into unit-variance rounding noise
+        out = align_features(spectrum_data(20, 32, seed=8), AlignSpec(unified_dim=32))
+        assert out.pca.degenerate is True
+        assert out.pca.explained_variance[19] == 0.0
+        assert np.all(out.x[:, 19:] == 0.0)
+        assert np.max(np.abs(out.x[:, :19].var(axis=0) - 1.0)) < 1e-6
+
+    @pytest.mark.parametrize("scale", [100.0, 1000.0])
+    @pytest.mark.parametrize("n, d_in", [(50, 10), (4, 10)], ids=["tall", "wide"])
+    def test_rank_deficient_input_is_degenerate(self, scale, n, d_in):
+        # rank 3 before centring; covariance rounding grows with the scale,
+        # so only a floor relative to the largest eigenvalue catches it
+        rng = np.random.default_rng(11)
+        x = scale * rng.standard_normal((n, 3)) @ rng.standard_normal((3, d_in))
+        out = align_features(x, AlignSpec(unified_dim=d_in))
+        rank = min(3, n - 1)
+        assert out.pca.degenerate is True
+        assert np.all(out.pca.explained_variance[rank:] == 0.0)
+        assert np.all(out.pca.explained_variance[:rank] > 0.0)
+        assert np.all(out.x[:, rank:] == 0.0)
+        assert np.max(np.abs(out.x[:, :rank].var(axis=0) - 1.0)) < 1e-6
 
 
 class TestColumnScaling:
     def test_hand_values(self):
+        # one varying column with population sd sqrt(2/3), one constant
         x = np.array([[1.0, 5.0], [2.0, 5.0], [3.0, 5.0]])
-        scaled, mean, sd = scale_columns(x)
-        assert np.allclose(mean, [2.0, 5.0])
-        assert np.isclose(sd[0], np.sqrt(2.0 / 3.0))
-        assert np.allclose(scaled[:, 0] * sd[0] + mean[0], x[:, 0], atol=1e-12)
-        # constant column is zeroed, not divided by zero
-        assert np.all(scaled[:, 1] == 0.0)
+        out = align_features(x, AlignSpec(unified_dim=2))
+        assert np.allclose(out.x[:, 0], np.array([-1.0, 0.0, 1.0]) / np.sqrt(2.0 / 3.0),
+                           atol=1e-12)
+        # the constant direction is zeroed, not divided by zero
+        assert np.all(out.x[:, 1] == 0.0)
+        assert out.pca.degenerate is True
 
     @settings(max_examples=25, deadline=None)
     @given(seed=st.integers(min_value=0, max_value=10_000))
     def test_unit_variance_invariant(self, seed):
         rng = np.random.default_rng(seed)
         x = rng.standard_normal((50, 4)) * 7.0 + 3.0
-        scaled, _, _ = scale_columns(x)
-        assert np.max(np.abs(scaled.mean(axis=0))) < 1e-10
-        assert np.max(np.abs(scaled.var(axis=0) - 1.0)) < 1e-6
+        out = align_features(x, AlignSpec(unified_dim=4))
+        assert np.max(np.abs(out.x.mean(axis=0))) < 1e-10
+        assert np.max(np.abs(out.x.var(axis=0) - 1.0)) < 1e-6
 
 
 class TestAlignment:

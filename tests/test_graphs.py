@@ -64,6 +64,31 @@ class TestValidation:
         with pytest.raises(DataError):
             make_graph(3, [[0, 1]], np.zeros((2, 2)))
 
+    @pytest.mark.parametrize("field, value", [
+        ("edges", [[0, 1.7]]),
+        ("node_labels", [0.9, 1.2, 2.0]),
+        ("node_labels", [0.0, np.nan, 1.0]),
+        ("graph_label", 1.5),
+        ("node_split", [0.5, 1, 2]),
+        ("node_split", [0, 300, 2]),
+        ("edge_split", [0.5]),
+        ("edge_split", [np.inf]),
+    ])
+    def test_non_integral_value_rejected_not_truncated(self, field, value):
+        kwargs = {"edges": [[0, 1]], field: value}
+        with pytest.raises(DataError, match="must hold integers"):
+            make_graph(3, features=np.zeros((3, 1)), **kwargs)
+
+    def test_integral_floats_accepted(self):
+        g = make_graph(3, np.array([[0.0, 1.0], [1.0, 2.0]]), np.zeros((3, 1)),
+                       node_labels=[0.0, 1.0, 2.0], graph_label=2.0,
+                       node_split=np.array([0.0, 1.0, 2.0]), edge_split=[2.0, 0.0])
+        assert g.edges.tolist() == [[0, 1], [1, 2]]
+        assert g.node_labels.tolist() == [0, 1, 2]
+        assert g.graph_label == 2 and type(g.graph_label) is int
+        assert g.node_split.tolist() == [0, 1, 2]
+        assert g.edge_split.tolist() == [2, 0]
+
     def test_arrays_frozen(self):
         g = path_graph()
         with pytest.raises(ValueError):
@@ -130,6 +155,20 @@ class TestFileFormats:
         (tmp_path / "features.csv").write_text("1.0\n2.0\n")
         with pytest.raises(DataError, match="non-integer"):
             load_graph(tmp_path, format="edge-list")
+
+    @pytest.mark.parametrize("label", ["1.5", "nan", "inf"])
+    def test_edge_list_fractional_label_rejected(self, tmp_path, label):
+        (tmp_path / "edges.tsv").write_text("0\t1\n")
+        (tmp_path / "features.csv").write_text("1.0\n2.0\n")
+        (tmp_path / "labels.csv").write_text(f"0\n{label}\n")
+        with pytest.raises(DataError, match="label in .*labels.csv must hold integers"):
+            load_graph(tmp_path, format="edge-list")
+
+    def test_edge_list_integral_float_label_accepted(self, tmp_path):
+        (tmp_path / "edges.tsv").write_text("0\t1\n")
+        (tmp_path / "features.csv").write_text("1.0\n2.0\n")
+        (tmp_path / "labels.csv").write_text("0.0\n1.0\n")
+        assert load_graph(tmp_path, format="edge-list").node_labels.tolist() == [0, 1]
 
     def test_edge_list_bad_label(self, tmp_path):
         (tmp_path / "edges.tsv").write_text("0\t1\n")
