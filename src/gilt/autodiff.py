@@ -29,16 +29,14 @@ __all__ = [
     "concat",
     "slice_cols",
     "take_rows",
-    "split_heads",
-    "merge_heads",
     "class_means",
     "sum_",
     "mean",
     "relu",
-    "softmax",
     "log_softmax",
     "layernorm",
     "dropout",
+    "attention",
     "normalize_rows",
     "cosine_rows",
     "grad_check",
@@ -303,8 +301,9 @@ def slice_cols(x, start: int, stop: int) -> Tensor:
 
 
 def take_rows(x, idx) -> Tensor:
+    """Rows `idx` of x: an index array (repeats allowed) or a slice (a view)."""
     x = _wrap(x)
-    idx = np.asarray(idx, dtype=np.intp)
+    idx = idx if isinstance(idx, slice) else np.asarray(idx, dtype=np.intp)
     out = x.values[idx]
 
     def vjp(g):
@@ -313,22 +312,6 @@ def take_rows(x, idx) -> Tensor:
         return full
 
     return _make(out, (x,), (vjp,))
-
-
-def split_heads(x, n_heads: int) -> Tensor:
-    """[n x m] -> [h x n x m/h]; head i owns columns i*m/h:(i+1)*m/h."""
-    x = _wrap(x)
-    n, m = x.values.shape
-    out = x.values.reshape(n, n_heads, m // n_heads).transpose(1, 0, 2)
-    return _make(out, (x,), (lambda g: g.transpose(1, 0, 2).reshape(n, m),))
-
-
-def merge_heads(x) -> Tensor:
-    """[h x n x m/h] -> [n x m], the inverse of split_heads."""
-    x = _wrap(x)
-    h, n, w = x.values.shape
-    out = x.values.transpose(1, 0, 2).reshape(n, h * w)
-    return _make(out, (x,), (lambda g: g.reshape(n, h, w).transpose(1, 0, 2),))
 
 
 def class_means(x, labels, n_way: int) -> Tensor:
@@ -386,20 +369,6 @@ def relu(x) -> Tensor:
     return _make(out, (x,), (lambda g: g * (x.values > 0),))
 
 
-def softmax(x) -> Tensor:
-    """Row softmax over the last axis, max-shifted for stability."""
-    x = _wrap(x)
-    shifted = x.values - x.values.max(axis=-1, keepdims=True)
-    e = np.exp(shifted)
-    out = e / e.sum(axis=-1, keepdims=True)
-
-    def vjp(g):
-        inner = (g * out).sum(axis=-1, keepdims=True)
-        return out * (g - inner)
-
-    return _make(out, (x,), (vjp,))
-
-
 def log_softmax(x) -> Tensor:
     """Row log-softmax over the last axis; finite for any logit gap."""
     x = _wrap(x)
@@ -451,6 +420,55 @@ def dropout(x, p: float, rng: np.random.Generator) -> Tensor:
     factor = 1.0 / (1.0 - p)
     out = x.values * keep * factor
     return _make(out, (x,), (lambda g: g * keep * factor,))
+
+
+def attention(a, b, wq, wk, wv, wo, n_heads: int, p: float, rng) -> Tensor:
+    """Multi-head softmax attention of the rows of `a` over the rows of `b`.
+
+    Head i owns columns i*w:(i+1)*w of each projection, w = width / n_heads.
+    When p > 0, one inverted-dropout mask of shape (n_heads, rows(a), rows(b))
+    is drawn from `rng` onto the attention weights. One tape node; the
+    backward is the softmax-attention VJP, computed once for all six inputs,
+    and `a` may be `b`.
+    """
+    a, b, wq, wk, wv, wo = (_wrap(t) for t in (a, b, wq, wk, wv, wo))
+
+    def split(x):  # [n x m] -> [h x n x m/h]
+        return x.reshape(x.shape[0], n_heads, -1).transpose(1, 0, 2)
+
+    def merge(x):  # [h x n x m/h] -> [n x m]
+        return x.transpose(1, 0, 2).reshape(x.shape[1], -1)
+
+    q, k, v = split(a.values @ wq.values), split(b.values @ wk.values), split(b.values @ wv.values)
+    c = 1.0 / math.sqrt(q.shape[-1])  # a Python float keeps float32 float32
+    scores = (q @ _t(k)) * c
+    e = np.exp(scores - scores.max(axis=-1, keepdims=True))
+    probs = e / e.sum(axis=-1, keepdims=True)
+    dropped, keep, factor = probs, 1.0, 1.0
+    if p > 0.0:
+        keep = (rng.random(probs.shape) >= p).astype(probs.dtype)
+        factor = 1.0 / (1.0 - p)
+        dropped = probs * keep * factor
+    merged = merge(dropped @ v)
+
+    def grads(g):
+        g_ctx = split(g @ _t(wo.values))
+        g_probs = (g_ctx @ _t(v)) * keep * factor
+        g_scores = probs * (g_probs - (g_probs * probs).sum(axis=-1, keepdims=True)) * c
+        gq, gk, gv = merge(g_scores @ k), merge(_t(g_scores) @ q), merge(_t(dropped) @ g_ctx)
+        return (gq @ _t(wq.values), gk @ _t(wk.values) + gv @ _t(wv.values),
+                _t(a.values) @ gq, _t(b.values) @ gk, _t(b.values) @ gv, _t(merged) @ g)
+
+    memo: list = [None, None]  # (g, grads(g)): the tape calls once per parent
+
+    def part(i):
+        def vjp(g):
+            if memo[0] is not g:
+                memo[:] = g, grads(g)
+            return memo[1][i]
+        return vjp
+
+    return _make(merged @ wo.values, (a, b, wq, wk, wv, wo), [part(i) for i in range(6)])
 
 
 def normalize_rows(x, floor: float) -> Tensor:

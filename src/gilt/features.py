@@ -16,8 +16,9 @@ thin SVD, which costs O(n^2 d_in) where the covariance would cost O(d_in^3).
 
 Each aligned column is a PCA score divided by its own standard deviation,
 read from the fit's eigenvalue. A direction whose eigenvalue is at rounding
-level (<= max(1e-12, 1e-10 * the largest)) has no variance: its column is
-all zeros and the fit is flagged degenerate.
+level (at most 1e-10 of the largest, or the variance that rounding the column
+means can leave) has no variance: its column is all zeros and the fit is
+flagged degenerate. Both floors scale with the data.
 """
 from __future__ import annotations
 
@@ -32,8 +33,8 @@ BLOCK_ROWS = 512  # rows per centred block: 10 MB at 2600 features
 # with an eigenvalue near eps * lambda_max times a factor that grows with the
 # matrix size, so it scales with the data (~1e-16 of lambda_max on small
 # rank-deficient inputs). An eigenvalue below 1e-10 of the largest is such
-# rounding, with a wide margin; the absolute 1e-12 in fit_pca also catches
-# constant features, whose largest eigenvalue is itself rounding.
+# rounding, with a wide margin. Constant features, whose largest eigenvalue
+# is itself rounding, are caught by the mean-shift floor in fit_pca.
 RELATIVE_FLOOR = 1e-10
 
 
@@ -80,8 +81,8 @@ def fit_pca(x, n_components: int) -> PCAModel:
 
     A tall input (d_in <= n) takes the exact top eigenpairs of its centred
     covariance, accumulated over BLOCK_ROWS-row blocks; a wide one takes a
-    thin SVD. Eigenvalues at or below max(1e-12, RELATIVE_FLOOR * largest)
-    are reported as 0 and set `degenerate`.
+    thin SVD. Eigenvalues at or below RELATIVE_FLOOR * largest, or at or
+    below (n * eps)^2 * ||mean||^2, are reported as 0 and set `degenerate`.
     """
     x = np.asarray(x, dtype=np.float64)
     if x.ndim != 2:
@@ -92,7 +93,10 @@ def fit_pca(x, n_components: int) -> PCAModel:
         raise ValueError(f"n_components={q} outside [1, min(n={n}, d={d})]")
     fit = _fit_incremental if d <= n else _fit_exact
     mean, components, explained = fit(x, q)
-    null = explained <= max(1e-12, RELATIVE_FLOOR * explained[0])
+    # the column means add n rows in turn, so each can be off by ~n ulps of
+    # itself; centring turns that shift into variance up to its squared norm
+    shift = (n * np.finfo(np.float64).eps) ** 2 * float(mean @ mean)
+    null = explained <= max(shift, RELATIVE_FLOOR * explained[0])
     explained = np.where(null, 0.0, explained)
     return PCAModel(
         mean=mean,

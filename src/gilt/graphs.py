@@ -48,6 +48,16 @@ def _integers(values, what: str, dtype=np.int64) -> np.ndarray:
     return out
 
 
+def _checked_tags(values, what: str) -> np.ndarray:
+    """`values` as int8 split tags, each TRAIN, VALID or TEST."""
+    tags = _integers(values, what, np.int8)
+    bad = (tags < TRAIN) | (tags > TEST)
+    if bad.any():
+        raise DataError(f"{what} must hold split tags {TRAIN}, {VALID} or {TEST}, "
+                        f"got {int(tags[bad][0])}")
+    return tags
+
+
 def _canonical_edges(edges: np.ndarray, node_count: int) -> np.ndarray:
     """Symmetrize, drop self-loops, deduplicate; rows sorted (lo, hi)."""
     edges = np.asarray(edges, dtype=np.int64).reshape(-1, 2)
@@ -166,12 +176,12 @@ def make_graph(
             )
         node_labels = _frozen(node_labels)
     if node_split is not None:
-        node_split = _integers(node_split, "node_split", np.int8)
+        node_split = _checked_tags(node_split, "node_split")
         if node_split.shape != (node_count,):
             raise DataError("node_split length mismatch")
         node_split = _frozen(node_split)
     if edge_split is not None:
-        edge_split = _integers(edge_split, "edge_split", np.int8)
+        edge_split = _checked_tags(edge_split, "edge_split")
         if edge_split.shape != (edges.shape[0],):
             raise DataError("edge_split length mismatch")
         edge_split = _frozen(edge_split)
@@ -183,7 +193,8 @@ def make_graph(
         graph_label=None if graph_label is None else int(_integers(graph_label, "graph_label")),
         node_split=node_split,
         edge_split=edge_split,
-        graph_split_tag=graph_split_tag,
+        graph_split_tag=(None if graph_split_tag is None
+                         else int(_checked_tags(graph_split_tag, "graph_split_tag"))),
         name=name,
     )
 

@@ -1,12 +1,13 @@
 """Two-stage in-context transformer over support and query tokens.
 
-Each layer runs the same attention machinery twice. Stage one lets support
-tokens attend to each other, so label information spreads across the
-support set. Stage two lets every query token attend to the *updated*
-support tokens with the same attention weights; queries never see other
-queries or themselves, which makes each query's output independent of
-whatever batch it happens to share. A single shared feed-forward block
-then updates both streams. Residual connections wrap every sublayer and
+Each layer runs one fused attention op (`autodiff.attention`) twice. Stage
+one lets support tokens attend to each other, so label information spreads
+across the support set. Stage two lets every query token attend to the
+*updated* support tokens with the same attention weights; queries never see
+other queries or themselves, which makes each query's output independent of
+whatever batch it happens to share. One shared feed-forward block then
+updates both streams in a single pass over their stacked rows, since it maps
+each row on its own. Residual connections wrap every sublayer and
 normalization sits inside the residual branch (pre-LN).
 
 The cross-attention weight sharing can be switched off per layer for
@@ -57,26 +58,6 @@ def transformer_init(d: int, n_layers: int, n_heads: int, ffn_hidden: int,
     return params
 
 
-def _mha(a, b, wq, wk, wv, wo, n_heads: int, dropout: float, rng):
-    """Attention of rows of `a` over rows of `b`; returns [rows(a) x m]."""
-    hw = a.values.shape[1] // n_heads
-    q = ad.split_heads(ad.matmul(a, wq), n_heads)
-    k = ad.split_heads(ad.matmul(b, wk), n_heads)
-    v = ad.split_heads(ad.matmul(b, wv), n_heads)
-    scores = ad.matmul(q, k, transpose_b=True)
-    probs = ad.softmax(ad.scale(scores, 1.0 / np.sqrt(hw)))
-    if dropout > 0.0:
-        probs = ad.dropout(probs, dropout, rng)
-    return ad.matmul(ad.merge_heads(ad.matmul(probs, v)), wo)
-
-
-def _ffn(x, w1, b1, w2, b2, dropout: float, rng):
-    hidden = ad.relu(ad.add(ad.matmul(x, w1), b1))
-    if dropout > 0.0:
-        hidden = ad.dropout(hidden, dropout, rng)
-    return ad.add(ad.matmul(hidden, w2), b2)
-
-
 def transformer_forward(t_support: ad.Tensor, t_query: ad.Tensor,
                         params: dict[str, ad.Tensor], n_layers: int,
                         n_heads: int, dropout: float = 0.0, rng=None,
@@ -85,25 +66,25 @@ def transformer_forward(t_support: ad.Tensor, t_query: ad.Tensor,
     if dropout > 0.0 and rng is None:
         raise ValueError("dropout requires an rng")
     ts, tq = t_support, t_query
+    n_s = ts.shape[0]
     for i in range(n_layers):
         p = lambda name: params[f"tf{i}_{name}"]  # noqa: E731
-        ln1_g, ln1_b = p("ln1_gamma"), p("ln1_beta")
+        ln1 = (p("ln1_gamma"), p("ln1_beta"))
         attn = (p("wq"), p("wk"), p("wv"), p("wo"))
-        cross = attn
-        if unshared:
-            cross = (p("wq2"), p("wk2"), p("wv2"), p("wo2"))
+        cross = (p("wq2"), p("wk2"), p("wv2"), p("wo2")) if unshared else attn
 
-        a = ad.layernorm(ts, ln1_g, ln1_b)
-        ts = ad.add(ts, _mha(a, a, *attn, n_heads=n_heads, dropout=dropout, rng=rng))
+        a = ad.layernorm(ts, *ln1)
+        ts = ad.add(ts, ad.attention(a, a, *attn, n_heads, dropout, rng))
         # stage two reads the *updated* support, re-normalized
-        tq = ad.add(tq, _mha(ad.layernorm(tq, ln1_g, ln1_b),
-                             ad.layernorm(ts, ln1_g, ln1_b),
-                             *cross, n_heads=n_heads, dropout=dropout, rng=rng))
+        tq = ad.add(tq, ad.attention(ad.layernorm(tq, *ln1), ad.layernorm(ts, *ln1),
+                                     *cross, n_heads, dropout, rng))
 
-        ffn = (p("ffn_w1"), p("ffn_b1"), p("ffn_w2"), p("ffn_b2"))
-        ln2_g, ln2_b = p("ln2_gamma"), p("ln2_beta")
-        ts = ad.add(ts, _ffn(ad.layernorm(ts, ln2_g, ln2_b), *ffn,
-                             dropout=dropout, rng=rng))
-        tq = ad.add(tq, _ffn(ad.layernorm(tq, ln2_g, ln2_b), *ffn,
-                             dropout=dropout, rng=rng))
+        # the FFN maps each row on its own, so one pass serves both streams
+        x = ad.concat([ts, tq], axis=0)
+        hidden = ad.relu(ad.add(ad.matmul(ad.layernorm(x, p("ln2_gamma"), p("ln2_beta")),
+                                          p("ffn_w1")), p("ffn_b1")))
+        if dropout > 0.0:
+            hidden = ad.dropout(hidden, dropout, rng)
+        x = ad.add(x, ad.add(ad.matmul(hidden, p("ffn_w2")), p("ffn_b2")))
+        ts, tq = ad.take_rows(x, slice(0, n_s)), ad.take_rows(x, slice(n_s, None))
     return ts, tq

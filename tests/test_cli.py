@@ -364,6 +364,20 @@ class TestEvalCommand:
                      "--episodes", "1", "--out", str(tmp_path / "out")])
         assert code == 0
 
+    def test_unknown_split_tag_exits_3(self, trained, tmp_path, capsys):
+        # GOOD_GRAPH plus node 4 tagged 7, which is neither train, valid nor test
+        graph = {**GOOD_GRAPH, "nodes": 5, "edges": GOOD_GRAPH["edges"] + [[3, 4]],
+                 "features": GOOD_GRAPH["features"] + [[5.0]], "labels": [0, 1, 0, 1, 0],
+                 "node_split": [0, 0, 2, 2, 7]}
+        (tmp_path / "g.json").write_text(json.dumps(graph))
+        (tmp_path / "registry.json").write_text(json.dumps({"bad": {"path": "g.json"}}))
+        code = main(["eval", str(trained / "a" / "final.ckpt"), "bad",
+                     "--registry", str(tmp_path / "registry.json"),
+                     "--level", "node", "--n", "2", "--k", "1", "--runs", "1",
+                     "--episodes", "1", "--out", str(tmp_path / "out")])
+        assert code == 3
+        assert "node_split must hold split tags" in capsys.readouterr().err
+
     @pytest.mark.parametrize("value", ["1,x", "1,,2", "two", "1.5"])
     def test_malformed_sweep_k_is_usage_error(self, trained, corpus_dir, tmp_path,
                                               capsys, value):

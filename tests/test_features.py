@@ -185,6 +185,28 @@ class TestZeroVariance:
         assert np.all(out.x[:, rank:] == 0.0)
         assert np.max(np.abs(out.x[:, :rank].var(axis=0) - 1.0)) < 1e-6
 
+    @pytest.mark.parametrize("s", [1e-8, 1.0, 1e8])
+    def test_scale_changes_nothing(self, s):
+        # standardized columns carry no unit, so neither they nor the
+        # zero-variance verdict may depend on the features' magnitude
+        rng = np.random.default_rng(12)
+        full = rng.standard_normal((50, 4))
+        deficient = rng.standard_normal((50, 2)) @ rng.standard_normal((2, 6)) + 3.0
+        for x in (full, deficient):
+            base = align_features(x, AlignSpec(unified_dim=x.shape[1]))
+            out = align_features(s * x, AlignSpec(unified_dim=x.shape[1]))
+            assert out.pca.degenerate is base.pca.degenerate
+            assert np.max(np.abs(out.x - base.x)) < 1e-10
+        assert not align_features(s * full, AlignSpec(unified_dim=4)).pca.degenerate
+
+    @pytest.mark.parametrize("offset", [0.0, 1.0, 1e6])
+    def test_constant_features_are_degenerate(self, offset):
+        x = np.tile(offset + np.array([0.1, -0.7, 0.3]), (40, 1))
+        out = align_features(x, AlignSpec(unified_dim=3))
+        assert out.pca.degenerate is True
+        assert np.all(out.pca.explained_variance == 0.0)
+        assert np.all(out.x == 0.0)
+
 
 class TestColumnScaling:
     def test_hand_values(self):

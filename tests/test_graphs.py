@@ -73,21 +73,36 @@ class TestValidation:
         ("node_split", [0, 300, 2]),
         ("edge_split", [0.5]),
         ("edge_split", [np.inf]),
+        ("graph_split_tag", 1.5),
     ])
     def test_non_integral_value_rejected_not_truncated(self, field, value):
         kwargs = {"edges": [[0, 1]], field: value}
         with pytest.raises(DataError, match="must hold integers"):
             make_graph(3, features=np.zeros((3, 1)), **kwargs)
 
+    @pytest.mark.parametrize("field, value", [
+        ("node_split", [0, 1, 7]),
+        ("node_split", [-1, 0, 1]),
+        ("edge_split", [3]),
+        ("graph_split_tag", 9),
+        ("graph_split_tag", -1),
+    ])
+    def test_unknown_split_tag_rejected(self, field, value):
+        # such an item would match none of TRAIN, VALID and TEST
+        with pytest.raises(DataError, match=f"{field} must hold split tags 0, 1 or 2"):
+            make_graph(3, [[0, 1]], np.zeros((3, 1)), **{field: value})
+
     def test_integral_floats_accepted(self):
         g = make_graph(3, np.array([[0.0, 1.0], [1.0, 2.0]]), np.zeros((3, 1)),
                        node_labels=[0.0, 1.0, 2.0], graph_label=2.0,
-                       node_split=np.array([0.0, 1.0, 2.0]), edge_split=[2.0, 0.0])
+                       node_split=np.array([0.0, 1.0, 2.0]), edge_split=[2.0, 0.0],
+                       graph_split_tag=1.0)
         assert g.edges.tolist() == [[0, 1], [1, 2]]
         assert g.node_labels.tolist() == [0, 1, 2]
         assert g.graph_label == 2 and type(g.graph_label) is int
         assert g.node_split.tolist() == [0, 1, 2]
         assert g.edge_split.tolist() == [2, 0]
+        assert g.graph_split_tag == 1 and type(g.graph_split_tag) is int
 
     def test_arrays_frozen(self):
         g = path_graph()

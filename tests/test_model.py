@@ -205,7 +205,7 @@ class TestTapeBudget:
     """One desk-preset training episode (epoch 0: 10 shots, 64 queries,
     augmentation and dropout on) records at most this many tape nodes."""
 
-    BUDGET = {"node": 160, "link": 160, "graph": 700}
+    BUDGET = {"node": 100, "link": 105, "graph": 635}
 
     @pytest.fixture(scope="class")
     def desk(self):
