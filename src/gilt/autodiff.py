@@ -31,7 +31,6 @@ __all__ = [
     "take_rows",
     "class_means",
     "sum_",
-    "mean",
     "relu",
     "log_softmax",
     "layernorm",
@@ -118,6 +117,12 @@ class Tensor:
         self.grad = None
 
     def backward(self, seed: np.ndarray | None = None) -> None:
+        """Accumulate gradients of this output into the `.grad` of every leaf.
+
+        A node with parents drops its `.grad` as soon as it has passed it on,
+        so peak memory holds only the gradients still in flight; leaves keep
+        theirs, summed over every use.
+        """
         if seed is None:
             if self.values.size != 1:
                 raise ValueError("backward() without seed requires a scalar output")
@@ -136,6 +141,9 @@ class Tensor:
                     parent.grad = pg
                 else:
                     parent.grad = parent.grad + pg
+            if node._parents:
+                # served: only leaves keep a gradient once backward returns
+                node.grad = None
 
 
 def _topo_order(root: Tensor) -> list[Tensor]:
@@ -246,17 +254,19 @@ def matmul(a, b, transpose_b: bool = False) -> Tensor:
     return _make(out, (a, b), (grad_a, grad_b))
 
 
-def const_matmul(mat, x, symmetric: bool = False) -> Tensor:
+def const_matmul(mat, x, mat_t=None) -> Tensor:
     """Left-multiply by a constant (possibly sparse) matrix: mat @ x.
 
-    `symmetric=True` promises `mat.T @ g == mat @ g` bit for bit, so the
-    backward multiplies by `mat` instead of building its transpose.
+    A caller that already holds mat's transpose passes it as `mat_t` (`mat`
+    itself when `mat.T @ g == mat @ g` bit for bit), so the backward
+    multiplies by it instead of building `mat.T`.
     """
     x = _wrap(x)
     out = mat @ x.values
     if sp.issparse(mat):
         out = np.asarray(out)
-    mat_t = mat if symmetric else mat.T
+    if mat_t is None:
+        mat_t = mat.T
 
     def grad_x(g):
         r = mat_t @ g
@@ -340,21 +350,6 @@ def sum_(x, axis: int | None = None, keepdims: bool = False) -> Tensor:
         if not keepdims:
             g = np.expand_dims(g, axis)
         return np.broadcast_to(g, x.values.shape).copy()
-
-    return _make(out, (x,), (vjp,))
-
-
-def mean(x, axis: int | None = None, keepdims: bool = False) -> Tensor:
-    x = _wrap(x)
-    n = x.values.size if axis is None else x.values.shape[axis]
-    out = x.values.mean(axis=axis, keepdims=keepdims)
-
-    def vjp(g):
-        if axis is None:
-            return np.broadcast_to(g / n, x.values.shape).copy()
-        if not keepdims:
-            g = np.expand_dims(g, axis)
-        return np.broadcast_to(g / n, x.values.shape).copy()
 
     return _make(out, (x,), (vjp,))
 

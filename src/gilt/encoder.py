@@ -73,7 +73,7 @@ def encode(adj: sp.spmatrix, x, params: dict[str, ad.Tensor],
         raise ValueError(f"unknown encoder variant {variant!r}")
     h = x if isinstance(x, ad.Tensor) else ad.Tensor(np.asarray(x))
     for i in range(n_layers):
-        h = ad.const_matmul(adj, h, symmetric=True)
+        h = ad.const_matmul(adj, h, mat_t=adj)
         if variant == "nonlinear":
             h = ad.relu(ad.matmul(h, params[f"enc_w{i}"]))
         h = ad.layernorm(h, params[f"enc_ln{i}_gamma"], params[f"enc_ln{i}_beta"])

@@ -207,7 +207,10 @@ def load_graph(path, format: str = "json", name: str | None = None) -> Graph:
     """Load a graph from disk.
 
     format "json": single file {"nodes": n, "edges": [[s,d],...],
-    "features": [[...]], "labels": [...]} with optional split keys.
+    "features": [[...]], "labels": [...]} with optional keys
+    "graph_label" (one integer), "node_split" / "edge_split" (one split tag
+    per node / edge) and "graph_split_tag" (the whole graph's split tag,
+    for graph-level tasks). Split tags are 0 (train), 1 (valid) or 2 (test).
     format "edge-list": a directory holding edges.tsv (src<TAB>dst per
     line), features.csv (one row per node), and optionally labels.csv.
     """
@@ -234,8 +237,10 @@ def _load_json(path: Path, name: str) -> Graph:
     nodes = _json_ints(payload["nodes"], "nodes", path)
     edges = _json_ints(payload["edges"], "edges", path)
     extra = {key: None if payload.get(key) is None else _json_ints(payload[key], key, path)
-             for key in ("labels", "graph_label", "node_split", "edge_split")}
-    for key, value in (("nodes", nodes), ("graph_label", extra["graph_label"])):
+             for key in ("labels", "graph_label", "node_split", "edge_split",
+                         "graph_split_tag")}
+    for key, value in (("nodes", nodes), ("graph_label", extra["graph_label"]),
+                       ("graph_split_tag", extra["graph_split_tag"])):
         if value is not None and value.ndim != 0:
             raise DataError(f"{key!r} in {path} must be a single integer")
     if edges.size == 0:
@@ -255,6 +260,7 @@ def _load_json(path: Path, name: str) -> Graph:
         graph_label=extra["graph_label"],
         node_split=extra["node_split"],
         edge_split=extra["edge_split"],
+        graph_split_tag=extra["graph_split_tag"],
         name=name,
     )
 
@@ -339,6 +345,8 @@ def write_graph(g: Graph, path) -> Path:
         payload["node_split"] = [int(v) for v in g.node_split]
     if g.edge_split is not None:
         payload["edge_split"] = [int(v) for v in g.edge_split]
+    if g.graph_split_tag is not None:
+        payload["graph_split_tag"] = int(g.graph_split_tag)
     path.write_text(json.dumps(payload))
     return path
 

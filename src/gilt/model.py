@@ -11,6 +11,11 @@ augmentation rng is reseeded from episode.aug_seed on every call, so the
 same episode always sees the same feature/edge dropout masks. That keeps
 replays reproducible and finite-difference checks honest even with
 dropout active.
+
+A training graph episode encodes all its graphs in one call, as one
+block-diagonal graph (the disjoint union of the support and query graphs),
+and pools them with one segment mean. Evaluation encodes each graph once
+and caches it, then pools the cached rows the same way.
 """
 from __future__ import annotations
 
@@ -132,37 +137,67 @@ class GraphBank:
 
 
 def _encode_graph(prep: PreparedGraph, params: dict[str, ad.Tensor],
-                  cfg: ModelConfig, rng=None,
-                  feat_drop: float = 0.0, edge_drop: float = 0.0) -> ad.Tensor:
-    """Encoder output for one graph; nonzero drop rates augment with `rng`."""
-    dtype = cfg.np_dtype()
-    x = ad.Tensor(prep.aligned.x.astype(dtype, copy=False))
-    if feat_drop > 0.0:
-        x = ad.dropout(x, feat_drop, rng)
+                  cfg: ModelConfig) -> ad.Tensor:
+    """Deterministic encoder output for one prepared graph."""
+    x = ad.Tensor(prep.aligned.x.astype(cfg.np_dtype(), copy=False))
     if prep.aligned.needs_projection:
         x = ad.matmul(x, params["proj_w"])
-    adj = prep.adj
-    if edge_drop > 0.0:
-        edges = prep.graph.edges
-        keep = rng.random(edges.shape[0]) >= edge_drop
-        adj = normalize_adjacency(prep.graph.node_count, edges[keep]).astype(
-            dtype, copy=False)
-    return encode(adj, x, params, cfg.encoder_layers, cfg.encoder_variant)
+    return encode(prep.adj, x, params, cfg.encoder_layers, cfg.encoder_variant)
+
+
+def _encode_union(bank: GraphBank, refs, params: dict[str, ad.Tensor],
+                  cfg: ModelConfig, rng, feat_drop: float,
+                  edge_drop: float) -> tuple[ad.Tensor, list[int]]:
+    """Training-time encoder rows of the graphs `refs`, stacked in order,
+    plus each graph's row count.
+
+    The graphs run as one disjoint union: their features stacked, their kept
+    edges offset into one edge list. The symmetric normalization of a
+    disjoint union is the block diagonal of the per-graph ones, so each
+    graph's rows are what encoding it alone gives. For each graph in turn
+    the rng draws its feature-dropout mask, then its edge-keep mask.
+    """
+    dtype = cfg.np_dtype()
+    xs, edges, sizes, offset = [], [], [], 0
+    for gi in refs:
+        prep = bank.prepared(int(gi))
+        x = prep.aligned.x.astype(dtype, copy=False)
+        if feat_drop > 0.0:
+            keep = (rng.random(x.shape) >= feat_drop).astype(dtype)
+            x = x * keep * (1.0 / (1.0 - feat_drop))
+        kept = prep.graph.edges
+        if edge_drop > 0.0:
+            kept = kept[rng.random(kept.shape[0]) >= edge_drop]
+        xs.append(x)
+        edges.append(kept + offset)
+        sizes.append(prep.graph.node_count)
+        offset += prep.graph.node_count
+    adj = normalize_adjacency(offset, np.concatenate(edges)).astype(dtype, copy=False)
+    x = ad.Tensor(np.concatenate(xs))
+    if prep.aligned.needs_projection:  # set by the align mode, so by every graph alike
+        x = ad.matmul(x, params["proj_w"])
+    return encode(adj, x, params, cfg.encoder_layers, cfg.encoder_variant), sizes
 
 
 def _item_reprs(bank: GraphBank, episode: Episode, params, cfg, train, rng):
-    def encoded(gi: int) -> ad.Tensor:
-        if train:
-            return _encode_graph(bank.prepared(gi), params, cfg, rng,
-                                 episode.feat_drop, episode.edge_drop)
-        return bank.encoded(gi, params)
-
     if episode.level == "graph":
-        # one pooled row per referenced graph
-        def pooled(refs) -> ad.Tensor:
-            return ad.concat([mean_pool(encoded(int(gi))) for gi in refs], axis=0)
-        return pooled(episode.support_refs), pooled(episode.query_refs)
-    h = encoded(episode.graph_index)
+        # one pooled row per referenced graph, supports first
+        refs = np.concatenate([episode.support_refs, episode.query_refs])
+        if train:
+            h, sizes = _encode_union(bank, refs, params, cfg, rng,
+                                     episode.feat_drop, episode.edge_drop)
+        else:
+            h = ad.concat([bank.encoded(int(gi), params) for gi in refs], axis=0)
+            sizes = [bank.corpus.graphs[int(gi)].node_count for gi in refs]
+        pooled = mean_pool(h, sizes)
+        n_sup = len(episode.support_refs)
+        return (ad.take_rows(pooled, slice(0, n_sup)),
+                ad.take_rows(pooled, slice(n_sup, len(refs))))
+    if train:
+        h, _ = _encode_union(bank, [episode.graph_index], params, cfg, rng,
+                             episode.feat_drop, episode.edge_drop)
+    else:
+        h = bank.encoded(episode.graph_index, params)
     return (item_repr(h, episode.level, episode.support_refs),
             item_repr(h, episode.level, episode.query_refs))
 

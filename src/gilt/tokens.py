@@ -2,10 +2,14 @@
 
 An item representation is read off the encoder output: a node keeps its
 row, a candidate link takes the elementwise product of its endpoint rows,
-a whole graph mean-pools its rows. Tokens are asymmetric. A support token
-concatenates the item with the L2-normalized mean of its class's support
-representations (the class prototype); a query token concatenates the item
-with zeros, so nothing about its label can leak in. Both are 2d wide.
+a whole graph mean-pools its rows. A graph episode pools all its graphs at
+once: their encoder rows are stacked and one segment mean gives one row per
+graph.
+
+Tokens are asymmetric. A support token concatenates the item with the
+L2-normalized mean of its class's support representations (the class
+prototype); a query token concatenates the item with zeros, so nothing
+about its label can leak in. Both are 2d wide.
 
 TokenSet is the frozen, file-backed form: float32 rows plus the episode
 header, written in a small self-describing binary format.
@@ -17,6 +21,7 @@ from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
+import scipy.sparse as sp
 
 from . import autodiff as ad
 
@@ -37,9 +42,21 @@ def item_repr(h: ad.Tensor, level: str, refs: np.ndarray) -> ad.Tensor:
     raise ValueError(f"item_repr handles node/link; got {level!r}")
 
 
-def mean_pool(h: ad.Tensor) -> ad.Tensor:
-    """Whole-graph representation: mean over node rows, kept 2-D [1 x d]."""
-    return ad.mean(h, axis=0, keepdims=True)
+def mean_pool(h: ad.Tensor, sizes) -> ad.Tensor:
+    """Whole-graph representations: one mean row per graph, [len(sizes) x d].
+
+    `h` stacks the node rows of consecutive graphs, `sizes[i]` rows for graph
+    i. The segment mean is one `const_matmul` by a sparse averaging matrix;
+    the same three arrays read as CSC are its transpose, so the backward
+    builds none.
+    """
+    sizes = np.asarray(sizes, dtype=np.int64)
+    n_graphs, n_rows = sizes.size, int(sizes.sum())
+    arrays = (np.repeat(1.0 / sizes, sizes).astype(h.values.dtype),  # weights
+              np.arange(n_rows),                                    # row of h
+              np.concatenate([[0], np.cumsum(sizes)]))              # graph starts
+    pool = sp.csr_matrix(arrays, shape=(n_graphs, n_rows))
+    return ad.const_matmul(pool, h, mat_t=sp.csc_matrix(arrays, shape=(n_rows, n_graphs)))
 
 
 def class_prototypes(reprs: ad.Tensor, labels: np.ndarray, n_way: int) -> ad.Tensor:

@@ -143,6 +143,10 @@ MALFORMED_DATA = {
     "label-not-integer": ({"path": "g.json"}, {**GOOD_GRAPH, "labels": [0, "b", 0, 1]}),
     "edge-row-of-3": ({"path": "g.json"}, {**GOOD_GRAPH, "edges": [[0, 1, 2]]}),
     "edge-row-of-4": ({"path": "g.json"}, {**GOOD_GRAPH, "edges": [[0, 1, 1, 0]]}),
+    "graph-split-tag-out-of-range": ({"path": "g.json"},
+                                     {**GOOD_GRAPH, "graph_split_tag": 3}),
+    "graph-split-tag-fractional": ({"path": "g.json"},
+                                   {**GOOD_GRAPH, "graph_split_tag": 1.5}),
     "entry-not-object": (3, GOOD_GRAPH),
     "entry-without-path": ({}, GOOD_GRAPH),
 }

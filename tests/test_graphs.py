@@ -132,6 +132,21 @@ class TestFileFormats:
         assert np.array_equal(g2.edges, g.edges)
         assert np.array_equal(g2.node_labels, g.node_labels)
 
+    @pytest.mark.parametrize("tag", [0, 1, 2, None])
+    def test_json_round_trip_keeps_graph_split_tag(self, tmp_path, tag):
+        g = make_graph(3, [[0, 1]], np.zeros((3, 1)), graph_label=1, graph_split_tag=tag)
+        g2 = load_graph(write_graph(g, tmp_path / "g.json"))
+        assert g2.graph_split_tag == tag
+        assert g2.graph_label == 1
+
+    @pytest.mark.parametrize("tag", [3, -1, 1.5, [1], True, "2"])
+    def test_json_bad_graph_split_tag(self, tmp_path, tag):
+        p = tmp_path / "bad.json"
+        p.write_text(json.dumps({"nodes": 2, "edges": [], "features": [[0.0], [1.0]],
+                                 "graph_split_tag": tag}))
+        with pytest.raises(DataError, match="graph_split_tag"):
+            load_graph(p)
+
     @settings(max_examples=25, deadline=None)
     @given(n=st.integers(min_value=2, max_value=8), seed=st.integers(min_value=0, max_value=12345))
     def test_json_round_trip_property(self, tmp_path_factory, n, seed):

@@ -31,9 +31,27 @@ class TestItemRepr:
 
     def test_graph_mean_pool(self):
         h = t([[1.0, 2.0], [3.0, 6.0]])
-        out = mean_pool(h)
+        out = mean_pool(h, [2])
         assert out.values.shape == (1, 2)
         assert np.array_equal(out.values, [[2.0, 4.0]])
+
+    def test_mean_pool_segments(self):
+        # three stacked graphs of 2, 1 and 3 rows: one mean row each
+        rows = np.random.default_rng(0).standard_normal((6, 3))
+        sizes = [2, 1, 3]
+        want = np.stack([rows[:2].mean(axis=0), rows[2], rows[3:].mean(axis=0)])
+        out = mean_pool(t(rows), sizes)
+        assert out.values.shape == (3, 3)
+        assert np.max(np.abs(out.values - want)) < 1e-15
+
+    def test_mean_pool_gradient_and_dtype(self):
+        x = t(np.random.default_rng(1).standard_normal((5, 2)))
+        weights = ad.Tensor(np.array([[1.0, -2.0], [0.5, 3.0]]))
+        report = ad.grad_check(
+            lambda: ad.sum_(ad.mul(mean_pool(x, [4, 1]), weights)), {"x": x})
+        assert report.passed, report
+        h32 = ad.Tensor(np.ones((3, 2), dtype=np.float32))
+        assert mean_pool(h32, [1, 2]).values.dtype == np.float32
 
     def test_unknown_level(self):
         with pytest.raises(ValueError, match="node/link"):
