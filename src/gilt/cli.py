@@ -321,6 +321,11 @@ def cmd_eval(args) -> int:
         ks = tuple(int(v) for v in args.sweep_k.split(",")) if args.sweep_k else None
     except ValueError as exc:
         raise ConfigError(f"--sweep-k expects a comma list of integers: {exc}") from exc
+    # zero runs or episodes would report NaN means
+    for flag, value in (("--runs", args.runs), ("--episodes", args.episodes),
+                        ("--hits-k", args.hits_k)):
+        if value < 1:
+            raise ConfigError(f"{flag} must be >= 1, got {value}")
     arrays, model_cfg = _load_model(args.checkpoint)
     model_cfg = _ablated(model_cfg, args.ablate)
 

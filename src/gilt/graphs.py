@@ -17,8 +17,6 @@ from pathlib import Path
 import numpy as np
 
 TRAIN, VALID, TEST = 0, 1, 2
-SPLIT_NAMES = ("train", "valid", "test")
-TASK_LEVELS = ("node", "link", "graph")
 
 
 class DataError(ValueError):

@@ -12,10 +12,10 @@ same episode always sees the same feature/edge dropout masks. That keeps
 replays reproducible and finite-difference checks honest even with
 dropout active.
 
-A training graph episode encodes all its graphs in one call, as one
-block-diagonal graph (the disjoint union of the support and query graphs),
-and pools them with one segment mean. Evaluation encodes each graph once
-and caches it, then pools the cached rows the same way.
+One function encodes: a training episode's graphs run in one call, as one
+block-diagonal graph (the disjoint union of its support and query graphs),
+and a graph episode pools them with one segment mean. Evaluation encodes each
+graph alone through it, without dropout, once per model, and caches the rows.
 """
 from __future__ import annotations
 
@@ -24,10 +24,10 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import autodiff as ad
-from .encoder import encode, encoder_init, normalize_adjacency
+from .encoder import VARIANTS, encode, encoder_init, normalize_adjacency
 from .episodes import Episode
 from .features import AlignedFeatures, AlignSpec, align_features
-from .graphs import Corpus, Graph
+from .graphs import Corpus
 from .head import episode_loss, predict
 from .tokens import build_tokens, item_repr, mean_pool
 from .transformer import transformer_forward, transformer_init
@@ -50,17 +50,25 @@ class ModelConfig:
     dtype: str = "float64"             # "float32" | "float64"
     seed: int = 0
 
+    def __post_init__(self):
+        self.align_spec()  # rejects an unknown align mode and a width below 1
+        for name, allowed in (("dtype", ("float32", "float64")),
+                              ("encoder_variant", VARIANTS)):
+            if getattr(self, name) not in allowed:
+                raise ValueError(f"unknown {name} {getattr(self, name)!r}")
+        if self.n_heads < 1 or (2 * self.d) % self.n_heads:
+            raise ValueError(f"n_heads={self.n_heads} must divide 2d={2 * self.d}")
+        if min(self.encoder_layers, self.transformer_layers) < 0:  # 0: an ablation
+            raise ValueError("layer counts must be >= 0")
+        if not 0.0 <= self.dropout < 1.0:
+            raise ValueError(f"dropout={self.dropout} outside [0, 1)")
+
     def np_dtype(self):
-        if self.dtype not in ("float32", "float64"):
-            raise ValueError(f"unknown dtype {self.dtype!r}")
         return np.float32 if self.dtype == "float32" else np.float64
 
     def align_spec(self) -> AlignSpec:
-        return AlignSpec(
-            unified_dim=self.d,
-            mode=self.align_mode,
-            intermediate_dim=self.intermediate_dim,
-        )
+        return AlignSpec(unified_dim=self.d, mode=self.align_mode,
+                         intermediate_dim=self.intermediate_dim)
 
 
 def init_params(cfg: ModelConfig) -> dict[str, np.ndarray]:
@@ -73,9 +81,8 @@ def init_params(cfg: ModelConfig) -> dict[str, np.ndarray]:
     if cfg.align_mode == "learnable-projection":
         rng = np.random.default_rng(cfg.seed + 7919)
         bound = 1.0 / np.sqrt(cfg.intermediate_dim)
-        params["proj_w"] = rng.uniform(
-            -bound, bound, size=(cfg.intermediate_dim, cfg.d)
-        ).astype(dtype)
+        params["proj_w"] = rng.uniform(-bound, bound,
+                                       size=(cfg.intermediate_dim, cfg.d)).astype(dtype)
     return params
 
 
@@ -85,15 +92,8 @@ def params_to_tensors(arrays: dict[str, np.ndarray],
 
 
 @dataclass
-class PreparedGraph:
-    graph: Graph
-    adj: object                 # CSR normalized adjacency
-    aligned: AlignedFeatures
-
-
-@dataclass
 class GraphBank:
-    """Per-corpus cache of prepared inputs and (eval-only) encoder outputs.
+    """Per-corpus cache of aligned features and (eval-only) encoder outputs.
 
     A bank is bound to one corpus and one cfg: its caches are keyed by graph
     index only and built with its own cfg, so `evaluate` ignores a passed
@@ -107,15 +107,10 @@ class GraphBank:
     _encoded: dict = field(default_factory=dict)
     _encoded_for: str | None = None
 
-    def prepared(self, gi: int) -> PreparedGraph:
+    def prepared(self, gi: int) -> AlignedFeatures:
         if gi not in self._prepared:
-            g = self.corpus.graphs[gi]
-            adj = normalize_adjacency(g.node_count, g.edges)
-            self._prepared[gi] = PreparedGraph(
-                graph=g,
-                adj=adj.astype(self.cfg.np_dtype(), copy=False),
-                aligned=align_features(g.features, self.cfg.align_spec()),
-            )
+            self._prepared[gi] = align_features(self.corpus.graphs[gi].features,
+                                                self.cfg.align_spec())
         return self._prepared[gi]
 
     def use_model(self, digest: str) -> None:
@@ -129,83 +124,70 @@ class GraphBank:
         """Deterministic eval-time encoder output, computed once per graph."""
         if gi not in self._encoded:
             with ad.no_grad():
-                self._encoded[gi] = _encode_graph(self.prepared(gi), params, self.cfg)
+                self._encoded[gi], _ = _encode_union(self, [gi], params, self.cfg,
+                                                     None, 0.0, 0.0)
         return self._encoded[gi]
-
-    def clear_encoded(self):
-        self._encoded.clear()
-
-
-def _encode_graph(prep: PreparedGraph, params: dict[str, ad.Tensor],
-                  cfg: ModelConfig) -> ad.Tensor:
-    """Deterministic encoder output for one prepared graph."""
-    x = ad.Tensor(prep.aligned.x.astype(cfg.np_dtype(), copy=False))
-    if prep.aligned.needs_projection:
-        x = ad.matmul(x, params["proj_w"])
-    return encode(prep.adj, x, params, cfg.encoder_layers, cfg.encoder_variant)
 
 
 def _encode_union(bank: GraphBank, refs, params: dict[str, ad.Tensor],
                   cfg: ModelConfig, rng, feat_drop: float,
                   edge_drop: float) -> tuple[ad.Tensor, list[int]]:
-    """Training-time encoder rows of the graphs `refs`, stacked in order,
-    plus each graph's row count.
+    """Encoder rows of the graphs `refs`, stacked in order, plus each graph's
+    row count.
 
     The graphs run as one disjoint union: their features stacked, their kept
     edges offset into one edge list. The symmetric normalization of a
     disjoint union is the block diagonal of the per-graph ones, so each
     graph's rows are what encoding it alone gives. For each graph in turn
-    the rng draws its feature-dropout mask, then its edge-keep mask.
+    the rng draws its feature-dropout mask, then its edge-keep mask; with
+    both rates 0 it is never read.
     """
     dtype = cfg.np_dtype()
     xs, edges, sizes, offset = [], [], [], 0
     for gi in refs:
-        prep = bank.prepared(int(gi))
-        x = prep.aligned.x.astype(dtype, copy=False)
+        aligned, g = bank.prepared(int(gi)), bank.corpus.graphs[int(gi)]
+        x = aligned.x.astype(dtype, copy=False)
         if feat_drop > 0.0:
             keep = (rng.random(x.shape) >= feat_drop).astype(dtype)
             x = x * keep * (1.0 / (1.0 - feat_drop))
-        kept = prep.graph.edges
+        kept = g.edges
         if edge_drop > 0.0:
             kept = kept[rng.random(kept.shape[0]) >= edge_drop]
         xs.append(x)
         edges.append(kept + offset)
-        sizes.append(prep.graph.node_count)
-        offset += prep.graph.node_count
+        sizes.append(g.node_count)
+        offset += g.node_count
     adj = normalize_adjacency(offset, np.concatenate(edges)).astype(dtype, copy=False)
     x = ad.Tensor(np.concatenate(xs))
-    if prep.aligned.needs_projection:  # set by the align mode, so by every graph alike
+    if aligned.needs_projection:  # set by the align mode, so by every graph alike
         x = ad.matmul(x, params["proj_w"])
     return encode(adj, x, params, cfg.encoder_layers, cfg.encoder_variant), sizes
 
 
 def _item_reprs(bank: GraphBank, episode: Episode, params, cfg, train, rng):
-    if episode.level == "graph":
-        # one pooled row per referenced graph, supports first
-        refs = np.concatenate([episode.support_refs, episode.query_refs])
-        if train:
-            h, sizes = _encode_union(bank, refs, params, cfg, rng,
-                                     episode.feat_drop, episode.edge_drop)
-        else:
-            h = ad.concat([bank.encoded(int(gi), params) for gi in refs], axis=0)
-            sizes = [bank.corpus.graphs[int(gi)].node_count for gi in refs]
-        pooled = mean_pool(h, sizes)
-        n_sup = len(episode.support_refs)
-        return (ad.take_rows(pooled, slice(0, n_sup)),
-                ad.take_rows(pooled, slice(n_sup, len(refs))))
+    graph_level = episode.level == "graph"
+    # a graph episode names its graphs, supports first; others name one graph
+    refs = (np.concatenate([episode.support_refs, episode.query_refs])
+            if graph_level else [episode.graph_index])
     if train:
-        h, _ = _encode_union(bank, [episode.graph_index], params, cfg, rng,
-                             episode.feat_drop, episode.edge_drop)
+        h, sizes = _encode_union(bank, refs, params, cfg, rng,
+                                 episode.feat_drop, episode.edge_drop)
     else:
-        h = bank.encoded(episode.graph_index, params)
-    return (item_repr(h, episode.level, episode.support_refs),
-            item_repr(h, episode.level, episode.query_refs))
+        hs = [bank.encoded(int(gi), params) for gi in refs]
+        h = hs[0] if len(hs) == 1 else ad.concat(hs, axis=0)
+        sizes = [x.shape[0] for x in hs]
+    if not graph_level:
+        return (item_repr(h, episode.level, episode.support_refs),
+                item_repr(h, episode.level, episode.query_refs))
+    pooled = mean_pool(h, sizes)
+    n_sup = len(episode.support_refs)
+    return (ad.take_rows(pooled, slice(0, n_sup)),
+            ad.take_rows(pooled, slice(n_sup, len(refs))))
 
 
 def episode_tokens(bank: GraphBank, episode: Episode,
                    params: dict[str, ad.Tensor], cfg: ModelConfig,
-                   train: bool = False,
-                   rng: np.random.Generator | None = None):
+                   train: bool = False, rng: np.random.Generator | None = None):
     """Support and query token matrices for one episode, pre-transformer."""
     sup, qry = _item_reprs(bank, episode, params, cfg, train, rng)
     return build_tokens(sup, episode.support_labels, qry, episode.n_way)
@@ -219,9 +201,7 @@ def episode_forward(bank: GraphBank, episode: Episode,
     t_sup, t_qry = episode_tokens(bank, episode, params, cfg, train, rng)
     s_out, q_out = transformer_forward(
         t_sup, t_qry, params, cfg.transformer_layers, cfg.n_heads,
-        dropout=cfg.dropout if train else 0.0, rng=rng,
-        unshared=cfg.unshared_attention,
-    )
+        dropout=cfg.dropout if train else 0.0, rng=rng, unshared=cfg.unshared_attention)
     return predict(s_out, q_out, episode.support_labels, episode.n_way,
                    cfg.d, cfg.temperature, cfg.full_token_prediction)
 

@@ -77,8 +77,13 @@ class TrainConfig:
             raise ValueError(f"unknown task levels {sorted(unknown)}")
         if not self.levels:
             raise ValueError("at least one task level required")
+        if self.batch_episodes < 1:
+            raise ValueError("batch_episodes must be >= 1")
         if self.batch_episodes > self.episodes_per_level:
             raise ValueError("batch_episodes cannot exceed episodes_per_level")
+        for name in ("feat_drop", "edge_drop"):
+            if not 0.0 <= getattr(self, name) < 1.0:
+                raise ValueError(f"{name}={getattr(self, name)} outside [0, 1)")
 
 
 def desk_preset() -> tuple[ModelConfig, TrainConfig]:

@@ -232,6 +232,30 @@ class TestPretrainCommand:
         assert "this run's model" in capsys.readouterr().err
         assert not (out / "final.ckpt").exists()
 
+    # the run config has d=6, so the token width is 12
+    @pytest.mark.parametrize("value", [
+        "model.n_heads=5", "model.n_heads=0", "model.dtype=float16",
+        "model.encoder_variant=gat", "model.align_mode=foo", "model.d=0",
+        "model.encoder_layers=-1", "model.transformer_layers=-1",
+        "model.dropout=1.0", "model.dropout=-0.1", "train.feat_drop=1.0",
+        "train.edge_drop=1.0", "train.batch_episodes=0",
+    ])
+    def test_bad_config_value_exits_2(self, trained, tmp_path, capsys, value):
+        code = main(["pretrain", str(trained / "run.cfg"), "--out", str(tmp_path),
+                     "--set", value])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert "Traceback" not in err and err.startswith("error: ")
+        assert not (tmp_path / "final.ckpt").exists()
+
+    def test_boundary_config_values_train(self, trained, tmp_path):
+        # the well-formed control for the cases above: each value at its edge
+        code = main(["pretrain", str(trained / "run.cfg"), "--out", str(tmp_path),
+                     "--epochs", "1", "--set", "model.n_heads=12",
+                     "--set", "model.encoder_layers=0", "--set", "model.dropout=0.0",
+                     "--set", "train.feat_drop=0.0", "--set", "train.batch_episodes=1"])
+        assert code == 0
+
     def test_resume_with_same_model_trains_on(self, trained, tmp_path):
         out = tmp_path / "out"
         code = main(["pretrain", str(trained / "run.cfg"), "--out", str(out),
@@ -381,6 +405,21 @@ class TestEvalCommand:
                      "--episodes", "1", "--out", str(tmp_path / "out")])
         assert code == 3
         assert "node_split must hold split tags" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("flags", [
+        ["--level", "node", "--runs", "0"],
+        ["--level", "node", "--episodes", "0"],
+        ["--level", "link", "--n", "2", "--hits-k", "0"],
+    ], ids=["runs-0", "episodes-0", "hits-k-0"])
+    def test_degenerate_protocol_flag_exits_2(self, trained, corpus_dir, tmp_path,
+                                              capsys, flags):
+        code = main(["eval", str(trained / "a" / "final.ckpt"), "synth",
+                     "--registry", str(corpus_dir / "registry.json"),
+                     "--k", "2", "--queries", "16", "--out", str(tmp_path)] + flags)
+        err = capsys.readouterr().err
+        assert code == 2
+        assert "Traceback" not in err and flags[-2] in err
+        assert not (tmp_path / "report.json").exists()
 
     @pytest.mark.parametrize("value", ["1,x", "1,,2", "two", "1.5"])
     def test_malformed_sweep_k_is_usage_error(self, trained, corpus_dir, tmp_path,

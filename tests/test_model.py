@@ -171,25 +171,34 @@ class TestGradients:
 
 class TestEvalCache:
     def test_encoder_output_cached_per_graph(self, node_setup):
-        bank, sampler = node_setup
-        bank.clear_encoded()
+        corpus = node_setup[0].corpus
         params = params_to_tensors(init_params(CFG))
+        bank = GraphBank(corpus, CFG)
         h1 = bank.encoded(0, params)
         h2 = bank.encoded(0, params)
         assert h1 is h2
-        bank.clear_encoded()
-        h3 = bank.encoded(0, params)
+        h3 = GraphBank(corpus, CFG).encoded(0, params)
         assert h3 is not h1
         assert h3.values.tobytes() == h1.values.tobytes()
 
     def test_cache_matches_direct_compute(self, node_setup):
-        bank, sampler = node_setup
-        bank.clear_encoded()
+        _, sampler = node_setup
+        bank = GraphBank(sampler.corpus, CFG)
         params = params_to_tensors(init_params(CFG))
         ep = sampler.sample()
         cached = episode_forward(bank, ep, params, CFG, train=False)
         fresh = episode_forward(bank, ep, params, CFG, train=True)
         assert np.max(np.abs(cached.values - fresh.values)) < 1e-12
+
+
+def _encode_graph_oracle(g, aligned, params, cfg):
+    """The separate eval-time encoder that `GraphBank.encoded` replaced by the
+    union path, kept as an oracle: one graph, its own adjacency, no drop."""
+    adj = normalize_adjacency(g.node_count, g.edges).astype(cfg.np_dtype(), copy=False)
+    x = ad.Tensor(aligned.x.astype(cfg.np_dtype(), copy=False))
+    if aligned.needs_projection:
+        x = ad.matmul(x, params["proj_w"])
+    return encode(adj, x, params, cfg.encoder_layers, cfg.encoder_variant)
 
 
 def _per_graph_item_reprs(bank, episode, params, cfg, train, rng,
@@ -206,18 +215,16 @@ def _per_graph_item_reprs(bank, episode, params, cfg, train, rng,
         if not train:
             h = bank.encoded(gi, params)
         else:
-            prep = bank.prepared(gi)
-            x = ad.Tensor(prep.aligned.x.astype(dtype, copy=False))
+            aligned, g = bank.prepared(gi), bank.corpus.graphs[gi]
+            x = ad.Tensor(aligned.x.astype(dtype, copy=False))
             if episode.feat_drop > 0.0:
                 x = ad.dropout(x, episode.feat_drop, rng)
-            if prep.aligned.needs_projection:
+            if aligned.needs_projection:
                 x = ad.matmul(x, params["proj_w"])
-            adj = prep.adj
+            edges = g.edges
             if episode.edge_drop > 0.0:
-                edges = prep.graph.edges
-                keep = rng.random(edges.shape[0]) >= episode.edge_drop
-                adj = normalize_adjacency(prep.graph.node_count, edges[keep]).astype(
-                    dtype, copy=False)
+                edges = edges[rng.random(edges.shape[0]) >= episode.edge_drop]
+            adj = normalize_adjacency(g.node_count, edges).astype(dtype, copy=False)
             h = encode(adj, x, params, cfg.encoder_layers, cfg.encoder_variant)
         return ad.scale(ad.sum_(h, axis=0, keepdims=True), 1.0 / h.values.shape[0])
 
@@ -298,6 +305,30 @@ class TestBlockDiagonalGraphEpisode:
         for name, p in old_params.items():
             assert p.grad is not None, name
             _assert_close(new_params[name].grad, p.grad, tol)
+
+    @pytest.mark.parametrize("dtype", ["float64", "float32"])
+    @pytest.mark.parametrize("align_mode", ["pad", "learnable-projection"])
+    @pytest.mark.parametrize("variant", ["linear", "nonlinear"])
+    def test_eval_rows_match_per_graph_encoder(self, corpus, variant, align_mode,
+                                               dtype):
+        cfg = ModelConfig(d=4, encoder_layers=2, transformer_layers=1, n_heads=2,
+                          ffn_hidden=8, encoder_variant=variant,
+                          align_mode=align_mode, intermediate_dim=3, dtype=dtype,
+                          seed=3)
+        arrays = init_params(cfg)
+        if variant == "nonlinear":  # move the weights off the identity
+            rng = np.random.default_rng(5)
+            for name in arrays:
+                if name.startswith("enc_w"):
+                    arrays[name] = arrays[name] + rng.normal(
+                        0.0, 0.3, arrays[name].shape).astype(dtype)
+        params = params_to_tensors(arrays, requires_grad=False)
+        bank = GraphBank(corpus, cfg)
+        for gi, g in enumerate(corpus.graphs):
+            got = bank.encoded(gi, params).values
+            want = _encode_graph_oracle(g, bank.prepared(gi), params, cfg).values
+            assert got.dtype == want.dtype == np.dtype(dtype)
+            assert got.shape == want.shape and got.tobytes() == want.tobytes(), gi
 
     def test_evaluate_matches_per_graph_path(self, monkeypatch):
         # two graph classes told apart by density; an untrained model's
