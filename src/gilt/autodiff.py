@@ -34,7 +34,6 @@ __all__ = [
     "relu",
     "log_softmax",
     "layernorm",
-    "dropout",
     "attention",
     "normalize_rows",
     "cosine_rows",
@@ -223,9 +222,10 @@ def mul(a, b) -> Tensor:
     ))
 
 
-def scale(x, c: float) -> Tensor:
+def scale(x, c) -> Tensor:
+    """x times a constant: a scalar, or an array of x's shape such as a keep mask."""
     x = _wrap(x)
-    c = float(c)
+    c = c if isinstance(c, np.ndarray) else float(c)
     return _make(x.values * c, (x,), (lambda g: g * c,))
 
 
@@ -406,23 +406,12 @@ def layernorm(x, gamma, beta, eps: float = LAYERNORM_EPS) -> Tensor:
     ))
 
 
-def dropout(x, p: float, rng: np.random.Generator) -> Tensor:
-    """Inverted dropout; identity when p == 0."""
-    x = _wrap(x)
-    if p <= 0.0:
-        return _make(x.values.copy(), (x,), (lambda g: g,))
-    keep = (rng.random(x.values.shape) >= p).astype(x.values.dtype)
-    factor = 1.0 / (1.0 - p)
-    out = x.values * keep * factor
-    return _make(out, (x,), (lambda g: g * keep * factor,))
-
-
-def attention(a, b, wq, wk, wv, wo, n_heads: int, p: float, rng) -> Tensor:
+def attention(a, b, wq, wk, wv, wo, n_heads: int, mask=None) -> Tensor:
     """Multi-head softmax attention of the rows of `a` over the rows of `b`.
 
     Head i owns columns i*w:(i+1)*w of each projection, w = width / n_heads.
-    When p > 0, one inverted-dropout mask of shape (n_heads, rows(a), rows(b))
-    is drawn from `rng` onto the attention weights. One tape node; the
+    A `mask` of shape (n_heads, rows(a), rows(b)), such as an inverted-dropout
+    keep mask, multiplies the attention weights. One tape node; the
     backward is the softmax-attention VJP, computed once for all six inputs,
     and `a` may be `b`.
     """
@@ -439,16 +428,12 @@ def attention(a, b, wq, wk, wv, wo, n_heads: int, p: float, rng) -> Tensor:
     scores = (q @ _t(k)) * c
     e = np.exp(scores - scores.max(axis=-1, keepdims=True))
     probs = e / e.sum(axis=-1, keepdims=True)
-    dropped, keep, factor = probs, 1.0, 1.0
-    if p > 0.0:
-        keep = (rng.random(probs.shape) >= p).astype(probs.dtype)
-        factor = 1.0 / (1.0 - p)
-        dropped = probs * keep * factor
+    dropped = probs if mask is None else probs * mask
     merged = merge(dropped @ v)
 
     def grads(g):
         g_ctx = split(g @ _t(wo.values))
-        g_probs = (g_ctx @ _t(v)) * keep * factor
+        g_probs = g_ctx @ _t(v) if mask is None else (g_ctx @ _t(v)) * mask
         g_scores = probs * (g_probs - (g_probs * probs).sum(axis=-1, keepdims=True)) * c
         gq, gk, gv = merge(g_scores @ k), merge(_t(g_scores) @ q), merge(_t(dropped) @ g_ctx)
         return (gq @ _t(wq.values), gk @ _t(wk.values) + gv @ _t(wv.values),

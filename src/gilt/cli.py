@@ -182,10 +182,20 @@ def write_manifest(out_dir: Path, command: str, resolved: dict,
 # commands
 # ---------------------------------------------------------------------------
 
+def _check_counts(*flags) -> None:
+    """A usage error for the first (flag, value, least) whose value is below least."""
+    for flag, value, least in flags:
+        if value < least:
+            raise ConfigError(f"{flag} must be >= {least}, got {value}")
+
+
 def cmd_synth(args) -> int:
     from .graphs import (DataError, SyntheticSpec, assign_split,
                          make_synthetic, write_graph)
 
+    _check_counts(("--graphs", args.graphs, 1), ("--classes", args.classes, 1),
+                  ("--per-class", args.per_class, 1), ("--feature-dim", args.feature_dim, 1),
+                  ("--graph-classes", args.graph_classes, 0))
     started = time.time()
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
@@ -322,10 +332,8 @@ def cmd_eval(args) -> int:
     except ValueError as exc:
         raise ConfigError(f"--sweep-k expects a comma list of integers: {exc}") from exc
     # zero runs or episodes would report NaN means
-    for flag, value in (("--runs", args.runs), ("--episodes", args.episodes),
-                        ("--hits-k", args.hits_k)):
-        if value < 1:
-            raise ConfigError(f"{flag} must be >= 1, got {value}")
+    _check_counts(("--runs", args.runs, 1), ("--episodes", args.episodes, 1),
+                  ("--hits-k", args.hits_k, 1))
     arrays, model_cfg = _load_model(args.checkpoint)
     model_cfg = _ablated(model_cfg, args.ablate)
 

@@ -56,6 +56,14 @@ def _checked_tags(values, what: str) -> np.ndarray:
     return tags
 
 
+def _class_ids(values, what: str) -> np.ndarray:
+    """`values` as int64 labels, each a non-negative class id."""
+    ids = _integers(values, what)
+    if (ids < 0).any():
+        raise DataError(f"{what} must hold non-negative class ids, got {int(ids.min())}")
+    return ids
+
+
 def _canonical_edges(edges: np.ndarray, node_count: int) -> np.ndarray:
     """Symmetrize, drop self-loops, deduplicate; rows sorted (lo, hi)."""
     edges = np.asarray(edges, dtype=np.int64).reshape(-1, 2)
@@ -159,15 +167,14 @@ def make_graph(
     if node_count < 1:
         raise DataError("node_count must be >= 1")
     features = np.asarray(features, dtype=np.float64)
-    if features.ndim != 2 or features.shape[0] != node_count:
-        raise DataError(
-            f"feature matrix must be [node_count x d]; got {features.shape} for {node_count} nodes"
-        )
+    if features.ndim != 2 or features.shape[0] != node_count or features.shape[1] < 1:
+        raise DataError(f"feature matrix must be [node_count x d] with d >= 1; "
+                        f"got {features.shape} for {node_count} nodes")
     if not np.all(np.isfinite(features)):
         raise DataError("features contain NaN or Inf")
     edges = _canonical_edges(_integers(edges, "edge endpoints"), node_count)
     if node_labels is not None:
-        node_labels = _integers(node_labels, "node_labels")
+        node_labels = _class_ids(node_labels, "node_labels")
         if node_labels.shape != (node_count,):
             raise DataError(
                 f"node_labels length {node_labels.shape} does not match node_count {node_count}"
@@ -188,7 +195,7 @@ def make_graph(
         edges=_frozen(edges),
         features=_frozen(features),
         node_labels=node_labels,
-        graph_label=None if graph_label is None else int(_integers(graph_label, "graph_label")),
+        graph_label=None if graph_label is None else int(_class_ids(graph_label, "graph_label")),
         node_split=node_split,
         edge_split=edge_split,
         graph_split_tag=(None if graph_split_tag is None

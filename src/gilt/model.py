@@ -6,11 +6,11 @@ assembly, the two-stage transformer, and the prototype readout. Every step
 runs on the same autodiff tape, so one backward call reaches all
 parameters, projection and encoder affines included.
 
-Training-time stochasticity is a pure function of the episode: the
-augmentation rng is reseeded from episode.aug_seed on every call, so the
-same episode always sees the same feature/edge dropout masks. That keeps
-replays reproducible and finite-difference checks honest even with
-dropout active.
+Training-time stochasticity is a pure function of the episode, drawn here and
+nowhere else: `episode_forward` reseeds one rng from episode.aug_seed on every
+call and draws, in order, each graph's feature and edge-keep masks, then per
+transformer layer the stage-one (heads, S, S), stage-two (heads, Q, S) and FFN
+(S+Q, ffn_hidden) masks. Ops only apply the masks handed in, so replays are exact.
 
 One function encodes: a training episode's graphs run in one call, as one
 block-diagonal graph (the disjoint union of its support and query graphs),
@@ -129,6 +129,18 @@ class GraphBank:
         return self._encoded[gi]
 
 
+def _keep_mask(rng: np.random.Generator, shape, p: float, dtype) -> np.ndarray:
+    """Inverted-dropout mask: each entry is 0 with probability p, else 1/(1-p)."""
+    return (rng.random(shape) >= p).astype(dtype) * (1.0 / (1.0 - p))
+
+
+def _transformer_masks(rng: np.random.Generator, cfg: ModelConfig, s: int, q: int):
+    """Per layer, its stage-one, stage-two and FFN keep masks, drawn in turn."""
+    shapes = ((cfg.n_heads, s, s), (cfg.n_heads, q, s), (s + q, cfg.ffn_hidden))
+    return [tuple(_keep_mask(rng, shape, cfg.dropout, cfg.np_dtype()) for shape in shapes)
+            for _ in range(cfg.transformer_layers)]
+
+
 def _encode_union(bank: GraphBank, refs, params: dict[str, ad.Tensor],
                   cfg: ModelConfig, rng, feat_drop: float,
                   edge_drop: float) -> tuple[ad.Tensor, list[int]]:
@@ -148,8 +160,7 @@ def _encode_union(bank: GraphBank, refs, params: dict[str, ad.Tensor],
         aligned, g = bank.prepared(int(gi)), bank.corpus.graphs[int(gi)]
         x = aligned.x.astype(dtype, copy=False)
         if feat_drop > 0.0:
-            keep = (rng.random(x.shape) >= feat_drop).astype(dtype)
-            x = x * keep * (1.0 / (1.0 - feat_drop))
+            x = x * _keep_mask(rng, x.shape, feat_drop, dtype)
         kept = g.edges
         if edge_drop > 0.0:
             kept = kept[rng.random(kept.shape[0]) >= edge_drop]
@@ -199,9 +210,10 @@ def episode_forward(bank: GraphBank, episode: Episode,
     """Class log-probabilities [Q x n_way] for one episode."""
     rng = np.random.default_rng(episode.aug_seed) if train else None
     t_sup, t_qry = episode_tokens(bank, episode, params, cfg, train, rng)
-    s_out, q_out = transformer_forward(
-        t_sup, t_qry, params, cfg.transformer_layers, cfg.n_heads,
-        dropout=cfg.dropout if train else 0.0, rng=rng, unshared=cfg.unshared_attention)
+    masks = (_transformer_masks(rng, cfg, t_sup.shape[0], t_qry.shape[0])
+             if train and cfg.dropout > 0.0 else None)
+    s_out, q_out = transformer_forward(t_sup, t_qry, params, cfg.transformer_layers,
+                                       cfg.n_heads, masks, cfg.unshared_attention)
     return predict(s_out, q_out, episode.support_labels, episode.n_way,
                    cfg.d, cfg.temperature, cfg.full_token_prediction)
 

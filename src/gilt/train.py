@@ -38,7 +38,6 @@ from .model import (
 LOSS_WEIGHTS = {"node": 0.53, "link": 2.74, "graph": 0.42}
 LEVELS = ("node", "link", "graph")
 TELEMETRY_COLUMNS = ("epoch", "L_node", "L_link", "L_graph", "L_total", "lr", "shots")
-SCHEDULES = ("linear-decay", "cosine", "constant")
 
 
 class TrainingDiverged(RuntimeError):
@@ -60,8 +59,6 @@ class TrainConfig:
     feat_drop: float = 0.1
     edge_drop: float = 0.1
     clip_norm: float = 1.0
-    schedule: str = "linear-decay"
-    warmup_epochs: int = 0
     beta1: float = 0.9
     beta2: float = 0.999
     eps: float = 1e-8
@@ -70,8 +67,6 @@ class TrainConfig:
     divergence_limit: float = 1e6
 
     def __post_init__(self):
-        if self.schedule not in SCHEDULES:
-            raise ValueError(f"unknown schedule {self.schedule!r}")
         unknown = set(self.levels) - set(LEVELS)
         if unknown:
             raise ValueError(f"unknown task levels {sorted(unknown)}")
@@ -102,21 +97,13 @@ def reference_preset() -> tuple[ModelConfig, TrainConfig]:
     model = ModelConfig(d=512, encoder_layers=5, transformer_layers=5, n_heads=4,
                         ffn_hidden=2048, dropout=0.1, dtype="float32")
     train = TrainConfig(lr=2e-6, weight_decay=4e-4, epochs=50,
-                        episodes_per_level=512, batch_episodes=8,
-                        schedule="linear-decay")
+                        episodes_per_level=512, batch_episodes=8)
     return model, train
 
 
 def lr_at(cfg: TrainConfig, epoch: int) -> float:
-    base = cfg.lr
-    if cfg.warmup_epochs > 0 and epoch < cfg.warmup_epochs:
-        return base * (epoch + 1) / cfg.warmup_epochs
-    if cfg.schedule == "constant":
-        return base
-    e, total = epoch, max(cfg.epochs, 1)
-    if cfg.schedule == "linear-decay":
-        return base * (1.0 - e / total)
-    return base * 0.5 * (1.0 + np.cos(np.pi * e / total))
+    """Linear decay from cfg.lr towards 0 over cfg.epochs, with no warmup."""
+    return cfg.lr * (1.0 - epoch / max(cfg.epochs, 1))
 
 
 # ---------------------------------------------------------------------------
@@ -320,6 +307,9 @@ def config_from_sidecar(sidecar: dict) -> tuple[ModelConfig, TrainConfig]:
     model = ModelConfig(**sidecar["model"])
     raw = dict(sidecar["train"])
     raw["levels"] = tuple(raw["levels"])
+    # sidecars written while the lr schedule was configurable name it
+    if (raw.pop("schedule", "linear-decay"), raw.pop("warmup_epochs", 0)) != ("linear-decay", 0):
+        raise ValueError("checkpoint was trained with an lr schedule other than linear decay")
     return model, TrainConfig(**raw)
 
 

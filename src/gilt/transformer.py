@@ -12,6 +12,9 @@ normalization sits inside the residual branch (pre-LN).
 
 The cross-attention weight sharing can be switched off per layer for
 ablation runs, which doubles the attention parameter count.
+
+Dropout arrives as keep masks from their single draw site, `model.py`, one
+(stage-one, stage-two, FFN) tuple per layer in draw order; nothing here reads an rng.
 """
 from __future__ import annotations
 
@@ -60,31 +63,30 @@ def transformer_init(d: int, n_layers: int, n_heads: int, ffn_hidden: int,
 
 def transformer_forward(t_support: ad.Tensor, t_query: ad.Tensor,
                         params: dict[str, ad.Tensor], n_layers: int,
-                        n_heads: int, dropout: float = 0.0, rng=None,
-                        unshared: bool = False):
-    """Run the stack; n_layers=0 passes both streams through unchanged."""
-    if dropout > 0.0 and rng is None:
-        raise ValueError("dropout requires an rng")
+                        n_heads: int, masks=None, unshared: bool = False):
+    """Run the stack; n_layers=0 passes both streams through unchanged. `masks`
+    is None (no dropout) or one (stage-one, stage-two, FFN) tuple per layer."""
     ts, tq = t_support, t_query
     n_s = ts.shape[0]
     for i in range(n_layers):
         p = lambda name: params[f"tf{i}_{name}"]  # noqa: E731
+        m1, m2, m3 = masks[i] if masks is not None else (None, None, None)
         ln1 = (p("ln1_gamma"), p("ln1_beta"))
         attn = (p("wq"), p("wk"), p("wv"), p("wo"))
         cross = (p("wq2"), p("wk2"), p("wv2"), p("wo2")) if unshared else attn
 
         a = ad.layernorm(ts, *ln1)
-        ts = ad.add(ts, ad.attention(a, a, *attn, n_heads, dropout, rng))
+        ts = ad.add(ts, ad.attention(a, a, *attn, n_heads, m1))
         # stage two reads the *updated* support, re-normalized
         tq = ad.add(tq, ad.attention(ad.layernorm(tq, *ln1), ad.layernorm(ts, *ln1),
-                                     *cross, n_heads, dropout, rng))
+                                     *cross, n_heads, m2))
 
         # the FFN maps each row on its own, so one pass serves both streams
         x = ad.concat([ts, tq], axis=0)
         hidden = ad.relu(ad.add(ad.matmul(ad.layernorm(x, p("ln2_gamma"), p("ln2_beta")),
                                           p("ffn_w1")), p("ffn_b1")))
-        if dropout > 0.0:
-            hidden = ad.dropout(hidden, dropout, rng)
+        if m3 is not None:
+            hidden = ad.scale(hidden, m3)
         x = ad.add(x, ad.add(ad.matmul(hidden, p("ffn_w2")), p("ffn_b2")))
         ts, tq = ad.take_rows(x, slice(0, n_s)), ad.take_rows(x, slice(n_s, None))
     return ts, tq

@@ -1,4 +1,5 @@
 """Gradient and contract tests for the autodiff substrate."""
+import inspect
 import re
 import zlib
 from pathlib import Path
@@ -15,6 +16,11 @@ def _rand(shape, seed, scale=1.0):
     return rng.standard_normal(shape) * scale
 
 
+def _mask(shape, seed, p=0.3, dtype=np.float64):
+    """A fixed inverted-dropout keep mask: 0 or 1/(1-p) per entry."""
+    return (np.random.default_rng(seed).random(shape) >= p).astype(dtype) * (1.0 / (1.0 - p))
+
+
 def _check_unary(op, shape, seed, **kwargs):
     x = ad.tensor(_rand(shape, seed), requires_grad=True)
     report = ad.grad_check(lambda: ad.sum_(op(x, **kwargs)), {"x": x})
@@ -26,7 +32,7 @@ def test_softmax_of_zeros_is_uniform():
     # `a` reads the plain mean of the value rows
     b, wv, wo = _rand((5, 4), 24), _rand((4, 4), 25), _rand((4, 4), 26)
     out = ad.attention(_rand((3, 4), 27), b, np.zeros((4, 4)), _rand((4, 4), 28), wv, wo,
-                       2, 0.0, None).values
+                       2).values
     np.testing.assert_allclose(out, np.tile((b @ wv).mean(axis=0) @ wo, (3, 1)), atol=1e-12)
 
 
@@ -274,11 +280,9 @@ def test_attention_gradients_with_dropout(self_attention):
     a, b, ws = _attention_inputs(53)
     if self_attention:
         b = a
-    w = _rand((3, 6), 54)
-    # a fresh generator per call keeps the dropout mask fixed across differences
+    w, mask = _rand((3, 6), 54), _mask((3, 3, b.shape[0]), 55)
     report = ad.grad_check(
-        lambda: ad.sum_(ad.mul(ad.attention(a, b, *ws.values(), 3, 0.3,
-                                            np.random.default_rng(55)), w)),
+        lambda: ad.sum_(ad.mul(ad.attention(a, b, *ws.values(), 3, mask), w)),
         {"a": a, "b": b, **ws})
     assert report.passed, report
     assert set(report.per_param) == {"a", "b", "wq", "wk", "wv", "wo"}
@@ -286,7 +290,7 @@ def test_attention_gradients_with_dropout(self_attention):
 
 def test_attention_float32_stays_float32():
     a, b, ws = _attention_inputs(56, np.float32)
-    out = ad.attention(a, b, *ws.values(), 2, 0.3, np.random.default_rng(57))
+    out = ad.attention(a, b, *ws.values(), 2, _mask((2, 3, 5), 57, dtype=np.float32))
     assert out.dtype == np.float32
     ad.sum_(out).backward()
     for t in (a, b, *ws.values()):
@@ -297,7 +301,7 @@ def test_attention_backward_twice_uses_each_seed():
     # the op computes its six gradients once per backward pass; a second pass
     # with another seed must not reuse the first pass's gradients
     a, b, ws = _attention_inputs(58)
-    out = ad.attention(a, b, *ws.values(), 2, 0.0, None)
+    out = ad.attention(a, b, *ws.values(), 2)
     seeds = _rand((2, 3, 6), 59)
     grads = []
     for seed in seeds:
@@ -306,7 +310,7 @@ def test_attention_backward_twice_uses_each_seed():
         out.backward(seed)
         grads.append([t.grad.copy() for t in (a, b, *ws.values())])
     for seed, got in zip(seeds, grads):
-        fresh = ad.attention(a, b, *ws.values(), 2, 0.0, None)
+        fresh = ad.attention(a, b, *ws.values(), 2)
         for t in (a, b, *ws.values()):
             t.zero_grad()
         fresh.backward(seed)
@@ -314,27 +318,27 @@ def test_attention_backward_twice_uses_each_seed():
             np.testing.assert_array_equal(g, t.grad)
 
 
-def test_dropout_batched_mask_matches_per_slice_draws():
-    x = ad.tensor(np.ones((3, 4, 5)))
-    batched = ad.dropout(x, 0.5, np.random.default_rng(8)).values
-    rng = np.random.default_rng(8)
-    sliced = [ad.dropout(ad.tensor(np.ones((4, 5))), 0.5, rng).values for _ in range(3)]
-    np.testing.assert_array_equal(batched, np.stack(sliced))
-
-
 def test_dropout_gradient_with_frozen_mask():
+    # FFN dropout scales by a keep mask the caller drew; the mask is no tape node
     x = ad.tensor(_rand((5, 5), 18), requires_grad=True)
-    # same seed each call keeps the mask identical across finite differences
-    report = ad.grad_check(
-        lambda: ad.sum_(ad.dropout(x, 0.4, np.random.default_rng(99))), {"x": x}
-    )
+    mask = _mask((5, 5), 99, p=0.4)
+    report = ad.grad_check(lambda: ad.sum_(ad.scale(x, mask)), {"x": x})
     assert report.passed
+    assert ad.scale(x, mask)._parents == (x,)
 
 
-def test_dropout_zero_p_is_identity():
-    x = ad.tensor(_rand((4, 4), 19))
-    out = ad.dropout(x, 0.0, np.random.default_rng(0))
-    np.testing.assert_array_equal(out.values, x.values)
+def test_attention_all_ones_mask_is_no_mask():
+    # a keep mask multiplies exactly, so ones change no bit forward or backward
+    a, b, ws = _attention_inputs(19)
+    leaves = (a, b, *ws.values())
+    grads = []
+    for mask in (None, np.ones((2, 3, 5))):
+        for t in leaves:
+            t.zero_grad()
+        out = ad.attention(a, b, *ws.values(), 2, mask)
+        ad.sum_(ad.mul(out, out)).backward()
+        grads.append([out.values.tobytes()] + [t.grad.tobytes() for t in leaves])
+    assert grads[0] == grads[1]
 
 
 def test_grad_check_linear_is_exact():
@@ -406,12 +410,21 @@ def test_required_ops_are_exposed():
     assert ops <= used, sorted(ops - used)
 
 
+def test_ops_draw_no_random_numbers():
+    # every dropout mask is drawn in model.py and handed in, so each op is a
+    # pure function of its inputs; only grad_check samples coordinates
+    takes_rng = [n for n in ad.__all__ if n != "grad_check"
+                 and "rng" in inspect.signature(getattr(ad, n)).parameters]
+    assert takes_rng == []
+    assert ".random(" not in Path(ad.__file__).read_text()
+
+
 def test_determinism_same_seed_same_loss():
     def run():
         rng = np.random.default_rng(7)
         x = ad.tensor(rng.standard_normal((16, 8)), requires_grad=True)
         h = _ln(ad.matmul(x, ad.tensor(rng.standard_normal((8, 8)))))
-        h = ad.dropout(h, 0.2, np.random.default_rng(3))
+        h = ad.scale(h, _mask(h.shape, 3, p=0.2))
         loss = ad.scale(ad.sum_(ad.mul(h, h)), 1.0 / h.values.size)
         loss.backward()
         return float(loss.values), x.grad.copy()
@@ -446,8 +459,8 @@ class TestBackwardFreesIntermediateGrads:
         adj = sp.csr_matrix(np.eye(5) + np.eye(5, k=1) + np.eye(5, k=-1))
         h = _ln(ad.const_matmul(adj, ad.matmul(leaves["x"], leaves["w1"]), mat_t=adj))
         att = ad.attention(h, h, leaves["wq"], leaves["wk"], leaves["wv"], leaves["wo"],
-                           2, 0.2, np.random.default_rng(5))
-        out = ad.dropout(ad.add(h, att), 0.1, np.random.default_rng(6))
+                           2, _mask((2, 5, 5), 5, p=0.2))
+        out = ad.scale(ad.add(h, att), _mask((5, 4), 6, p=0.1))
         return ad.sum_(ad.mul(out, out)), leaves
 
     def test_only_leaves_keep_gradients(self):

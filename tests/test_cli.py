@@ -147,6 +147,9 @@ MALFORMED_DATA = {
                                      {**GOOD_GRAPH, "graph_split_tag": 3}),
     "graph-split-tag-fractional": ({"path": "g.json"},
                                    {**GOOD_GRAPH, "graph_split_tag": 1.5}),
+    "features-zero-width": ({"path": "g.json"}, {**GOOD_GRAPH, "features": [[], [], [], []]}),
+    "label-negative": ({"path": "g.json"}, {**GOOD_GRAPH, "labels": [0, -3, 0, -3]}),
+    "graph-label-negative": ({"path": "g.json"}, {**GOOD_GRAPH, "graph_label": -1}),
     "entry-not-object": (3, GOOD_GRAPH),
     "entry-without-path": ({}, GOOD_GRAPH),
 }
@@ -163,6 +166,18 @@ class TestSynth:
         assert main(["synth", "--out", str(tmp_path)] + SYNTH_FLAGS) == 0
         assert ((tmp_path / "g0.json").read_bytes()
                 == (corpus_dir / "g0.json").read_bytes())
+
+    @pytest.mark.parametrize("flag, value", [
+        ("--graphs", "-2"), ("--graphs", "0"), ("--classes", "0"), ("--per-class", "0"),
+        ("--feature-dim", "0"), ("--graph-classes", "-2"),
+    ])
+    def test_bad_count_exits_2_before_writing(self, tmp_path, capsys, flag, value):
+        out = tmp_path / "out"
+        code = main(["synth", "--out", str(out)] + SYNTH_FLAGS + [flag, value])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert flag in err and "Traceback" not in err
+        assert not out.exists()
 
 
 class TestPretrainCommand:

@@ -108,6 +108,15 @@ class TestForward:
         b = episode_forward(bank, ep, params, cfg, train=True)
         assert a.values.tobytes() == b.values.tobytes()
 
+    def test_keep_mask_batched_draw_matches_per_slice_draws(self):
+        # one (heads, rows, cols) draw equals each head's draw in turn, and
+        # every entry is 0 or 1/(1-p)
+        batched = model._keep_mask(np.random.default_rng(8), (3, 4, 5), 0.5, np.float32)
+        rng = np.random.default_rng(8)
+        sliced = [model._keep_mask(rng, (4, 5), 0.5, np.float32) for _ in range(3)]
+        np.testing.assert_array_equal(batched, np.stack(sliced))
+        assert batched.dtype == np.float32 and set(np.unique(batched)) == {0.0, 2.0}
+
     def test_float32_mode(self, node_setup):
         bank, sampler = node_setup
         cfg = ModelConfig(d=4, encoder_layers=1, transformer_layers=1, n_heads=2,
@@ -218,7 +227,7 @@ def _per_graph_item_reprs(bank, episode, params, cfg, train, rng,
             aligned, g = bank.prepared(gi), bank.corpus.graphs[gi]
             x = ad.Tensor(aligned.x.astype(dtype, copy=False))
             if episode.feat_drop > 0.0:
-                x = ad.dropout(x, episode.feat_drop, rng)
+                x = ad.mul(x, model._keep_mask(rng, x.shape, episode.feat_drop, dtype))
             if aligned.needs_projection:
                 x = ad.matmul(x, params["proj_w"])
             edges = g.edges

@@ -58,31 +58,10 @@ def corpus():
 
 class TestSchedules:
     def test_linear_decay(self):
-        cfg = TrainConfig(lr=1.0, epochs=10, schedule="linear-decay")
+        cfg = TrainConfig(lr=1.0, epochs=10)
         assert lr_at(cfg, 0) == 1.0
         assert np.isclose(lr_at(cfg, 5), 0.5)
         assert lr_at(cfg, 9) > 0.0
-
-    def test_constant(self):
-        cfg = TrainConfig(lr=0.3, epochs=10, schedule="constant")
-        assert all(lr_at(cfg, e) == 0.3 for e in range(10))
-
-    def test_cosine(self):
-        cfg = TrainConfig(lr=1.0, epochs=10, schedule="cosine")
-        assert np.isclose(lr_at(cfg, 0), 1.0)
-        assert np.isclose(lr_at(cfg, 5), 0.5)
-        seq = [lr_at(cfg, e) for e in range(10)]
-        assert all(a >= b for a, b in zip(seq, seq[1:]))
-
-    def test_warmup_ramps(self):
-        cfg = TrainConfig(lr=1.0, epochs=10, warmup_epochs=4)
-        assert np.isclose(lr_at(cfg, 0), 0.25)
-        assert np.isclose(lr_at(cfg, 3), 1.0)
-        assert lr_at(cfg, 4) < 1.0  # decay takes over after warmup
-
-    def test_unknown_schedule_rejected(self):
-        with pytest.raises(ValueError, match="schedule"):
-            TrainConfig(schedule="exponential")
 
 
 class TestAdamW:
@@ -160,6 +139,18 @@ class TestCheckpoints:
         m2, t2 = config_from_sidecar(sidecar)
         assert m2 == model_cfg
         assert t2 == small_train()
+
+    def test_sidecar_naming_the_retired_schedule_fields(self):
+        # sidecars written while the lr schedule was configurable still load
+        # when they name linear decay without warmup, and no other schedule
+        sidecar = {"model": dataclasses.asdict(ModelConfig()),
+                   "train": dataclasses.asdict(small_train())}
+        sidecar["train"].update(schedule="linear-decay", warmup_epochs=0)
+        assert config_from_sidecar(sidecar)[1] == small_train()
+        for retired in ({"schedule": "cosine"}, {"warmup_epochs": 4}):
+            sidecar["train"].update({"schedule": "linear-decay", "warmup_epochs": 0}, **retired)
+            with pytest.raises(ValueError, match="schedule"):
+                config_from_sidecar(sidecar)
 
     def test_bad_magic_rejected(self, tmp_path):
         p = tmp_path / "junk.ckpt"
@@ -271,7 +262,6 @@ class TestPresets:
         model, cfg = desk_preset()
         assert model.dtype == "float64"
         assert model.d <= 64
-        assert cfg.schedule == "linear-decay"
 
     def test_reference_preset_shape(self):
         model, cfg = reference_preset()

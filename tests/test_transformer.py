@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from gilt import autodiff as ad
+from gilt.model import ModelConfig, _transformer_masks
 from gilt.transformer import transformer_forward, transformer_init
 
 
@@ -94,12 +95,15 @@ class TestArchitecture:
 
     def test_batched_heads_match_per_head_reference(self):
         # heads run as one batched op; the reference loops over column blocks
-        # and draws each head's dropout mask in turn from the same generator
+        # and draws each head's dropout mask in turn from the same generator,
+        # so the model's masks must come in the reference's draw order
         ts, tq = make_inputs(S=6, Q=4, d=3, seed=23)
         arrays = densify(transformer_init(3, 1, 3, 8, seed=24))
         for dropout in (0.0, 0.3):
-            s, q = transformer_forward(ts, tq, as_tensors(arrays), 1, 3, dropout=dropout,
-                                       rng=np.random.default_rng(25))
+            cfg = ModelConfig(d=3, transformer_layers=1, n_heads=3, ffn_hidden=8,
+                              dropout=dropout)
+            masks = _transformer_masks(np.random.default_rng(25), cfg, 6, 4) if dropout else None
+            s, q = transformer_forward(ts, tq, as_tensors(arrays), 1, 3, masks)
             ref_s, ref_q = reference_layer(ts.values, tq.values, arrays, n_heads=3,
                                            dropout=dropout, rng=np.random.default_rng(25))
             assert np.max(np.abs(s.values - ref_s)) < 1e-12
@@ -108,12 +112,6 @@ class TestArchitecture:
     def test_width_must_split_over_heads(self):
         with pytest.raises(ValueError, match="divisible"):
             transformer_init(3, 1, 4, 8)
-
-    def test_dropout_needs_rng(self):
-        ts, tq = make_inputs()
-        params = as_tensors(transformer_init(3, 1, 2, 8))
-        with pytest.raises(ValueError, match="rng"):
-            transformer_forward(ts, tq, params, 1, 2, dropout=0.5)
 
     def test_fresh_init_writes_the_same_vector_to_every_query(self):
         # zero query projections make attention uniform and the FFN silent,
@@ -201,13 +199,19 @@ class TestGradientsAndDropout:
                                rng=np.random.default_rng(19))
         assert report.passed, report
 
-    def test_dropout_changes_between_calls(self):
+    def test_dropout_changes_with_the_masks_only(self):
+        # the forward is a pure function of its masks: new masks change the
+        # output, the same masks replay it bit for bit
         ts, tq = make_inputs()
         params = as_tensors(densify(transformer_init(3, 1, 2, 8, seed=20)))
+        cfg = ModelConfig(d=3, transformer_layers=1, n_heads=2, ffn_hidden=8, dropout=0.5)
         rng = np.random.default_rng(21)
-        _, a = transformer_forward(ts, tq, params, 1, 2, dropout=0.5, rng=rng)
-        _, b = transformer_forward(ts, tq, params, 1, 2, dropout=0.5, rng=rng)
+        first, second = (_transformer_masks(rng, cfg, 8, 5) for _ in range(2))
+        _, a = transformer_forward(ts, tq, params, 1, 2, first)
+        _, b = transformer_forward(ts, tq, params, 1, 2, second)
+        _, again = transformer_forward(ts, tq, params, 1, 2, first)
         assert not np.array_equal(a.values, b.values)
+        assert a.values.tobytes() == again.values.tobytes()
 
     def test_no_dropout_deterministic(self):
         ts, tq = make_inputs()
