@@ -377,32 +377,51 @@ def log_softmax(x) -> Tensor:
 
 
 def layernorm(x, gamma, beta, eps: float = LAYERNORM_EPS) -> Tensor:
-    """Row LayerNorm over the last axis with its affine: xhat * gamma + beta.
+    """Row LayerNorm over the last axis (width m) with its affine.
 
-    The denominator is sqrt(max(var, eps)): rows with variance above eps are
-    standardized exactly (mean 0, variance 1), near-constant rows stay finite.
+    Forward: xhat = (x - mean) * inv with inv = 1 / sqrt(max(var, eps)), and
+    out = xhat * gamma + beta, for gamma and beta of shape (m,). Rows with
+    variance above eps are standardized exactly (mean 0, variance 1);
+    near-constant rows divide by sqrt(eps) and stay finite.
+
+    VJP, with gg = g * gamma: dx = inv * (gg - mean(gg) - xhat * keep *
+    sum(gg * xhat)), where the per-row factor keep is 1/m on rows above the
+    floor and 0 on clipped rows, whose denominator is a constant.
+    dgamma = sum over rows of g * xhat, dbeta = sum over rows of g.
+
+    One pass per quantity: row means are a BLAS matvec with the vector of
+    1/m, row dots are einsums. Every temporary, output and gradient keeps
+    x's dtype.
     """
     x = _wrap(x)
     gamma = _wrap(gamma, x)
     beta = _wrap(beta, x)
-    mu = x.values.mean(axis=-1, keepdims=True)
-    centered = x.values - mu
-    var = (centered * centered).mean(axis=-1, keepdims=True)
-    denom = np.sqrt(np.maximum(var, eps))
-    xhat = centered / denom
-    active = var > eps
+    m = x.values.shape[-1]
+    avg = np.full(m, 1.0 / m, dtype=x.values.dtype)
+    xhat = x.values - (x.values @ avg)[..., None]
+    var = np.einsum("...i,...i->...", xhat, xhat) * avg[0]
+    inv = (1.0 / np.sqrt(np.maximum(var, eps)))[..., None]
+    # avg[0] is a scalar of x's dtype; a Python 1/m would promote to float64
+    keep = ((var > eps) * avg[0])[..., None]
+    xhat *= inv
+    out = xhat * gamma.values
+    out += beta.values
 
     def grad_x(g):
         g = g * gamma.values
-        g_centered = g - g.mean(axis=-1, keepdims=True)
-        # Active rows get the variance term; clipped rows see a constant denom.
-        corr = xhat * (g * xhat).mean(axis=-1, keepdims=True)
-        return np.where(active, (g_centered - corr) / denom, g_centered / denom)
+        dot = np.einsum("...i,...i->...", g, xhat)[..., None] * keep
+        g -= (g @ avg)[..., None]
+        g -= xhat * dot
+        g *= inv
+        return g
 
-    return _make(xhat * gamma.values + beta.values, (x, gamma, beta), (
+    def rows(a):  # [... x m] -> [rows x m]
+        return a.reshape(-1, m)
+
+    return _make(out, (x, gamma, beta), (
         grad_x,
-        lambda g: _unbroadcast(g * xhat, gamma.values.shape),
-        lambda g: _unbroadcast(g, beta.values.shape),
+        lambda g: np.einsum("ij,ij->j", rows(g), rows(xhat)),
+        lambda g: rows(g).sum(axis=0),
     ))
 
 

@@ -10,6 +10,12 @@ propagated inputs and depth controls the receptive field alone.
 A "nonlinear" variant (identity-initialized square weight plus ReLU ahead
 of the LayerNorm) exists for ablation studies.
 
+The per-hop LayerNorm, over every node row of every encoded graph, is the
+encoder's dominant cost: forward plus backward it takes at least as long as
+the sparse propagation it follows, even as the one-pass op that
+`autodiff.layernorm` is (BLAS row means, einsum row dots, an in-place
+backward).
+
 The normalized adjacency is exactly symmetric, bit for bit: each entry is
 computed from its (lower, higher) endpoint order and each row's column
 indices are sorted, so `adj @ g` equals `adj.T @ g` to the last bit. The

@@ -19,7 +19,7 @@ import csv
 import json
 import os
 import struct
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, replace
 from pathlib import Path
 
 import numpy as np
@@ -350,14 +350,19 @@ def _epoch_sampler(corpus, level, train_cfg: TrainConfig, epoch: int) -> Episode
 
 
 def _preflight(bank, episode, params, model_cfg) -> None:
-    if model_cfg.np_dtype() != np.float64:
-        return  # finite differences need 64-bit; skip quietly
+    """Gradient-check the first episode's loss on a float64 copy of the
+    parameters and the config, since finite differences need 64-bit. The
+    bank's aligned features do not depend on the dtype, so it serves both.
+    Working on a copy also keeps the check's gradients out of the run's
+    first optimizer step."""
+    params64 = params_to_tensors({k: p.values.astype(np.float64) for k, p in params.items()})
+    cfg64 = replace(model_cfg, dtype="float64")
 
     def loss():
-        _, ell = episode_probs_and_loss(bank, episode, params, model_cfg, train=True)
+        _, ell = episode_probs_and_loss(bank, episode, params64, cfg64, train=True)
         return ell
 
-    report = ad.grad_check(loss, params, tol=1e-3, max_coords_per_param=2,
+    report = ad.grad_check(loss, params64, tol=1e-3, max_coords_per_param=2,
                            rng=np.random.default_rng(0))
     if not report.passed:
         raise TrainingDiverged(

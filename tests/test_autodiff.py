@@ -11,6 +11,9 @@ import scipy.sparse as sp
 from gilt import autodiff as ad
 
 
+_F32_EPS = float(np.finfo(np.float32).eps)
+
+
 def _rand(shape, seed, scale=1.0):
     rng = np.random.default_rng(seed)
     return rng.standard_normal(shape) * scale
@@ -84,6 +87,93 @@ def test_layernorm_near_constant_row_gradient():
         {"x": x, "gamma": gamma})
     assert report.passed, report.max_rel_err
     assert np.all(np.isfinite(x.grad))
+
+
+def _reference_layernorm(x, gamma, beta, g, eps=ad.LAYERNORM_EPS):
+    """The multi-pass LayerNorm the one-pass op replaced, kept as its oracle:
+    output, then the x, gamma and beta gradients for the output seed g."""
+    mu = x.mean(axis=-1, keepdims=True)
+    centered = x - mu
+    var = (centered * centered).mean(axis=-1, keepdims=True)
+    denom = np.sqrt(np.maximum(var, eps))
+    xhat = centered / denom
+    gg = g * gamma
+    g_centered = gg - gg.mean(axis=-1, keepdims=True)
+    corr = xhat * (gg * xhat).mean(axis=-1, keepdims=True)
+    dx = np.where(var > eps, (g_centered - corr) / denom, g_centered / denom)
+    lead = tuple(range(x.ndim - 1))
+    return xhat * gamma + beta, dx, (g * xhat).sum(axis=lead), g.sum(axis=lead)
+
+
+def _layernorm_inputs(shape, dtype):
+    """Random rows plus a constant row and a near-constant row (variance
+    ~1e-8, under the eps floor); a one-row shape gives one input of each.
+
+    The near-constant row sits on a grid of 2**-14 steps, so its sum is exact
+    in any order and in float32: the floor multiplies rounding in the row
+    mean by 1/sqrt(eps), which would measure summation order, not the op
+    (see the float64-oracle test below for rows off the grid)."""
+    rng = np.random.default_rng(shape[-1] * 1000 + len(shape))
+    x = rng.standard_normal(shape) * 1.5 + 0.3
+    near = 2.5 + rng.integers(-3, 4, shape[-1]) * 2.0 ** -14
+    rows = x.reshape(-1, shape[-1])
+    if rows.shape[0] == 1:
+        return [np.full(shape, 2.5, dtype), near.reshape(shape).astype(dtype)]
+    rows[0], rows[-1] = 2.5, near
+    return [x.astype(dtype)]
+
+
+@pytest.mark.parametrize("dtype,tol", [(np.float64, 1e-12),
+                                       (np.float32, 8 * _F32_EPS)])
+@pytest.mark.parametrize("shape", [(1, 32), (4800, 32), (7, 64), (2, 5, 8)])
+def test_layernorm_matches_reference(shape, dtype, tol):
+    rng = np.random.default_rng(len(shape))
+    m = shape[-1]
+    gamma_v = rng.uniform(0.5, 2.0, m).astype(dtype)
+    beta_v = rng.standard_normal(m).astype(dtype)
+    seed = rng.standard_normal(shape).astype(dtype)
+    for x_v in _layernorm_inputs(shape, dtype):
+        x = ad.tensor(x_v, requires_grad=True)
+        gamma = ad.tensor(gamma_v, requires_grad=True)
+        beta = ad.tensor(beta_v, requires_grad=True)
+        out = ad.layernorm(x, gamma, beta)
+        out.backward(seed)
+        want = _reference_layernorm(x_v, gamma_v, beta_v, seed)
+        for name, got, ref in zip(("out", "dx", "dgamma", "dbeta"),
+                                  (out.values, x.grad, gamma.grad, beta.grad), want):
+            assert got.dtype == dtype and got.shape == ref.shape, name
+            # a constant one-row input has xhat = 0, so its dgamma must be 0 exactly
+            scale = max(np.max(np.abs(ref)), np.finfo(dtype).tiny)
+            err = np.max(np.abs(got.astype(np.float64) - ref)) / scale
+            assert err <= tol, f"{name}: {err:.2e}"
+
+
+def test_layernorm_float32_near_constant_rows_as_accurate_as_reference():
+    # Off the grid, a clipped row's centring rounds, and the floor's
+    # 1/sqrt(eps) gain turns that into ~1e-3 relative error in float32 for
+    # either op. Against a float64 oracle the one-pass op stays within twice
+    # the reference's error (plus 8 float32 eps for errors at rounding level).
+    rng = np.random.default_rng(61)
+    x = (2.5 + 1e-4 * rng.standard_normal((256, 32))).astype(np.float32)
+    gamma_v = rng.uniform(0.5, 2.0, 32).astype(np.float32)
+    beta_v = rng.standard_normal(32).astype(np.float32)
+    seed = rng.standard_normal((256, 32)).astype(np.float32)
+    oracle = _reference_layernorm(*(a.astype(np.float64) for a in (x, gamma_v, beta_v, seed)))
+    ref = _reference_layernorm(x, gamma_v, beta_v, seed)
+    leaves = [ad.tensor(a, requires_grad=True) for a in (x, gamma_v, beta_v)]
+    out = ad.layernorm(*leaves)
+    out.backward(seed)
+    for name, got, r, o in zip(("out", "dx", "dgamma", "dbeta"),
+                               (out.values, *(t.grad for t in leaves)), ref, oracle):
+        scale = np.max(np.abs(o))
+        err_new, err_ref = (np.max(np.abs(a - o)) / scale for a in (got, r))
+        assert err_new <= 2 * err_ref + 8 * _F32_EPS, (name, err_new, err_ref)
+
+
+def test_layernorm_is_one_pass():
+    # no full-array select and no broadcast-undo loop in the op or its VJPs
+    src = inspect.getsource(ad.layernorm)
+    assert "np.where" not in src and "_unbroadcast" not in src
 
 
 @pytest.mark.parametrize("op,kwargs", [
@@ -391,6 +481,59 @@ def test_nan_guard_raises():
             ad.mul(ad.tensor(np.array([np.inf])), 0.0)
     finally:
         ad.set_nan_guard(False)
+
+
+# One case per differentiable op: (call on the input tensors and the dtype,
+# float64 inputs, tolerance in float32 eps). The tolerance bounds
+# max|f32 - f64| / max|f64| over the output and every input gradient; it
+# covers the rounding of the inputs to float32 as well as the op's own.
+_OP_CASES = {
+    "add": (lambda t, dt: ad.add(*t), [_rand((4, 5), 71), _rand(5, 72)], 4),
+    "mul": (lambda t, dt: ad.mul(*t), [_rand((4, 5), 73), _rand((4, 1), 74)], 4),
+    "scale": (lambda t, dt: ad.scale(t[0], _mask((4, 5), 75, dtype=dt)),
+              [_rand((4, 5), 76)], 2),
+    "matmul": (lambda t, dt: ad.matmul(*t, transpose_b=True),
+               [_rand((4, 6), 77), _rand((5, 6), 78)], 2),
+    "const_matmul": (lambda t, dt: ad.const_matmul(
+        sp.csr_matrix(np.eye(5) + np.eye(5, k=1) + np.eye(5, k=-1), dtype=dt) * 0.5, t[0]),
+        [_rand((5, 3), 79)], 4),
+    "concat": (lambda t, dt: ad.concat(t, axis=1), [_rand((3, 2), 80), _rand((3, 4), 81)], 1),
+    "slice_cols": (lambda t, dt: ad.slice_cols(t[0], 1, 4), [_rand((3, 6), 82)], 1),
+    "take_rows": (lambda t, dt: ad.take_rows(t[0], [0, 0, 2, 4]), [_rand((5, 3), 83)], 2),
+    "class_means": (lambda t, dt: ad.class_means(t[0], [2, 0, 1, 1, 0, 2], 3),
+                    [_rand((6, 4), 84)], 4),
+    "sum_": (lambda t, dt: ad.sum_(t[0], axis=0), [_rand((3, 4), 85)], 4),
+    "relu": (lambda t, dt: ad.relu(t[0]), [_rand((4, 5), 86)], 1),
+    "log_softmax": (lambda t, dt: ad.log_softmax(t[0]), [_rand((3, 5), 87, scale=3.0)], 4),
+    "layernorm": (lambda t, dt: ad.layernorm(*t),
+                  [_rand((6, 8), 88), _rand(8, 89), _rand(8, 90)], 4),
+    "attention": (lambda t, dt: ad.attention(*t, 2, _mask((2, 3, 5), 91, dtype=dt)),
+                  [_rand((3, 6), 92), _rand((5, 6), 93)]
+                  + [_rand((6, 6), s, scale=0.5) for s in (94, 95, 96, 97)], 8),
+    "normalize_rows": (lambda t, dt: ad.normalize_rows(t[0], 1e-12), [_rand((4, 5), 98)], 4),
+    "cosine_rows": (lambda t, dt: ad.cosine_rows(*t), [_rand((4, 5), 99), _rand((3, 5), 100)],
+                    4),
+}
+
+
+def test_every_differentiable_op_has_a_float32_case():
+    harness = {"tensor", "no_grad", "set_nan_guard", "grad_check"}
+    assert {n for n in ad.__all__ if n[0].islower()} - harness == set(_OP_CASES)
+
+
+@pytest.mark.parametrize("name", sorted(_OP_CASES))
+def test_float32_agrees_with_float64(name):
+    call, arrays, tol = _OP_CASES[name]
+    results = {}
+    for dtype in (np.float64, np.float32):
+        leaves = [ad.tensor(a, requires_grad=True, dtype=dtype) for a in arrays]
+        out = call(leaves, dtype)
+        out.backward(_rand(out.shape, 101).astype(dtype))
+        results[dtype] = [out.values] + [t.grad for t in leaves]
+    for i, (lo, hi) in enumerate(zip(results[np.float32], results[np.float64])):
+        assert lo.dtype == np.float32, i
+        err = np.max(np.abs(lo - hi)) / np.max(np.abs(hi))
+        assert err <= tol * _F32_EPS, f"{name} [{i}]: {err / _F32_EPS:.2f} eps"
 
 
 def test_required_ops_are_exposed():

@@ -388,7 +388,9 @@ class TestTapeBudget:
     """One desk-preset training episode (epoch 0: 10 shots, 64 queries,
     augmentation and dropout on) records at most this many tape nodes."""
 
-    BUDGET = {"node": 100, "link": 105, "graph": 150}
+    # measured 95 / 99 / 96: a graph episode encodes its graphs as one
+    # union, so a partial fall back to per-graph encoding breaks the budget
+    BUDGET = {"node": 100, "link": 105, "graph": 100}
 
     @pytest.fixture(scope="class")
     def desk(self):
@@ -419,6 +421,13 @@ class TestTapeBudget:
         _, loss = episode_probs_and_loss(bank, sampler.sample(), params, model_cfg,
                                          train=True)
         assert _tape_nodes(loss) <= self.BUDGET[level]
+
+    def test_layernorm_is_one_tape_node(self):
+        x = ad.Tensor(np.linspace(-1.0, 1.0, 12).reshape(3, 4), requires_grad=True)
+        gamma, beta = (ad.Tensor(np.full(4, v), requires_grad=True) for v in (1.5, 0.5))
+        h = ad.relu(x)
+        # the op and its gamma and beta leaves on top of h's tape
+        assert _tape_nodes(ad.layernorm(h, gamma, beta)) == _tape_nodes(h) + 3
 
 
 class TestNoTransposeInEncoderHops:

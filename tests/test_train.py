@@ -256,6 +256,36 @@ class TestTrainingLoop:
         result = train(corpus, SMALL_MODEL, cfg)
         assert len(result.telemetry) == 1
 
+    def test_preflight_leaves_the_run_unchanged(self, corpus):
+        # the check differentiates a copy, so none of its gradient reaches
+        # the first optimizer step
+        on = train(corpus, SMALL_MODEL, small_train(epochs=1, preflight=True))
+        off = train(corpus, SMALL_MODEL, small_train(epochs=1, preflight=False))
+        for k in on.params:
+            assert on.params[k].tobytes() == off.params[k].tobytes(), k
+
+    def test_float32_preflight_runs_clean(self, corpus):
+        model_cfg = dataclasses.replace(SMALL_MODEL, dtype="float32")
+        result = train(corpus, model_cfg, small_train(epochs=1, preflight=True))
+        assert result.params["enc_ln0_gamma"].dtype == np.float32
+
+    def test_float32_preflight_catches_a_wrong_vjp(self, corpus, monkeypatch):
+        # finite differences need 64-bit, so a float32 run checks its first
+        # episode on a float64 copy rather than not at all
+        real = ad.layernorm
+
+        def doubled_x_grad(x, gamma, beta):
+            out = real(x, gamma, beta)
+            vjp_x = out._vjps[0] if out._vjps else None
+            if vjp_x is not None:
+                out._vjps = (lambda g: 2.0 * vjp_x(g),) + out._vjps[1:]
+            return out
+
+        monkeypatch.setattr(ad, "layernorm", doubled_x_grad)
+        model_cfg = dataclasses.replace(SMALL_MODEL, dtype="float32")
+        with pytest.raises(TrainingDiverged, match="preflight gradient check failed"):
+            train(corpus, model_cfg, small_train(epochs=1, preflight=True))
+
 
 class TestPresets:
     def test_desk_preset_is_small_and_64bit(self):
