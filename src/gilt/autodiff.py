@@ -1,10 +1,12 @@
 """Reverse-mode automatic differentiation on dense numpy arrays.
 
-A small tape: every op records its parents and one vector-Jacobian closure
-per differentiable input; ``Tensor.backward`` replays the tape in reverse
-topological order. Values inherit the dtype of their inputs (tests and
-reproducible runs use 64-bit, training may use 32-bit). Reductions go
-through numpy's pairwise summation, so single-threaded runs are bit-stable.
+A small tape of differentiable nodes only: every op records, as its parents,
+just the inputs that take a gradient, each with its vector-Jacobian closure.
+A numpy operand or a no-grad ``Tensor`` is a constant and never enters the
+tape. ``Tensor.backward`` replays the tape in reverse topological order.
+Values inherit the dtype of their inputs (tests and reproducible runs use
+64-bit, training may use 32-bit). Reductions go through numpy's pairwise
+summation, so single-threaded runs are bit-stable.
 """
 from __future__ import annotations
 
@@ -23,7 +25,6 @@ __all__ = [
     "set_nan_guard",
     "add",
     "mul",
-    "scale",
     "matmul",
     "const_matmul",
     "concat",
@@ -77,7 +78,7 @@ class Tensor:
         self.grad: np.ndarray | None = None
         self.requires_grad = bool(requires_grad)
         self._parents: tuple[Tensor, ...] = ()
-        self._vjps: tuple[Callable[[np.ndarray], np.ndarray] | None, ...] = ()
+        self._vjps: tuple[Callable[[np.ndarray], np.ndarray], ...] = ()
 
     @property
     def shape(self) -> tuple[int, ...]:
@@ -90,37 +91,16 @@ class Tensor:
     def __repr__(self) -> str:
         return f"Tensor(shape={self.values.shape}, requires_grad={self.requires_grad})"
 
-    # Operator sugar; keyword ops below are the canonical surface.
-    def __add__(self, other):
-        return add(self, other)
-
-    def __radd__(self, other):
-        return add(other, self)
-
-    def __mul__(self, other):
-        return mul(self, other)
-
-    def __rmul__(self, other):
-        return mul(other, self)
-
-    def __matmul__(self, other):
-        return matmul(self, other)
-
-    def __neg__(self):
-        return scale(self, -1.0)
-
-    def item(self) -> float:
-        return float(self.values)
-
     def zero_grad(self) -> None:
         self.grad = None
 
     def backward(self, seed: np.ndarray | None = None) -> None:
         """Accumulate gradients of this output into the `.grad` of every leaf.
 
-        A node with parents drops its `.grad` as soon as it has passed it on,
-        so peak memory holds only the gradients still in flight; leaves keep
-        theirs, summed over every use.
+        The tape holds only differentiable parents, so every recorded VJP
+        runs and constants get no gradient. A node with parents drops its
+        `.grad` as soon as it has passed it on, so peak memory holds only the
+        gradients still in flight; leaves keep theirs, summed over every use.
         """
         if seed is None:
             if self.values.size != 1:
@@ -133,8 +113,6 @@ class Tensor:
             if g is None:
                 continue
             for parent, vjp in zip(node._parents, node._vjps):
-                if vjp is None:
-                    continue
                 pg = vjp(g)
                 if parent.grad is None:
                     parent.grad = pg
@@ -177,14 +155,13 @@ def _wrap(x, like: Tensor | None = None) -> Tensor:
     return Tensor(np.asarray(x, dtype=dtype))
 
 
-def _make(values: np.ndarray, inputs: Sequence[Tensor], vjps: Sequence[Callable | None]) -> Tensor:
+def _make(values: np.ndarray, inputs: Sequence[Tensor], vjps: Sequence[Callable]) -> Tensor:
     if _nan_guard and not np.all(np.isfinite(values)):
         raise FloatingPointError("non-finite values produced by an op under nan guard")
-    requires = _grad_enabled and any(t.requires_grad for t in inputs)
-    out = Tensor(values, requires_grad=requires)
-    if requires:
-        out._parents = tuple(inputs)
-        out._vjps = tuple(v if t.requires_grad else None for t, v in zip(inputs, vjps))
+    live = [(t, v) for t, v in zip(inputs, vjps) if t.requires_grad] if _grad_enabled else []
+    out = Tensor(values, requires_grad=bool(live))
+    if live:
+        out._parents, out._vjps = map(tuple, zip(*live))
     return out
 
 
@@ -213,6 +190,8 @@ def add(a, b) -> Tensor:
 
 
 def mul(a, b) -> Tensor:
+    """a * b, broadcast. A float or array operand, such as a keep mask, is a
+    constant in the other operand's dtype, so float32 stays float32."""
     a = _wrap(a, b if isinstance(b, Tensor) else None)
     b = _wrap(b, a)
     out = a.values * b.values
@@ -220,13 +199,6 @@ def mul(a, b) -> Tensor:
         lambda g: _unbroadcast(g * b.values, a.values.shape),
         lambda g: _unbroadcast(g * a.values, b.values.shape),
     ))
-
-
-def scale(x, c) -> Tensor:
-    """x times a constant: a scalar, or an array of x's shape such as a keep mask."""
-    x = _wrap(x)
-    c = c if isinstance(c, np.ndarray) else float(c)
-    return _make(x.values * c, (x,), (lambda g: g * c,))
 
 
 # ---------------------------------------------------------------------------

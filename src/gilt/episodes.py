@@ -74,8 +74,7 @@ class EpisodeSampler:
 
     def __init__(self, corpus: Corpus, level: str, n_way: int, k_shot: int,
                  query_size: int = 64, policy: str = "pretrain", seed: int = 0,
-                 feat_drop: float = 0.0, edge_drop: float = 0.0,
-                 negative_ratio: int = NEGATIVE_RATIO):
+                 feat_drop: float = 0.0, edge_drop: float = 0.0):
         if level not in ("node", "link", "graph"):
             raise DataError(f"unknown task level {level!r}")
         if policy not in ("pretrain", "eval"):
@@ -94,7 +93,6 @@ class EpisodeSampler:
         self.policy = policy
         self.feat_drop = float(feat_drop)
         self.edge_drop = float(edge_drop)
-        self.negative_ratio = int(negative_ratio)
         self.rng = np.random.default_rng(seed)
         self._eligible = corpus.supporting(level)
         if not self._eligible:
@@ -224,7 +222,7 @@ class EpisodeSampler:
             raise DataError(f"graph {gi} has no edge split; assign one first")
         train_e = np.nonzero(g.edge_split == TRAIN)[0]
         query_e = np.nonzero(g.edge_split == self._query_pool_tag())[0]
-        q_pos = max(1, self.query_size // (1 + self.negative_ratio))
+        q_pos = max(1, self.query_size // (1 + NEGATIVE_RATIO))
         need_train = k_shot + (q_pos if self.policy == "pretrain" else 0)
         if len(train_e) < need_train:
             raise DataError(f"graph {gi}: {len(train_e)} train edges < {need_train} needed")
@@ -240,8 +238,8 @@ class EpisodeSampler:
             qry_pos = g.edges[self.rng.choice(query_e, size=q_pos, replace=False)]
 
         drawn: set = set()
-        sup_neg = self._sample_negatives(g, self.negative_ratio * k_shot, drawn)
-        qry_neg = self._sample_negatives(g, self.negative_ratio * len(qry_pos), drawn)
+        sup_neg = self._sample_negatives(g, NEGATIVE_RATIO * k_shot, drawn)
+        qry_neg = self._sample_negatives(g, NEGATIVE_RATIO * len(qry_pos), drawn)
 
         sup_refs = np.concatenate([sup_pos, np.asarray(sup_neg).reshape(-1, 2)])
         sup_labels = [1] * len(sup_pos) + [0] * len(sup_neg)

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import csv
 import json
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from functools import cached_property
 from pathlib import Path
 
@@ -461,19 +461,16 @@ class Corpus:
     """A non-empty collection of graphs with per-graph task annotations."""
 
     graphs: tuple[Graph, ...]
-    levels: tuple[tuple[str, ...], ...] = field(default=())
 
     def __post_init__(self):
         if not self.graphs:
             raise DataError("corpus must contain at least one graph")
-        if not self.levels:
-            object.__setattr__(self, "levels", tuple(g.task_levels() for g in self.graphs))
-        for i, lv in enumerate(self.levels):
-            if not lv:
+        for i, g in enumerate(self.graphs):
+            if not g.task_levels():
                 raise DataError(f"graph {i} supports no task level")
 
     def supporting(self, level: str) -> list[int]:
-        return [i for i, lv in enumerate(self.levels) if level in lv]
+        return [i for i, g in enumerate(self.graphs) if level in g.task_levels()]
 
 
 def assign_graph_splits(corpus: Corpus, fractions, seed: int = 0) -> Corpus:
@@ -482,7 +479,7 @@ def assign_graph_splits(corpus: Corpus, fractions, seed: int = 0) -> Corpus:
     graphs = tuple(
         replace(g, graph_split_tag=int(t)) for g, t in zip(corpus.graphs, tags)
     )
-    return Corpus(graphs=graphs, levels=corpus.levels)
+    return Corpus(graphs=graphs)
 
 
 # ---------------------------------------------------------------------------

@@ -29,7 +29,7 @@ def predict(s_out: ad.Tensor, q_out: ad.Tensor, support_labels: np.ndarray,
     """Class log-probabilities [Q x n_way] for each query token."""
     protos = ad.class_means(class_space(s_out, d, full_token), support_labels, n_way)
     scores = ad.cosine_rows(class_space(q_out, d, full_token), protos)
-    return ad.log_softmax(ad.scale(scores, temperature))
+    return ad.log_softmax(ad.mul(scores, temperature))
 
 
 def episode_loss(logp: ad.Tensor, query_labels: np.ndarray) -> ad.Tensor:

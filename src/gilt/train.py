@@ -432,9 +432,9 @@ def train(corpus: Corpus, model_cfg: ModelConfig, train_cfg: TrainConfig,
                                                     model_cfg, train=True)
                     batch_losses.append(ell)
                     epoch_losses[lv].append(float(ell.values))
-                mean_loss = ad.scale(_sum_tensors(batch_losses),
-                                     1.0 / len(batch_losses))
-                level_means.append(ad.scale(mean_loss, weights[lv]))
+                mean_loss = ad.mul(_sum_tensors(batch_losses),
+                                   1.0 / len(batch_losses))
+                level_means.append(ad.mul(mean_loss, weights[lv]))
             total = _sum_tensors(level_means)
             value = float(total.values)
             if not np.isfinite(value) or value > train_cfg.divergence_limit:

@@ -86,7 +86,7 @@ def transformer_forward(t_support: ad.Tensor, t_query: ad.Tensor,
         hidden = ad.relu(ad.add(ad.matmul(ad.layernorm(x, p("ln2_gamma"), p("ln2_beta")),
                                           p("ffn_w1")), p("ffn_b1")))
         if m3 is not None:
-            hidden = ad.scale(hidden, m3)
+            hidden = ad.mul(hidden, m3)
         x = ad.add(x, ad.add(ad.matmul(hidden, p("ffn_w2")), p("ffn_b2")))
         ts, tq = ad.take_rows(x, slice(0, n_s)), ad.take_rows(x, slice(n_s, None))
     return ts, tq

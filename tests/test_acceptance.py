@@ -444,13 +444,15 @@ def test_criterion_9_determinism_and_roundtrip(bench, tmp_path):
 
     run(["synth", "--out", "corpus", "--graphs", "3", "--classes", "3",
          "--per-class", "12", "--feature-dim", "8", "--seed", "0"])
-    run(["pretrain", str(config), "--out", "a"])
-    run(["pretrain", str(config), "--out", "b"])
-
-    telem_same = ((tmp_path / "a" / "telemetry.csv").read_bytes()
-                  == (tmp_path / "b" / "telemetry.csv").read_bytes())
-    ckpt_same = ((tmp_path / "a" / "final.ckpt").read_bytes()
-                 == (tmp_path / "b" / "final.ckpt").read_bytes())
+    twins = {}
+    for dtype in ("float64", "float32"):
+        for twin in ("a", "b"):
+            run(["pretrain", str(config), "--out", f"{dtype}-{twin}",
+                 "--set", f"model.dtype={dtype}"])
+        twins[dtype] = tuple(
+            (tmp_path / f"{dtype}-a" / name).read_bytes()
+            == (tmp_path / f"{dtype}-b" / name).read_bytes()
+            for name in ("telemetry.csv", "final.ckpt"))
 
     # the benchmark checkpoint survives a load/save cycle byte for byte
     src = bench.out_dir / "final.ckpt"
@@ -462,10 +464,12 @@ def test_criterion_9_determinism_and_roundtrip(bench, tmp_path):
                            model_cfg, train_cfg, sidecar["epoch"])
     roundtrip_same = src.read_bytes() == copy.read_bytes()
 
-    ok = telem_same and ckpt_same and values_same and roundtrip_same
+    twins_same = all(all(same) for same in twins.values())
+    ok = twins_same and values_same and roundtrip_same
     assert _verdict(9, ok,
-                    f"twin single-thread runs byte-identical (telemetry "
-                    f"{telem_same}, checkpoint {ckpt_same}); load/save "
-                    f"round-trip byte-identical {roundtrip_same}")
-    assert telem_same and ckpt_same
+                    "twin single-thread runs byte-identical in "
+                    + " and ".join(f"{dtype} (telemetry {telem}, checkpoint {ckpt})"
+                                   for dtype, (telem, ckpt) in twins.items())
+                    + f"; load/save round-trip byte-identical {roundtrip_same}")
+    assert twins_same
     assert values_same and roundtrip_same

@@ -180,7 +180,7 @@ def test_layernorm_is_one_pass():
     (ad.relu, {}),
     (ad.normalize_rows, {"floor": 1e-12}),
     (ad.log_softmax, {}),
-    (ad.scale, {"c": -2.5}),
+    (ad.mul, {"b": -2.5}),
     (ad.layernorm, {"gamma": np.linspace(0.5, 2.0, 7), "beta": np.full(7, 0.3)}),
 ])
 def test_unary_op_gradients(op, kwargs):
@@ -259,7 +259,7 @@ def test_reduction_gradients():
     x = ad.tensor(_rand((3, 4), 12), requires_grad=True)
     for axis, n in ((None, 12), (0, 3), (1, 4)):
         report = ad.grad_check(
-            lambda axis=axis, n=n: ad.sum_(ad.mul(ad.scale(ad.sum_(x, axis=axis), 1.0 / n),
+            lambda axis=axis, n=n: ad.sum_(ad.mul(ad.mul(ad.sum_(x, axis=axis), 1.0 / n),
                                                   2.0)),
             {"x": x})
         assert report.passed, f"sum axis={axis}"
@@ -412,9 +412,55 @@ def test_dropout_gradient_with_frozen_mask():
     # FFN dropout scales by a keep mask the caller drew; the mask is no tape node
     x = ad.tensor(_rand((5, 5), 18), requires_grad=True)
     mask = _mask((5, 5), 99, p=0.4)
-    report = ad.grad_check(lambda: ad.sum_(ad.scale(x, mask)), {"x": x})
+    report = ad.grad_check(lambda: ad.sum_(ad.mul(x, mask)), {"x": x})
     assert report.passed
-    assert ad.scale(x, mask)._parents == (x,)
+    assert ad.mul(x, mask)._parents == (x,)
+
+
+# An operand that takes no gradient (a numpy array, a float, a no-grad
+# Tensor) is a constant: the op records only its differentiable inputs, each
+# with the VJP of its own side.
+_CONSTANT_OPERAND_CASES = {
+    "mul-array": lambda x, c: ad.mul(x, c(_mask((3, 4), 30, p=0.5))),
+    "mul-array-first": lambda x, c: ad.mul(c(_mask((3, 4), 30, p=0.5)), x),
+    "add-array": lambda x, c: ad.add(x, c(_rand(4, 31))),
+    "add-array-first": lambda x, c: ad.add(c(_rand(4, 31)), x),
+    "matmul-array": lambda x, c: ad.matmul(x, c(_rand((4, 2), 32))),
+    "matmul-array-first": lambda x, c: ad.matmul(c(_rand((2, 3), 33)), x),
+    "layernorm-affine": lambda x, c: ad.layernorm(x, c(_rand(4, 34)), c(_rand(4, 35))),
+    "attention-keys-and-weights": lambda x, c: ad.attention(
+        x, c(_rand((5, 4), 36)), *(c(_rand((4, 4), s, scale=0.5)) for s in (37, 38, 39, 40)),
+        2),
+}
+
+
+@pytest.mark.parametrize("wrap", ["array", "no-grad-tensor"])
+@pytest.mark.parametrize("name", sorted(_CONSTANT_OPERAND_CASES))
+def test_constants_stay_off_the_tape(name, wrap):
+    op = _CONSTANT_OPERAND_CASES[name]
+    const = (lambda a: a) if wrap == "array" else ad.tensor
+    x = ad.tensor(_rand((3, 4), 41), requires_grad=True)
+    out = op(x, const)
+    assert out._parents == (x,) and len(out._vjps) == 1
+    seed = _rand(out.shape, 42)
+    out.backward(seed)
+    # the one recorded VJP is x's: the gradient equals that of a run in
+    # which the constants are differentiable leaves too
+    got, x.grad = x.grad, None
+    op(x, lambda a: ad.tensor(a, requires_grad=True)).backward(seed)
+    assert got.tobytes() == x.grad.tobytes()
+
+
+@pytest.mark.parametrize("c", [10.0, 0.53, 1.0 / 3.0])
+def test_mul_by_a_float_keeps_numpys_float32_scalar_rule(c):
+    # mul casts a Python float to the tensor's dtype, as numpy does for x * c
+    x = ad.tensor(_rand((3, 4), 43), requires_grad=True, dtype=np.float32)
+    out = ad.mul(x, c)
+    seed = _rand((3, 4), 44).astype(np.float32)
+    out.backward(seed)
+    assert out.values.dtype == x.grad.dtype == np.float32
+    assert out.values.tobytes() == (x.values * c).tobytes()
+    assert x.grad.tobytes() == (seed * c).tobytes()
 
 
 def test_attention_all_ones_mask_is_no_mask():
@@ -490,8 +536,8 @@ def test_nan_guard_raises():
 _OP_CASES = {
     "add": (lambda t, dt: ad.add(*t), [_rand((4, 5), 71), _rand(5, 72)], 4),
     "mul": (lambda t, dt: ad.mul(*t), [_rand((4, 5), 73), _rand((4, 1), 74)], 4),
-    "scale": (lambda t, dt: ad.scale(t[0], _mask((4, 5), 75, dtype=dt)),
-              [_rand((4, 5), 76)], 2),
+    "mul-by-constant": (lambda t, dt: ad.mul(t[0], _mask((4, 5), 75, dtype=dt)),
+                        [_rand((4, 5), 76)], 2),
     "matmul": (lambda t, dt: ad.matmul(*t, transpose_b=True),
                [_rand((4, 6), 77), _rand((5, 6), 78)], 2),
     "const_matmul": (lambda t, dt: ad.const_matmul(
@@ -518,7 +564,9 @@ _OP_CASES = {
 
 def test_every_differentiable_op_has_a_float32_case():
     harness = {"tensor", "no_grad", "set_nan_guard", "grad_check"}
-    assert {n for n in ad.__all__ if n[0].islower()} - harness == set(_OP_CASES)
+    # a key "op-variant" is a further case of op
+    assert ({n for n in ad.__all__ if n[0].islower()} - harness
+            == {key.partition("-")[0] for key in _OP_CASES})
 
 
 @pytest.mark.parametrize("name", sorted(_OP_CASES))
@@ -567,8 +615,8 @@ def test_determinism_same_seed_same_loss():
         rng = np.random.default_rng(7)
         x = ad.tensor(rng.standard_normal((16, 8)), requires_grad=True)
         h = _ln(ad.matmul(x, ad.tensor(rng.standard_normal((8, 8)))))
-        h = ad.scale(h, _mask(h.shape, 3, p=0.2))
-        loss = ad.scale(ad.sum_(ad.mul(h, h)), 1.0 / h.values.size)
+        h = ad.mul(h, _mask(h.shape, 3, p=0.2))
+        loss = ad.mul(ad.sum_(ad.mul(h, h)), 1.0 / h.values.size)
         loss.backward()
         return float(loss.values), x.grad.copy()
 
@@ -585,9 +633,8 @@ def _backward_keeping_grads(root):
         if node.grad is None:
             continue
         for parent, vjp in zip(node._parents, node._vjps):
-            if vjp is not None:
-                pg = vjp(node.grad)
-                parent.grad = pg if parent.grad is None else parent.grad + pg
+            pg = vjp(node.grad)
+            parent.grad = pg if parent.grad is None else parent.grad + pg
 
 
 class TestBackwardFreesIntermediateGrads:
@@ -603,7 +650,7 @@ class TestBackwardFreesIntermediateGrads:
         h = _ln(ad.const_matmul(adj, ad.matmul(leaves["x"], leaves["w1"]), mat_t=adj))
         att = ad.attention(h, h, leaves["wq"], leaves["wk"], leaves["wv"], leaves["wo"],
                            2, _mask((2, 5, 5), 5, p=0.2))
-        out = ad.scale(ad.add(h, att), _mask((5, 4), 6, p=0.1))
+        out = ad.mul(ad.add(h, att), _mask((5, 4), 6, p=0.1))
         return ad.sum_(ad.mul(out, out)), leaves
 
     def test_only_leaves_keep_gradients(self):

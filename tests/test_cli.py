@@ -263,6 +263,15 @@ class TestPretrainCommand:
         assert "Traceback" not in err and err.startswith("error: ")
         assert not (tmp_path / "final.ckpt").exists()
 
+    def test_divergence_exits_4(self, trained, tmp_path, capsys):
+        # every loss is above the limit, so the first step counts as diverged
+        code = main(["pretrain", str(trained / "run.cfg"), "--out", str(tmp_path),
+                     "--set", "train.divergence_limit=1e-12"])
+        err = capsys.readouterr().err
+        assert code == 4
+        assert "Traceback" not in err and err.startswith("error: ")
+        assert not (tmp_path / "final.ckpt").exists()
+
     def test_boundary_config_values_train(self, trained, tmp_path):
         # the well-formed control for the cases above: each value at its edge
         code = main(["pretrain", str(trained / "run.cfg"), "--out", str(tmp_path),

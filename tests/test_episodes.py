@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from gilt.episodes import EpisodeSampler, round_half_up, shots_at
+from gilt.episodes import NEGATIVE_RATIO, EpisodeSampler, round_half_up, shots_at
 from gilt.graphs import (
     TEST,
     TRAIN,
@@ -215,7 +215,7 @@ class SetBasedSampler(EpisodeSampler):
         g = self.corpus.graphs[gi]
         train_e = np.nonzero(g.edge_split == TRAIN)[0]
         query_e = np.nonzero(g.edge_split == self._query_pool_tag())[0]
-        q_pos = max(1, self.query_size // (1 + self.negative_ratio))
+        q_pos = max(1, self.query_size // (1 + NEGATIVE_RATIO))
         need_train = k_shot + (q_pos if self.policy == "pretrain" else 0)
         picks = self.rng.choice(train_e, size=need_train, replace=False)
         sup_pos = g.edges[picks[:k_shot]]
@@ -225,8 +225,8 @@ class SetBasedSampler(EpisodeSampler):
             q_pos = min(q_pos, len(query_e))
             qry_pos = g.edges[self.rng.choice(query_e, size=q_pos, replace=False)]
         banned = {(int(a), int(b)) for a, b in g.edges}
-        sup_neg = self._sample_negatives(g, self.negative_ratio * k_shot, banned)
-        qry_neg = self._sample_negatives(g, self.negative_ratio * len(qry_pos), banned)
+        sup_neg = self._sample_negatives(g, NEGATIVE_RATIO * k_shot, banned)
+        qry_neg = self._sample_negatives(g, NEGATIVE_RATIO * len(qry_pos), banned)
         sup_refs = np.concatenate([sup_pos, np.asarray(sup_neg).reshape(-1, 2)])
         sup_labels = [1] * len(sup_pos) + [0] * len(sup_neg)
         q_refs = np.concatenate([qry_pos, np.asarray(qry_neg).reshape(-1, 2)])
@@ -290,19 +290,16 @@ class TestLinkSamplerMatchesSetReference:
         assert str(a.value) == str(b.value)
         assert new.rng.bit_generator.state == ref.rng.bit_generator.state
 
-    @pytest.mark.parametrize("ratio", [1, 3])
     @pytest.mark.parametrize("policy", ["pretrain", "eval"])
-    def test_three_node_graph(self, policy, ratio):
+    def test_three_node_graph(self, policy):
         # a third of all draws have u == v and (0, 2) is the only non-edge,
         # so every episode ends in the limit error after the same draws
         g = make_graph(3, [[0, 1], [1, 2]], np.zeros((3, 2)),
                        edge_split=[TRAIN, TRAIN if policy == "pretrain" else TEST])
         corpus = Corpus(graphs=(g,))
         for seed in range(6):
-            new = EpisodeSampler(corpus, "link", 2, 1, query_size=2, policy=policy,
-                                 seed=seed, negative_ratio=ratio)
-            ref = SetBasedSampler(corpus, "link", 2, 1, query_size=2, policy=policy,
-                                  seed=seed, negative_ratio=ratio)
+            new = EpisodeSampler(corpus, "link", 2, 1, query_size=2, policy=policy, seed=seed)
+            ref = SetBasedSampler(corpus, "link", 2, 1, query_size=2, policy=policy, seed=seed)
             with pytest.raises(DataError, match="dense") as a:
                 new.sample()
             with pytest.raises(DataError, match="dense") as b:

@@ -363,6 +363,7 @@ class TestCorpus:
         c = assign_graph_splits(Corpus(graphs=graphs), (0.6, 0.2, 0.2), seed=0)
         tags = [g.graph_split_tag for g in c.graphs]
         assert sorted(np.bincount(tags, minlength=3).tolist(), reverse=True) == [6, 2, 2]
+        assert c.supporting("graph") == list(range(10))
 
     def test_levelless_graph_rejected(self):
         lonely = make_graph(2, [], np.zeros((2, 2)))
