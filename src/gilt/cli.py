@@ -153,7 +153,10 @@ def _version_stamp() -> dict:
         ).stdout.strip() or "unknown"
     except Exception:
         git = "unknown"
-    return {"package": pkg, "git": git}
+    import numpy
+    import scipy
+    return {"package": pkg, "git": git, "numpy": numpy.__version__,
+            "scipy": scipy.__version__}
 
 
 def _file_digest(path: Path) -> str:
@@ -171,6 +174,8 @@ def write_manifest(out_dir: Path, command: str, resolved: dict,
             for p in checkpoints if p is not None and Path(p).exists()
         ],
         "version": _version_stamp(),
+        # thread caps as this process saw them (None where unset)
+        "threads": {var: os.environ.get(var) for var in ("GILT_THREADS",) + _THREAD_VARS},
         "wall_clock_s": round(time.time() - started, 3) if started else 0.0,
     }
     path = out_dir / "manifest.json"
@@ -314,9 +319,9 @@ def _load_model(path):
     from .train import config_from_sidecar, load_checkpoint
 
     try:
-        arrays, _, sidecar = load_checkpoint(path)
-        model_cfg, _ = config_from_sidecar(sidecar)
-    except (OSError, ValueError, KeyError) as exc:
+        arrays, _, meta = load_checkpoint(path)
+        model_cfg, _ = config_from_sidecar(meta)
+    except (OSError, ValueError) as exc:
         raise _Fail(EXIT_DATA, f"cannot load checkpoint {path}: {exc}") from exc
     return arrays, model_cfg
 

@@ -41,7 +41,6 @@ class ModelConfig:
     n_heads: int = 4
     ffn_hidden: int = 128
     dropout: float = 0.1
-    temperature: float = 10.0
     align_mode: str = "pad"            # "pad" | "learnable-projection"
     intermediate_dim: int = 64
     encoder_variant: str = "linear"    # "linear" | "nonlinear"
@@ -215,7 +214,7 @@ def episode_forward(bank: GraphBank, episode: Episode,
     s_out, q_out = transformer_forward(t_sup, t_qry, params, cfg.transformer_layers,
                                        cfg.n_heads, masks, cfg.unshared_attention)
     return predict(s_out, q_out, episode.support_labels, episode.n_way,
-                   cfg.d, cfg.temperature, cfg.full_token_prediction)
+                   cfg.d, full_token=cfg.full_token_prediction)
 
 
 def episode_probs_and_loss(bank: GraphBank, episode: Episode,

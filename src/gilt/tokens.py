@@ -12,11 +12,10 @@ prototype); a query token concatenates the item with zeros, so nothing
 about its label can leak in. Both are 2d wide.
 
 TokenSet is the frozen, file-backed form: float32 rows plus the episode
-header, written in a small self-describing binary format.
+header, written in the checkpoints' self-checking array format (arrayfile).
 """
 from __future__ import annotations
 
-import struct
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -24,9 +23,9 @@ import numpy as np
 import scipy.sparse as sp
 
 from . import autodiff as ad
+from .arrayfile import read_arrays, write_arrays
 
 MAGIC = b"GTOK"
-FORMAT_VERSION = 1
 PROTO_NORM_FLOOR = 1e-12
 
 
@@ -101,55 +100,24 @@ class TokenSet:
             raise ValueError("query label count mismatch")
 
 
-_HEADER = struct.Struct("<4sHIIIII")
-
-
 def write_tokens(ts: TokenSet, path) -> Path:
-    path = Path(path)
-    sup = np.ascontiguousarray(ts.support, dtype=np.float32)
-    qry = np.ascontiguousarray(ts.query, dtype=np.float32)
-    blob = bytearray()
-    blob += _HEADER.pack(MAGIC, FORMAT_VERSION, ts.n_way, ts.k_shot,
-                         qry.shape[0], ts.d, sup.shape[0])
-    blob += np.ascontiguousarray(ts.class_ids, dtype=np.int64).tobytes()
-    blob += np.ascontiguousarray(ts.support_labels, dtype=np.int64).tobytes()
-    blob += np.ascontiguousarray(ts.query_labels, dtype=np.int64).tobytes()
-    blob += sup.tobytes()
-    blob += qry.tobytes()
-    path.write_bytes(bytes(blob))
-    return path
+    meta = {"n_way": int(ts.n_way), "k_shot": int(ts.k_shot), "d": int(ts.d)}
+    return write_arrays(path, MAGIC, meta, {
+        "class_ids": np.asarray(ts.class_ids, dtype=np.int64),
+        "support_labels": np.asarray(ts.support_labels, dtype=np.int64),
+        "query_labels": np.asarray(ts.query_labels, dtype=np.int64),
+        "support": np.asarray(ts.support, dtype=np.float32),
+        "query": np.asarray(ts.query, dtype=np.float32),
+    })
 
 
 def read_tokens(path) -> TokenSet:
-    raw = Path(path).read_bytes()
-    if len(raw) < _HEADER.size:
-        raise ValueError(f"token file {path} is truncated")
-    magic, version, n_way, k_shot, n_query, d, n_support = _HEADER.unpack_from(raw)
-    if magic != MAGIC:
-        raise ValueError(f"{path} is not a token file (bad magic {magic!r})")
-    if version != FORMAT_VERSION:
-        raise ValueError(f"unsupported token format version {version}")
-    off = _HEADER.size
-    expect = off + 8 * (n_way + n_support + n_query) + 4 * 2 * d * (n_support + n_query)
-    if len(raw) != expect:
-        raise ValueError(f"token file {path} has {len(raw)} bytes, expected {expect}")
-
-    def take(count, dtype):
-        nonlocal off
-        arr = np.frombuffer(raw, dtype=dtype, count=count, offset=off)
-        off += arr.nbytes
-        return arr
-
-    class_ids = take(n_way, np.int64)
-    sup_labels = take(n_support, np.int64)
-    qry_labels = take(n_query, np.int64)
-    support = take(n_support * 2 * d, np.float32).reshape(n_support, 2 * d)
-    query = take(n_query * 2 * d, np.float32).reshape(n_query, 2 * d)
-    return TokenSet(
-        support=support, query=query,
-        support_labels=sup_labels, query_labels=qry_labels,
-        class_ids=class_ids, n_way=int(n_way), k_shot=int(k_shot), d=int(d),
-    )
+    """A malformed, truncated or corrupted token file raises ValueError."""
+    meta, arrays = read_arrays(path, MAGIC)
+    try:
+        return TokenSet(**arrays, **meta)
+    except (TypeError, IndexError) as exc:
+        raise ValueError(f"token file {path} does not hold a token set: {exc}") from exc
 
 
 def freeze_tokens(t_support: ad.Tensor, t_query: ad.Tensor,

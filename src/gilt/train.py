@@ -9,22 +9,23 @@ the small-shot regime the model will face at evaluation time.
 
 Determinism contract: episode sampling is reseeded per (run seed, epoch,
 level), so a run is a pure function of its configs, and resuming from a
-checkpoint replays the exact remaining epochs. Telemetry goes to a CSV
-with one row per epoch; a non-finite loss aborts the run immediately,
-leaving the last epoch checkpoint on disk.
+checkpoint replays the exact remaining epochs. A checkpoint is one file
+(see arrayfile): the parameters and AdamW moments, with the epoch, both
+configs and the optimizer step in its header, so a resume reads nothing
+else and a corrupted checkpoint is refused. Telemetry goes to a CSV with
+one row per epoch; a non-finite loss aborts the run immediately, leaving
+the last epoch checkpoint on disk.
 """
 from __future__ import annotations
 
 import csv
-import json
-import os
-import struct
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import asdict, dataclass, replace
 from pathlib import Path
 
 import numpy as np
 
 from . import autodiff as ad
+from .arrayfile import read_arrays, write_arrays
 from .episodes import SHOT_END, SHOT_START, EpisodeSampler, shots_at
 from .graphs import Corpus, DataError
 from .model import (
@@ -38,6 +39,9 @@ from .model import (
 LOSS_WEIGHTS = {"node": 0.53, "link": 2.74, "graph": 0.42}
 LEVELS = ("node", "link", "graph")
 TELEMETRY_COLUMNS = ("epoch", "L_node", "L_link", "L_graph", "L_total", "lr", "shots")
+# AdamW moment decays and denominator floor, and the global gradient-norm cap
+BETA1, BETA2, ADAM_EPS = 0.9, 0.999, 1e-8
+CLIP_NORM = 1.0
 
 
 class TrainingDiverged(RuntimeError):
@@ -58,10 +62,6 @@ class TrainConfig:
     shot_end: int = SHOT_END
     feat_drop: float = 0.1
     edge_drop: float = 0.1
-    clip_norm: float = 1.0
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
     seed: int = 0
     preflight: bool = True
     divergence_limit: float = 1e6
@@ -139,19 +139,19 @@ def adamw_step(params: dict[str, ad.Tensor], state: AdamWState,
                lr: float, cfg: TrainConfig) -> None:
     state.step += 1
     t = state.step
-    bc1 = 1.0 - cfg.beta1 ** t
-    bc2 = 1.0 - cfg.beta2 ** t
+    bc1 = 1.0 - BETA1 ** t
+    bc2 = 1.0 - BETA2 ** t
     for name, p in params.items():
         g = p.grad
         if g is None:
             continue
         m = state.m[name]
         v = state.v[name]
-        m *= cfg.beta1
-        m += (1.0 - cfg.beta1) * g
-        v *= cfg.beta2
-        v += (1.0 - cfg.beta2) * g * g
-        update = (m / bc1) / (np.sqrt(v / bc2) + cfg.eps)
+        m *= BETA1
+        m += (1.0 - BETA1) * g
+        v *= BETA2
+        v += (1.0 - BETA2) * g * g
+        update = (m / bc1) / (np.sqrt(v / bc2) + ADAM_EPS)
         # decoupled weight decay: applied to the parameter, not the gradient
         p.values -= lr * (update + cfg.weight_decay * p.values)
 
@@ -161,128 +161,43 @@ def adamw_step(params: dict[str, ad.Tensor], state: AdamWState,
 # ---------------------------------------------------------------------------
 
 CKPT_MAGIC = b"GCKP"
-CKPT_VERSION = 1
-_DTYPE_CODES = {np.dtype(np.float32): b"4", np.dtype(np.float64): b"8"}
-_CODE_DTYPES = {v: k for k, v in _DTYPE_CODES.items()}
 
 
 def save_checkpoint(path, arrays: dict[str, np.ndarray], opt: AdamWState,
                     model_cfg: ModelConfig, train_cfg: TrainConfig,
                     epoch: int) -> Path:
-    """Binary array blob plus a JSON sidecar; the write is atomic."""
-    path = Path(path)
+    """One atomically written file: the parameters and AdamW moments, with
+    the epoch, both configs and the optimizer step in its header."""
     named: dict[str, np.ndarray] = dict(arrays)
-    for k, a in opt.m.items():
-        named[f"opt_m:{k}"] = a
-    for k, a in opt.v.items():
-        named[f"opt_v:{k}"] = a
-    named["opt_step"] = np.array([float(opt.step)], dtype=np.float64)
-
-    blob = bytearray()
-    blob += CKPT_MAGIC
-    blob += struct.pack("<HI", CKPT_VERSION, len(named))
-    for name in sorted(named):
-        arr = np.ascontiguousarray(named[name])
-        code = _DTYPE_CODES.get(arr.dtype)
-        if code is None:
-            raise ValueError(f"checkpoint array {name} has unsupported dtype {arr.dtype}")
-        raw_name = name.encode()
-        blob += struct.pack("<H", len(raw_name)) + raw_name
-        blob += code
-        blob += struct.pack("<B", arr.ndim)
-        blob += struct.pack(f"<{arr.ndim}I", *arr.shape)
-        blob += arr.tobytes()
-
-    tmp = path.with_suffix(path.suffix + ".tmp")
-    tmp.write_bytes(bytes(blob))
-    os.replace(tmp, path)
-
-    sidecar = {
-        "format_version": CKPT_VERSION,
-        "epoch": int(epoch),
-        "model": asdict(model_cfg),
-        "train": asdict(train_cfg),
-    }
-    side_tmp = path.with_suffix(path.suffix + ".json.tmp")
-    side_tmp.write_text(json.dumps(sidecar, indent=2, sort_keys=True))
-    os.replace(side_tmp, path.with_suffix(path.suffix + ".json"))
-    return path
+    named.update((f"opt_m:{k}", a) for k, a in opt.m.items())
+    named.update((f"opt_v:{k}", a) for k, a in opt.v.items())
+    meta = {"epoch": int(epoch), "opt_step": int(opt.step),
+            "model": asdict(model_cfg), "train": asdict(train_cfg)}
+    return write_arrays(path, CKPT_MAGIC, meta, {k: named[k] for k in sorted(named)})
 
 
 def load_checkpoint(path):
-    """Returns (param arrays, AdamWState, sidecar dict).
+    """Returns (param arrays, AdamWState, meta); meta holds the epoch, both
+    configs (see config_from_sidecar) and the optimizer step.
 
-    A malformed or truncated file, a sidecar file that is not a JSON object,
-    or arrays that do not match the model the sidecar describes, raises
-    ValueError. Without a sidecar file the sidecar dict is empty.
+    A file that is malformed, truncated, corrupted (SHA-256 mismatch) or of
+    another format version, a header without a valid epoch, step or
+    configs, or arrays that do not match the model the header describes,
+    raises ValueError.
     """
-    path = Path(path)
-    raw = path.read_bytes()
-    if raw[:4] != CKPT_MAGIC:
-        raise ValueError(f"{path} is not a checkpoint (bad magic)")
-
-    def unpack(fmt: str, off: int) -> tuple:
-        try:
-            return struct.unpack_from(fmt, raw, off)
-        except struct.error as exc:
-            raise ValueError(f"checkpoint {path} is truncated at byte {len(raw)}") from exc
-
-    version, count = unpack("<HI", 4)
-    if version != CKPT_VERSION:
-        raise ValueError(f"unsupported checkpoint version {version}")
-    off = 10
-    named: dict[str, np.ndarray] = {}
-    for _ in range(count):
-        (nlen,) = unpack("<H", off)
-        off += 2
-        name = raw[off:off + nlen].decode()
-        off += nlen
-        dtype = _CODE_DTYPES.get(raw[off:off + 1])
-        if dtype is None:
-            raise ValueError(f"unknown dtype code in checkpoint for {name}")
-        off += 1
-        (ndim,) = unpack("<B", off)
-        off += 1
-        shape = unpack(f"<{ndim}I", off)
-        off += 4 * ndim
-        nbytes = int(np.prod(shape, dtype=np.int64)) * dtype.itemsize if ndim else dtype.itemsize
-        count_items = int(np.prod(shape, dtype=np.int64)) if ndim else 1
-        # frombuffer raises ValueError itself when the data runs past the end
-        arr = np.frombuffer(raw, dtype=dtype, count=count_items, offset=off).reshape(shape).copy()
-        off += nbytes
-        named[name] = arr
-    if off != len(raw):
-        raise ValueError(f"checkpoint {path} has {len(raw) - off} trailing bytes")
-
-    params, m, v = {}, {}, {}
-    step = 0
-    for name, arr in named.items():
-        if name == "opt_step":
-            step = int(arr[0])
-        elif name.startswith("opt_m:"):
-            m[name[6:]] = arr
-        elif name.startswith("opt_v:"):
-            v[name[6:]] = arr
-        else:
-            params[name] = arr
-    opt = AdamWState(m=m, v=v, step=step)
-
-    sidecar_path = path.with_suffix(path.suffix + ".json")
-    if not sidecar_path.exists():
-        return params, opt, {}
-    sidecar = json.loads(sidecar_path.read_text())
-    if not isinstance(sidecar, dict):
-        raise ValueError(f"checkpoint sidecar {sidecar_path} is not a JSON object")
-    _check_against_sidecar(path, params, sidecar)
-    return params, opt, sidecar
-
-
-def _check_against_sidecar(path, params: dict[str, np.ndarray], sidecar: dict) -> None:
+    meta, named = read_arrays(path, CKPT_MAGIC)
+    params = {k: a for k, a in named.items() if not k.startswith(("opt_m:", "opt_v:"))}
+    m = {k[6:]: a for k, a in named.items() if k.startswith("opt_m:")}
+    v = {k[6:]: a for k, a in named.items() if k.startswith("opt_v:")}
     try:
-        expected = init_params(config_from_sidecar(sidecar)[0])
+        expected = init_params(config_from_sidecar(meta)[0])
+        opt = AdamWState(m=m, v=v, step=int(meta["opt_step"]))
+        meta["epoch"] = int(meta["epoch"])
     except (KeyError, TypeError, ValueError) as exc:
-        raise ValueError(f"checkpoint sidecar for {path} is invalid: {exc}") from exc
-    _check_arrays(path, params, expected, "its sidecar model")
+        raise ValueError(f"checkpoint {path} has an invalid header: {exc}") from exc
+    for got in (params, m, v):
+        _check_arrays(path, got, expected, "its header model")
+    return params, opt, meta
 
 
 def _check_arrays(path, params: dict[str, np.ndarray],
@@ -303,14 +218,12 @@ def _check_arrays(path, params: dict[str, np.ndarray],
                              f"{got.dtype}, {what} needs {want.dtype}")
 
 
-def config_from_sidecar(sidecar: dict) -> tuple[ModelConfig, TrainConfig]:
-    model = ModelConfig(**sidecar["model"])
-    raw = dict(sidecar["train"])
-    raw["levels"] = tuple(raw["levels"])
-    # sidecars written while the lr schedule was configurable name it
-    if (raw.pop("schedule", "linear-decay"), raw.pop("warmup_epochs", 0)) != ("linear-decay", 0):
-        raise ValueError("checkpoint was trained with an lr schedule other than linear decay")
-    return model, TrainConfig(**raw)
+def config_from_sidecar(meta: dict) -> tuple[ModelConfig, TrainConfig]:
+    """Both configs from the header meta that load_checkpoint returns (the
+    name dates from when they lived in a sidecar file)."""
+    train = dict(meta["train"])
+    train["levels"] = tuple(train["levels"])
+    return ModelConfig(**meta["model"]), TrainConfig(**train)
 
 
 # ---------------------------------------------------------------------------
@@ -384,13 +297,13 @@ def train(corpus: Corpus, model_cfg: ModelConfig, train_cfg: TrainConfig,
     arrays = init_params(model_cfg)
     if resume_from is not None:
         try:
-            loaded, opt, sidecar = load_checkpoint(resume_from)
+            loaded, opt, meta = load_checkpoint(resume_from)
             _check_arrays(resume_from, loaded, arrays, "this run's model",
                           check_dtype=True)
         except (OSError, ValueError) as exc:
             raise DataError(f"cannot load checkpoint {resume_from}: {exc}") from exc
         arrays = loaded
-        start_epoch = int(sidecar.get("epoch", -1)) + 1
+        start_epoch = meta["epoch"] + 1
     else:
         opt = AdamWState.fresh(arrays)
     params = params_to_tensors(arrays)
@@ -440,7 +353,7 @@ def train(corpus: Corpus, model_cfg: ModelConfig, train_cfg: TrainConfig,
             if not np.isfinite(value) or value > train_cfg.divergence_limit:
                 raise TrainingDiverged(f"epoch {epoch}: loss {value}")
             total.backward()
-            clip_gradients(params, train_cfg.clip_norm)
+            clip_gradients(params, CLIP_NORM)
             adamw_step(params, opt, lr, train_cfg)
 
         row = {"epoch": epoch, "lr": float(lr), "shots": shots}

@@ -456,12 +456,12 @@ def test_criterion_9_determinism_and_roundtrip(bench, tmp_path):
 
     # the benchmark checkpoint survives a load/save cycle byte for byte
     src = bench.out_dir / "final.ckpt"
-    arrays, opt, sidecar = load_checkpoint(src)
+    arrays, opt, meta = load_checkpoint(src)
     values_same = (set(arrays) == set(bench.trained) and all(
         arrays[k].tobytes() == bench.trained[k].tobytes() for k in arrays))
-    model_cfg, train_cfg = config_from_sidecar(sidecar)
+    model_cfg, train_cfg = config_from_sidecar(meta)
     copy = save_checkpoint(tmp_path / "copy.ckpt", arrays, opt,
-                           model_cfg, train_cfg, sidecar["epoch"])
+                           model_cfg, train_cfg, meta["epoch"])
     roundtrip_same = src.read_bytes() == copy.read_bytes()
 
     twins_same = all(all(same) for same in twins.values())

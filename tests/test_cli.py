@@ -1,4 +1,5 @@
 import json
+import struct
 import subprocess
 import sys
 
@@ -14,8 +15,10 @@ from gilt.cli import (
     main,
     parse_config_text,
 )
+from gilt.arrayfile import read_arrays, write_arrays
 from gilt.model import ModelConfig
 from gilt.tokens import read_tokens
+from gilt.train import CKPT_MAGIC
 
 
 class TestConfigFormat:
@@ -117,15 +120,14 @@ def trained(corpus_dir, tmp_path_factory):
     return out
 
 
-# sidecars that parse but are falsy, so a truthiness test used to skip them
-FALSY_SIDECARS = ["[]", "0", "null", '""']
+# header metas that parse but are falsy, so a truthiness test would skip them
+FALSY_META = ["[]", "0", "null", '""']
 
 
-def _with_sidecar(src, tmp_path, sidecar: str):
-    ckpt = tmp_path / "t.ckpt"
-    ckpt.write_bytes(src.read_bytes())
-    ckpt.with_suffix(".ckpt.json").write_text(sidecar)
-    return ckpt
+def _with_meta(src, tmp_path, meta: str):
+    """A copy of checkpoint src whose header meta is the JSON text meta."""
+    _, arrays = read_arrays(src, CKPT_MAGIC)
+    return write_arrays(tmp_path / "t.ckpt", CKPT_MAGIC, json.loads(meta), arrays)
 
 
 GOOD_GRAPH = {"nodes": 4, "edges": [[0, 1], [1, 2], [2, 3]],
@@ -190,6 +192,10 @@ class TestPretrainCommand:
         assert manifest["config"]["model.d"] == "6"
         assert len(manifest["checkpoints"]) == 2
         assert len(manifest["checkpoints"][0]["sha256"]) == 16
+        assert set(manifest["threads"]) == {
+            "GILT_THREADS", "OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS",
+            "MKL_NUM_THREADS", "NUMEXPR_NUM_THREADS"}
+        assert {"numpy", "scipy"} <= set(manifest["version"])
 
     def test_rerun_same_seed_identical_telemetry(self, trained):
         cfg = trained / "run.cfg"
@@ -203,11 +209,17 @@ class TestPretrainCommand:
         assert main(["pretrain", str(cfg), "--out", str(tmp_path)]) == 2
         assert "data.registry" in capsys.readouterr().err
 
-    def test_unknown_key_rejected(self, tmp_path, capsys):
+    # train.beta1 and model.temperature were fields until they became constants
+    @pytest.mark.parametrize("line, flags, key", [
+        ("modle.d=8\n", [], "modle.d"),
+        ("", ["--set", "train.beta1=0.8"], "train.beta1"),
+        ("", ["--set", "model.temperature=5"], "model.temperature"),
+    ], ids=["typo-in-file", "beta1-flag", "temperature-flag"])
+    def test_unknown_key_rejected(self, tmp_path, capsys, line, flags, key):
         cfg = tmp_path / "c.cfg"
-        cfg.write_text("schema=1\nmodle.d=8\n")
-        assert main(["pretrain", str(cfg), "--out", str(tmp_path)]) == 2
-        assert "modle.d" in capsys.readouterr().err
+        cfg.write_text("schema=1\n" + line)
+        assert main(["pretrain", str(cfg), "--out", str(tmp_path)] + flags) == 2
+        assert key in capsys.readouterr().err
 
     def test_missing_registry_file_is_data_error(self, tmp_path):
         cfg = tmp_path / "c.cfg"
@@ -225,7 +237,6 @@ class TestPretrainCommand:
         src = trained / "a" / "last.ckpt"
         raw = src.read_bytes()
         cut = tmp_path / "cut.ckpt"
-        cut.with_suffix(".ckpt.json").write_text(src.with_suffix(".ckpt.json").read_text())
         for n in (0, 3, 4, 9, 10, len(raw) // 2, len(raw) - 1):
             cut.write_bytes(raw[:n])
             code = main(["pretrain", str(trained / "run.cfg"),
@@ -312,13 +323,21 @@ class TestEvalCommand:
                                cfg, TrainConfig(), epoch=0)
         raw = path.read_bytes()
         cut = tmp_path / "cut.ckpt"
-        cut.with_suffix(".ckpt.json").write_text(path.with_suffix(".ckpt.json").read_text())
         for n in range(len(raw)):
             cut.write_bytes(raw[:n])
             code = main(["eval", str(cut), str(corpus_dir), "--level", "node",
                          "--out", str(tmp_path / "out")])
             assert code == 3, n
         assert "cannot load checkpoint" in capsys.readouterr().err
+
+    def test_version_1_checkpoint_exits_3(self, corpus_dir, tmp_path, capsys):
+        # the header of the format that kept its configs in a sidecar file
+        old = tmp_path / "old.ckpt"
+        old.write_bytes(b"GCKP" + struct.pack("<HI", 1, 0))
+        code = main(["eval", str(old), str(corpus_dir), "--level", "node",
+                     "--out", str(tmp_path / "out")])
+        assert code == 3
+        assert "unsupported GCKP version 1" in capsys.readouterr().err
 
     def test_dataset_as_plain_path(self, trained, corpus_dir, tmp_path):
         ckpt = trained / "a" / "final.ckpt"
@@ -372,9 +391,9 @@ class TestEvalCommand:
         assert code == 3
         assert "cannot load checkpoint" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("sidecar", FALSY_SIDECARS)
-    def test_falsy_sidecar_exits_3(self, trained, corpus_dir, tmp_path, capsys, sidecar):
-        ckpt = _with_sidecar(trained / "a" / "final.ckpt", tmp_path, sidecar)
+    @pytest.mark.parametrize("meta", FALSY_META)
+    def test_falsy_header_meta_exits_3(self, trained, corpus_dir, tmp_path, capsys, meta):
+        ckpt = _with_meta(trained / "a" / "final.ckpt", tmp_path, meta)
         code = main(["eval", str(ckpt), "synth",
                      "--registry", str(corpus_dir / "registry.json"),
                      "--level", "node", "--out", str(tmp_path / "out")])
@@ -488,9 +507,9 @@ class TestTokenizeCommand:
         assert code == 3
         assert "cannot load checkpoint" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("sidecar", FALSY_SIDECARS)
-    def test_falsy_sidecar_exits_3(self, trained, corpus_dir, tmp_path, capsys, sidecar):
-        ckpt = _with_sidecar(trained / "a" / "final.ckpt", tmp_path, sidecar)
+    @pytest.mark.parametrize("meta", FALSY_META)
+    def test_falsy_header_meta_exits_3(self, trained, corpus_dir, tmp_path, capsys, meta):
+        ckpt = _with_meta(trained / "a" / "final.ckpt", tmp_path, meta)
         code = main(["tokenize", str(corpus_dir / "g0.json"), "--level", "node",
                      "--n", "2", "--k", "2", "--checkpoint", str(ckpt),
                      "--out", str(tmp_path / "out")])

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from gilt import autodiff as ad
+from gilt.arrayfile import read_arrays, write_arrays
 from gilt.graphs import (
     Corpus,
     SyntheticSpec,
@@ -14,6 +15,7 @@ from gilt.graphs import (
 )
 from gilt.model import ModelConfig, init_params
 from gilt.train import (
+    CKPT_MAGIC,
     AdamWState,
     TrainConfig,
     TrainingDiverged,
@@ -68,7 +70,7 @@ class TestAdamW:
     def test_first_step_oracle(self):
         # after one step with fresh moments the bias-corrected update is
         # g / (|g| + eps), then decoupled decay shrinks the parameter
-        cfg = TrainConfig(lr=0.1, weight_decay=0.01, eps=1e-8)
+        cfg = TrainConfig(lr=0.1, weight_decay=0.01)
         p = ad.Tensor(np.array([2.0, -3.0]), requires_grad=True)
         p.grad = np.array([0.5, -0.25])
         params = {"w": p}
@@ -126,7 +128,7 @@ class TestCheckpoints:
             opt.m[k] += 0.25
         path = save_checkpoint(tmp_path / "m.ckpt", arrays, opt,
                                model_cfg, small_train(), epoch=3)
-        back, opt2, sidecar = load_checkpoint(path)
+        back, opt2, meta = load_checkpoint(path)
         assert set(back) == set(arrays)
         for k in arrays:
             assert back[k].dtype == arrays[k].dtype
@@ -135,22 +137,23 @@ class TestCheckpoints:
             assert opt2.m[k].tobytes() == opt.m[k].tobytes()
             assert opt2.v[k].tobytes() == opt.v[k].tobytes()
         assert opt2.step == 17
-        assert sidecar["epoch"] == 3
-        m2, t2 = config_from_sidecar(sidecar)
+        assert meta["epoch"] == 3
+        m2, t2 = config_from_sidecar(meta)
         assert m2 == model_cfg
         assert t2 == small_train()
+        # the arrays are views into the file's buffer, and writable
+        assert all(a.flags.writeable for a in back.values())
 
-    def test_sidecar_naming_the_retired_schedule_fields(self):
-        # sidecars written while the lr schedule was configurable still load
-        # when they name linear decay without warmup, and no other schedule
-        sidecar = {"model": dataclasses.asdict(ModelConfig()),
-                   "train": dataclasses.asdict(small_train())}
-        sidecar["train"].update(schedule="linear-decay", warmup_epochs=0)
-        assert config_from_sidecar(sidecar)[1] == small_train()
-        for retired in ({"schedule": "cosine"}, {"warmup_epochs": 4}):
-            sidecar["train"].update({"schedule": "linear-decay", "warmup_epochs": 0}, **retired)
-            with pytest.raises(ValueError, match="schedule"):
-                config_from_sidecar(sidecar)
+    @pytest.mark.parametrize("key", ["epoch", "opt_step", "model", "train"])
+    def test_header_must_hold_epoch_step_and_configs(self, tmp_path, key):
+        arrays = init_params(TINY_MODEL)
+        path = save_checkpoint(tmp_path / "t.ckpt", arrays, AdamWState.fresh(arrays),
+                               TINY_MODEL, small_train(), epoch=0)
+        meta, named = read_arrays(path, CKPT_MAGIC)
+        del meta[key]
+        write_arrays(path, CKPT_MAGIC, meta, named)
+        with pytest.raises(ValueError, match="invalid header"):
+            load_checkpoint(path)
 
     def test_bad_magic_rejected(self, tmp_path):
         p = tmp_path / "junk.ckpt"
@@ -164,13 +167,12 @@ class TestCheckpoints:
                                TINY_MODEL, small_train(), epoch=0)
         raw = path.read_bytes()
         cut = tmp_path / "cut.ckpt"
-        cut.with_suffix(".ckpt.json").write_text(path.with_suffix(".ckpt.json").read_text())
         for n in range(len(raw)):
             cut.write_bytes(raw[:n])
             with pytest.raises(ValueError):
                 load_checkpoint(cut)
 
-    def test_arrays_must_match_sidecar_model(self, tmp_path):
+    def test_arrays_must_match_header_model(self, tmp_path):
         arrays = init_params(SMALL_MODEL)
         opt = AdamWState.fresh(arrays)
         narrow = dataclasses.replace(SMALL_MODEL, d=4)
@@ -182,6 +184,14 @@ class TestCheckpoints:
         path = save_checkpoint(tmp_path / "m.ckpt", arrays, opt, unshared,
                                small_train(), epoch=0)
         with pytest.raises(ValueError, match="tf0_wq2"):
+            load_checkpoint(path)
+        # a resume steps every moment, so a missing one is refused on load
+        path = save_checkpoint(tmp_path / "m.ckpt", arrays, opt, SMALL_MODEL,
+                               small_train(), epoch=0)
+        meta, named = read_arrays(path, CKPT_MAGIC)
+        del named["opt_v:enc_ln0_beta"]
+        write_arrays(path, CKPT_MAGIC, meta, named)
+        with pytest.raises(ValueError, match="enc_ln0_beta"):
             load_checkpoint(path)
 
     def test_trailing_bytes_rejected(self, tmp_path):
@@ -206,9 +216,9 @@ class TestTrainingLoop:
         assert row["shots"] == 2
         assert np.isfinite(row["L_node"]) and np.isfinite(row["L_link"])
         assert np.isfinite(row["L_graph"]) and np.isfinite(row["L_total"])
-        assert (tmp_path / "final.ckpt").exists()
-        assert (tmp_path / "final.ckpt.json").exists()
-        assert (tmp_path / "telemetry.csv").exists()
+        # one file per checkpoint: no sidecar, no temp file left behind
+        assert sorted(p.name for p in tmp_path.iterdir()) == [
+            "final.ckpt", "last.ckpt", "telemetry.csv"]
         header = (tmp_path / "telemetry.csv").read_text().splitlines()[0]
         assert header == "epoch,L_node,L_link,L_graph,L_total,lr,shots"
 
