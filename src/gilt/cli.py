@@ -6,8 +6,18 @@ directory with enough resolved state to replay the run.  Heavy imports are
 deferred so a ``GILT_THREADS`` cap set in the environment lands before the
 numerics stack starts threads.
 
-Exit codes: 0 success, 2 usage or config error, 3 data error, 4 numerical
-failure.
+Commands raise; ``main()`` alone maps an exception to an exit code and a
+message prefix, first match wins:
+
+- ``ConfigError`` -> 2: a bad flag or config value, or an unusable ``--out``;
+- ``ProtocolError`` -> 2, ``protocol error:``: an N-way K-shot episode the
+  data cannot serve, refused the same way by every command;
+- ``LeakageError`` -> 3, ``leakage guard tripped:``;
+- ``DataError`` -> 3: a missing, malformed or corrupt input file;
+- ``TrainingDiverged`` -> 4;
+- ``FloatingPointError`` -> 4, ``numerical failure:``.
+
+Anything else is a bug and escapes with its traceback.
 """
 
 from __future__ import annotations
@@ -34,13 +44,7 @@ _THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS",
 
 
 class ConfigError(Exception):
-    """Bad config file, bad flag value, or an infeasible protocol."""
-
-
-class _Fail(Exception):
-    def __init__(self, code: int, message: str):
-        super().__init__(message)
-        self.code = code
+    """Bad config file, bad flag value, or an unusable output directory."""
 
 
 def _apply_thread_cap() -> None:
@@ -194,34 +198,40 @@ def _check_counts(*flags) -> None:
             raise ConfigError(f"{flag} must be >= {least}, got {value}")
 
 
+def _out_dir(path) -> Path:
+    """The --out directory, created if missing; one that cannot be is a
+    usage error."""
+    out = Path(path)
+    try:
+        out.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise ConfigError(f"cannot create output directory {out}: {exc}") from exc
+    return out
+
+
 def cmd_synth(args) -> int:
-    from .graphs import (DataError, SyntheticSpec, assign_split,
-                         make_synthetic, write_graph)
+    from .graphs import SyntheticSpec, assign_split, make_synthetic, write_graph
 
     _check_counts(("--graphs", args.graphs, 1), ("--classes", args.classes, 1),
                   ("--per-class", args.per_class, 1), ("--feature-dim", args.feature_dim, 1),
-                  ("--graph-classes", args.graph_classes, 0))
+                  ("--graph-classes", args.graph_classes, 0), ("--seed", args.seed, 0))
     started = time.time()
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
+    out = _out_dir(args.out)
     registry: dict[str, dict] = {}
-    try:
-        for i in range(args.graphs):
-            spec = SyntheticSpec(
-                n_classes=args.classes, nodes_per_class=args.per_class,
-                intra_p=args.intra, inter_p=args.inter,
-                feature_dim=args.feature_dim,
-                class_mean_separation=args.separation,
-                noise_sd=args.noise_sd, seed=args.seed + i)
-            g = make_synthetic(spec, name=f"g{i}")
-            g = assign_split(g, (0.6, 0.2, 0.2), "node", seed=args.seed + 1000 + i)
-            g = assign_split(g, (0.6, 0.2, 0.2), "link", seed=args.seed + 2000 + i)
-            if args.graph_classes:
-                g = dataclasses.replace(g, graph_label=i % args.graph_classes)
-            write_graph(g, out / f"g{i}.json")
-            registry[f"g{i}"] = {"path": f"g{i}.json", "format": "json"}
-    except DataError as exc:
-        raise _Fail(EXIT_DATA, str(exc)) from exc
+    for i in range(args.graphs):
+        spec = SyntheticSpec(
+            n_classes=args.classes, nodes_per_class=args.per_class,
+            intra_p=args.intra, inter_p=args.inter,
+            feature_dim=args.feature_dim,
+            class_mean_separation=args.separation,
+            noise_sd=args.noise_sd, seed=args.seed + i)
+        g = make_synthetic(spec, name=f"g{i}")
+        g = assign_split(g, (0.6, 0.2, 0.2), "node", seed=args.seed + 1000 + i)
+        g = assign_split(g, (0.6, 0.2, 0.2), "link", seed=args.seed + 2000 + i)
+        if args.graph_classes:
+            g = dataclasses.replace(g, graph_label=i % args.graph_classes)
+        write_graph(g, out / f"g{i}.json")
+        registry[f"g{i}"] = {"path": f"g{i}.json", "format": "json"}
     registry[args.name] = {
         "path": ".", "format": "corpus",
         "graph_split_seed": args.seed, "graph_split_fractions": [0.6, 0.2, 0.2],
@@ -264,26 +274,14 @@ def cmd_pretrain(args) -> int:
         if field not in flat:
             raise ConfigError(f"config is missing required field {field}")
 
-    from .graphs import DataError, load_corpus
-    from .train import TrainingDiverged, train
+    from .graphs import load_corpus
+    from .train import train
 
-    registry = Path(args.config).parent / flat["data.registry"]
-    try:
-        corpus = load_corpus(flat["data.dataset"], registry)
-    except DataError as exc:
-        raise _Fail(EXIT_DATA, str(exc)) from exc
-
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    try:
-        result = train(corpus, model_cfg, train_cfg, out_dir=out,
-                       resume_from=args.resume)
-    except TrainingDiverged as exc:
-        raise _Fail(EXIT_NUMERIC, str(exc)) from exc
-    except FloatingPointError as exc:
-        raise _Fail(EXIT_NUMERIC, f"numerical failure: {exc}") from exc
-    except DataError as exc:
-        raise _Fail(EXIT_DATA, str(exc)) from exc
+    corpus = load_corpus(flat["data.dataset"],
+                         Path(args.config).parent / flat["data.registry"])
+    out = _out_dir(args.out)
+    result = train(corpus, model_cfg, train_cfg, out_dir=out,
+                   resume_from=args.resume)
 
     write_manifest(out, "pretrain", dict(flat),
                    checkpoints=[result.checkpoint_path, out / "last.ckpt"],
@@ -314,23 +312,18 @@ def _ablated(model_cfg, ablations):
 
 
 def _load_model(path):
-    """Parameters and model config from a checkpoint; a missing, unreadable
-    or malformed checkpoint is a data error."""
+    """Parameters and model config from a checkpoint."""
     from .train import config_from_sidecar, load_checkpoint
 
-    try:
-        arrays, _, meta = load_checkpoint(path)
-        model_cfg, _ = config_from_sidecar(meta)
-    except (OSError, ValueError) as exc:
-        raise _Fail(EXIT_DATA, f"cannot load checkpoint {path}: {exc}") from exc
-    return arrays, model_cfg
+    arrays, _, meta = load_checkpoint(path)
+    return arrays, config_from_sidecar(meta)[0]
 
 
 def cmd_eval(args) -> int:
     started = time.time()
-    from .graphs import DataError, load_corpus
-    from .evaluate import (LeakageError, append_results_row, evaluate,
-                           sweep_shots, write_report, write_sweep)
+    from .graphs import load_corpus
+    from .evaluate import (append_results_row, evaluate, sweep_shots,
+                           write_report, write_sweep)
 
     try:
         ks = tuple(int(v) for v in args.sweep_k.split(",")) if args.sweep_k else None
@@ -342,40 +335,29 @@ def cmd_eval(args) -> int:
     arrays, model_cfg = _load_model(args.checkpoint)
     model_cfg = _ablated(model_cfg, args.ablate)
 
-    try:
-        corpus = load_corpus(args.dataset, args.registry or None)
-    except DataError as exc:
-        raise _Fail(EXIT_DATA, str(exc)) from exc
-
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
+    corpus = load_corpus(args.dataset, args.registry or None)
+    out = _out_dir(args.out)
     seeds = tuple(range(args.runs))
-    try:
-        if ks:
-            rows = sweep_shots(corpus, arrays, model_cfg, args.level, args.n,
-                               ks=ks, episodes_per_run=args.episodes,
-                               seeds=seeds, query_size=args.queries)
-            path = write_sweep(rows, out / "sweep.csv")
-            print(f"sweep: {path}")
-        else:
-            report = evaluate(corpus, arrays, model_cfg, args.level, args.n,
-                              args.k, episodes_per_run=args.episodes,
-                              seeds=seeds, query_size=args.queries,
-                              hits_k=args.hits_k)
-            write_report(report, out / "report.json")
-            append_results_row(report, out / "results.csv")
-            headline = {
-                "accuracy": (report.mean_accuracy, report.sd_accuracy),
-                "auc": (report.mean_auc, report.sd_auc),
-                "hits": (report.mean_hits, report.sd_hits),
-            }[args.metric]
-            print(f"{args.metric} {headline[0]:.4f} +/- {headline[1]:.4f}")
-            print(f"report: {out / 'report.json'}")
-    except DataError as exc:
-        # flags that the dataset cannot satisfy (k too large, missing level)
-        raise _Fail(EXIT_CONFIG, f"protocol error: {exc}") from exc
-    except LeakageError as exc:
-        raise _Fail(EXIT_DATA, f"leakage guard tripped: {exc}") from exc
+    if ks:
+        rows = sweep_shots(corpus, arrays, model_cfg, args.level, args.n,
+                           ks=ks, episodes_per_run=args.episodes,
+                           seeds=seeds, query_size=args.queries)
+        path = write_sweep(rows, out / "sweep.csv")
+        print(f"sweep: {path}")
+    else:
+        report = evaluate(corpus, arrays, model_cfg, args.level, args.n,
+                          args.k, episodes_per_run=args.episodes,
+                          seeds=seeds, query_size=args.queries,
+                          hits_k=args.hits_k)
+        write_report(report, out / "report.json")
+        append_results_row(report, out / "results.csv")
+        headline = {
+            "accuracy": (report.mean_accuracy, report.sd_accuracy),
+            "auc": (report.mean_auc, report.sd_auc),
+            "hits": (report.mean_hits, report.sd_hits),
+        }[args.metric]
+        print(f"{args.metric} {headline[0]:.4f} +/- {headline[1]:.4f}")
+        print(f"report: {out / 'report.json'}")
 
     resolved = {k: str(v) for k, v in vars(args).items() if k != "func"}
     write_manifest(out, "eval", resolved, checkpoints=[Path(args.checkpoint)],
@@ -385,32 +367,24 @@ def cmd_eval(args) -> int:
 
 def cmd_tokenize(args) -> int:
     started = time.time()
-    from .graphs import DataError, load_corpus
+    _check_counts(("--seed", args.seed, 0))
+    from .graphs import load_corpus
     from .episodes import EpisodeSampler
     from .model import GraphBank, ModelConfig, episode_tokens, init_params, params_to_tensors
     from .tokens import freeze_tokens, write_tokens
     from . import autodiff as ad
 
-    try:
-        corpus = load_corpus(args.dataset, args.registry or None)
-    except DataError as exc:
-        raise _Fail(EXIT_DATA, str(exc)) from exc
-
+    corpus = load_corpus(args.dataset, args.registry or None)
     if args.checkpoint:
         arrays, model_cfg = _load_model(args.checkpoint)
     else:
         model_cfg = ModelConfig(seed=args.seed)
         arrays = init_params(model_cfg)
 
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    try:
-        sampler = EpisodeSampler(corpus, args.level, args.n, args.k,
-                                 query_size=args.queries, policy=args.policy,
-                                 seed=args.seed)
-        episode = sampler.sample()
-    except DataError as exc:
-        raise _Fail(EXIT_CONFIG, f"protocol error: {exc}") from exc
+    out = _out_dir(args.out)
+    episode = EpisodeSampler(corpus, args.level, args.n, args.k,
+                             query_size=args.queries, policy=args.policy,
+                             seed=args.seed).sample()
 
     params = params_to_tensors(arrays, requires_grad=False)
     bank = GraphBank(corpus, model_cfg)
@@ -505,12 +479,24 @@ def main(argv=None) -> int:
         _apply_thread_cap()
         args = build_parser().parse_args(argv)
         return args.func(args)
-    except ConfigError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-    except _Fail as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return exc.code
+    except Exception as exc:
+        # imported only now, after the thread cap: each module loads numpy
+        from .episodes import ProtocolError
+        from .evaluate import LeakageError
+        from .graphs import DataError
+        from .train import TrainingDiverged
+
+        table = ((ConfigError, EXIT_CONFIG, ""),
+                 (ProtocolError, EXIT_CONFIG, "protocol error: "),
+                 (LeakageError, EXIT_DATA, "leakage guard tripped: "),
+                 (DataError, EXIT_DATA, ""),
+                 (TrainingDiverged, EXIT_NUMERIC, ""),
+                 (FloatingPointError, EXIT_NUMERIC, "numerical failure: "))
+        for cls, code, prefix in table:
+            if isinstance(exc, cls):
+                print(f"error: {prefix}{exc}", file=sys.stderr)
+                return code
+        raise
 
 
 if __name__ == "__main__":

@@ -33,6 +33,11 @@ NEGATIVE_RATIO = 3
 SHOT_START, SHOT_END = 20, 5
 
 
+class ProtocolError(DataError):
+    """The sampler refuses an episode: the corpus cannot serve the level,
+    policy, class count or shot count asked for."""
+
+
 def round_half_up(x: float) -> int:
     return int(np.floor(x + 0.5))
 
@@ -76,15 +81,15 @@ class EpisodeSampler:
                  query_size: int = 64, policy: str = "pretrain", seed: int = 0,
                  feat_drop: float = 0.0, edge_drop: float = 0.0):
         if level not in ("node", "link", "graph"):
-            raise DataError(f"unknown task level {level!r}")
+            raise ProtocolError(f"unknown task level {level!r}")
         if policy not in ("pretrain", "eval"):
-            raise DataError(f"unknown pool policy {policy!r}")
+            raise ProtocolError(f"unknown pool policy {policy!r}")
         if n_way < 2:
-            raise DataError("n_way must be >= 2")
+            raise ProtocolError("n_way must be >= 2")
         if level == "link" and n_way != 2:
-            raise DataError("link episodes are binary; n_way must be 2")
+            raise ProtocolError("link episodes are binary; n_way must be 2")
         if k_shot < 1 or query_size < 1:
-            raise DataError("k_shot and query_size must be >= 1")
+            raise ProtocolError("k_shot and query_size must be >= 1")
         self.corpus = corpus
         self.level = level
         self.n_way = n_way
@@ -96,7 +101,7 @@ class EpisodeSampler:
         self.rng = np.random.default_rng(seed)
         self._eligible = corpus.supporting(level)
         if not self._eligible:
-            raise DataError(f"corpus has no graph supporting level {level!r}")
+            raise ProtocolError(f"corpus has no graph supporting level {level!r}")
 
     # -- helpers ----------------------------------------------------------
 
@@ -137,7 +142,7 @@ class EpisodeSampler:
             in_query = np.isin(classes, labels[query_items])
             ok = classes[(n_train >= k_shot) & in_query]
         if len(ok) < self.n_way:
-            raise DataError(
+            raise ProtocolError(
                 f"{where}: only {len(ok)} classes have enough examples "
                 f"for {self.n_way}-way {k_shot}-shot ({self.policy})"
             )
@@ -151,7 +156,7 @@ class EpisodeSampler:
         pool = query_items[np.isin(labels[query_items], class_ids)
                            & ~np.isin(query_items, sup_refs)]
         if not pool.size:
-            raise DataError(f"{where}: query pool empty after removing support")
+            raise ProtocolError(f"{where}: query pool empty after removing support")
         q_refs = self.rng.choice(pool, size=min(self.query_size, len(pool)),
                                  replace=False)
         q_labels = np.argmax(labels[q_refs][:, None] == class_ids, axis=1)
@@ -163,7 +168,7 @@ class EpisodeSampler:
         gi = self._eligible[self.rng.integers(len(self._eligible))]
         g = self.corpus.graphs[gi]
         if g.node_split is None:
-            raise DataError(f"graph {gi} has no node split; assign one first")
+            raise ProtocolError(f"graph {gi} has no node split; assign one first")
         return self._sample_labelled(
             k_shot, np.nonzero(g.node_split == TRAIN)[0],
             np.nonzero(g.node_split == self._query_pool_tag())[0],
@@ -174,7 +179,7 @@ class EpisodeSampler:
         eligible = np.asarray(self._eligible, dtype=np.int64)
         tags = np.array([graphs[i].graph_split_tag for i in eligible])
         if any(t is None for t in tags):
-            raise DataError("graph-level episodes need corpus-wide split tags")
+            raise ProtocolError("graph-level episodes need corpus-wide split tags")
         labels = np.full(len(graphs), -1, dtype=np.int64)
         labels[eligible] = [graphs[i].graph_label for i in eligible]
         return self._sample_labelled(
@@ -201,7 +206,7 @@ class EpisodeSampler:
         tries = 0
         while len(out) < count:
             if tries >= limit:
-                raise DataError(
+                raise ProtocolError(
                     f"could not find {count} non-edges in graph {g.name or '?'}; "
                     "graph too dense for negative sampling"
                 )
@@ -219,15 +224,15 @@ class EpisodeSampler:
         gi = self._eligible[self.rng.integers(len(self._eligible))]
         g = self.corpus.graphs[gi]
         if g.edge_split is None:
-            raise DataError(f"graph {gi} has no edge split; assign one first")
+            raise ProtocolError(f"graph {gi} has no edge split; assign one first")
         train_e = np.nonzero(g.edge_split == TRAIN)[0]
         query_e = np.nonzero(g.edge_split == self._query_pool_tag())[0]
         q_pos = max(1, self.query_size // (1 + NEGATIVE_RATIO))
         need_train = k_shot + (q_pos if self.policy == "pretrain" else 0)
         if len(train_e) < need_train:
-            raise DataError(f"graph {gi}: {len(train_e)} train edges < {need_train} needed")
+            raise ProtocolError(f"graph {gi}: {len(train_e)} train edges < {need_train} needed")
         if self.policy == "eval" and len(query_e) < 1:
-            raise DataError(f"graph {gi}: no test edges to query")
+            raise ProtocolError(f"graph {gi}: no test edges to query")
 
         picks = self.rng.choice(train_e, size=need_train, replace=False)
         sup_pos = g.edges[picks[:k_shot]]
@@ -253,7 +258,7 @@ class EpisodeSampler:
     def sample(self, k_shot: int | None = None) -> Episode:
         k = self.k_shot if k_shot is None else int(k_shot)
         if k < 1:
-            raise DataError("k_shot must be >= 1")
+            raise ProtocolError("k_shot must be >= 1")
         if self.level == "node":
             return self._sample_node(k)
         if self.level == "link":

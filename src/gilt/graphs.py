@@ -232,7 +232,7 @@ def load_graph(path, format: str = "json", name: str | None = None) -> Graph:
 def _load_json(path: Path, name: str) -> Graph:
     try:
         payload = json.loads(path.read_text())
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # JSONDecodeError or UnicodeDecodeError
         raise DataError(f"malformed JSON in {path}: {exc}") from exc
     if not isinstance(payload, dict):
         raise DataError(f"JSON graph {path} is not an object")
@@ -420,8 +420,12 @@ def _partition_sizes(n: int, fractions: tuple[float, float, float]) -> list[int]
 
 def _split_tags(n: int, fractions, seed: int) -> np.ndarray:
     fractions = tuple(float(f) for f in fractions)
-    if len(fractions) != 3 or abs(sum(fractions) - 1.0) > 1e-9:
-        raise DataError(f"split fractions must sum to 1, got {fractions}")
+    if (len(fractions) != 3 or not all(0.0 <= f <= 1.0 for f in fractions)
+            or abs(sum(fractions) - 1.0) > 1e-9):
+        raise DataError(f"split fractions must be three values in [0, 1] that "
+                        f"sum to 1, got {fractions}")
+    if seed < 0:
+        raise DataError(f"split seed must be >= 0, got {seed}")
     sizes = _partition_sizes(n, fractions)
     perm = np.random.default_rng(seed).permutation(n)
     tags = np.empty(n, dtype=np.int8)
@@ -493,7 +497,7 @@ def load_registry(path) -> dict[str, dict]:
         raise DataError(f"no registry file at {path}")
     try:
         reg = json.loads(path.read_text())
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # JSONDecodeError or UnicodeDecodeError
         raise DataError(f"malformed registry {path}: {exc}") from exc
     if not isinstance(reg, dict):
         raise DataError("registry must be a JSON object")
@@ -536,7 +540,7 @@ def load_corpus(dataset: str, registry=None) -> Corpus:
                 fractions = tuple(float(f) for f in
                                   entry.get("graph_split_fractions", (0.6, 0.2, 0.2)))
                 seed = int(entry.get("graph_split_seed", 0))
-            except (TypeError, ValueError) as exc:
+            except (TypeError, ValueError, OverflowError) as exc:
                 raise DataError(f"registry entry {dataset!r} has a bad graph split: "
                                 f"{exc}") from exc
             corpus = assign_graph_splits(corpus, fractions, seed=seed)

@@ -57,8 +57,10 @@ class ModelConfig:
                 raise ValueError(f"unknown {name} {getattr(self, name)!r}")
         if self.n_heads < 1 or (2 * self.d) % self.n_heads:
             raise ValueError(f"n_heads={self.n_heads} must divide 2d={2 * self.d}")
-        if min(self.encoder_layers, self.transformer_layers) < 0:  # 0: an ablation
-            raise ValueError("layer counts must be >= 0")
+        # 0 layers is an ablation
+        for name in ("encoder_layers", "transformer_layers", "ffn_hidden", "seed"):
+            if getattr(self, name) < 0:
+                raise ValueError(f"{name} must be >= 0, got {getattr(self, name)}")
         if not 0.0 <= self.dropout < 1.0:
             raise ValueError(f"dropout={self.dropout} outside [0, 1)")
 

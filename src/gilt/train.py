@@ -72,8 +72,10 @@ class TrainConfig:
             raise ValueError(f"unknown task levels {sorted(unknown)}")
         if not self.levels:
             raise ValueError("at least one task level required")
-        if self.batch_episodes < 1:
-            raise ValueError("batch_episodes must be >= 1")
+        for name, least in (("batch_episodes", 1), ("n_way", 2), ("query_size", 1),
+                            ("shot_start", 1), ("shot_end", 1), ("seed", 0)):
+            if getattr(self, name) < least:
+                raise ValueError(f"{name} must be >= {least}, got {getattr(self, name)}")
         if self.batch_episodes > self.episodes_per_level:
             raise ValueError("batch_episodes cannot exceed episodes_per_level")
         for name in ("feat_drop", "edge_drop"):
@@ -180,42 +182,43 @@ def load_checkpoint(path):
     """Returns (param arrays, AdamWState, meta); meta holds the epoch, both
     configs (see config_from_sidecar) and the optimizer step.
 
-    A file that is malformed, truncated, corrupted (SHA-256 mismatch) or of
-    another format version, a header without a valid epoch, step or
-    configs, or arrays that do not match the model the header describes,
-    raises ValueError.
+    A file that is missing, unreadable, malformed, truncated, corrupted
+    (SHA-256 mismatch) or of another format version, a header without a
+    valid epoch, step or configs, or arrays whose names, shapes or dtypes
+    are not those of the model the header describes, raises DataError
+    ("cannot load checkpoint ...").
     """
-    meta, named = read_arrays(path, CKPT_MAGIC)
+    try:
+        meta, named = read_arrays(path, CKPT_MAGIC)
+    except (OSError, ValueError) as exc:
+        raise DataError(f"cannot load checkpoint {path}: {exc}") from exc
+    try:
+        expected = init_params(config_from_sidecar(meta)[0])
+        step, meta["epoch"] = int(meta["opt_step"]), int(meta["epoch"])
+    except (KeyError, TypeError, ValueError) as exc:
+        raise DataError(f"cannot load checkpoint {path}: invalid header: {exc}") from exc
     params = {k: a for k, a in named.items() if not k.startswith(("opt_m:", "opt_v:"))}
     m = {k[6:]: a for k, a in named.items() if k.startswith("opt_m:")}
     v = {k[6:]: a for k, a in named.items() if k.startswith("opt_v:")}
-    try:
-        expected = init_params(config_from_sidecar(meta)[0])
-        opt = AdamWState(m=m, v=v, step=int(meta["opt_step"]))
-        meta["epoch"] = int(meta["epoch"])
-    except (KeyError, TypeError, ValueError) as exc:
-        raise ValueError(f"checkpoint {path} has an invalid header: {exc}") from exc
     for got in (params, m, v):
         _check_arrays(path, got, expected, "its header model")
-    return params, opt, meta
+    return params, AdamWState(m=m, v=v, step=step), meta
 
 
 def _check_arrays(path, params: dict[str, np.ndarray],
-                  expected: dict[str, np.ndarray], what: str,
-                  check_dtype: bool = False) -> None:
-    """Raise ValueError unless params has exactly the names and shapes (and,
-    with check_dtype, the dtypes) of expected, a model's init_params."""
+                  expected: dict[str, np.ndarray], what: str) -> None:
+    """Raise DataError unless params has exactly the names, shapes and
+    dtypes of expected, a model's init_params."""
     if set(params) != set(expected):
         odd = sorted(set(params) ^ set(expected))
-        raise ValueError(f"checkpoint {path} arrays do not match {what}: {odd}")
+        raise DataError(f"cannot load checkpoint {path}: its arrays do not "
+                        f"match {what}: {odd}")
     for name, want in expected.items():
         got = params[name]
-        if got.shape != want.shape:
-            raise ValueError(f"checkpoint {path} array {name} has shape "
-                             f"{got.shape}, {what} needs {want.shape}")
-        if check_dtype and got.dtype != want.dtype:
-            raise ValueError(f"checkpoint {path} array {name} has dtype "
-                             f"{got.dtype}, {what} needs {want.dtype}")
+        if (got.shape, got.dtype) != (want.shape, want.dtype):
+            raise DataError(f"cannot load checkpoint {path}: array {name} has "
+                            f"shape {got.shape} and dtype {got.dtype}, {what} "
+                            f"needs {want.shape} and {want.dtype}")
 
 
 def config_from_sidecar(meta: dict) -> tuple[ModelConfig, TrainConfig]:
@@ -296,12 +299,8 @@ def train(corpus: Corpus, model_cfg: ModelConfig, train_cfg: TrainConfig,
     start_epoch = 0
     arrays = init_params(model_cfg)
     if resume_from is not None:
-        try:
-            loaded, opt, meta = load_checkpoint(resume_from)
-            _check_arrays(resume_from, loaded, arrays, "this run's model",
-                          check_dtype=True)
-        except (OSError, ValueError) as exc:
-            raise DataError(f"cannot load checkpoint {resume_from}: {exc}") from exc
+        loaded, opt, meta = load_checkpoint(resume_from)
+        _check_arrays(resume_from, loaded, arrays, "this run's model")
         arrays = loaded
         start_epoch = meta["epoch"] + 1
     else:

@@ -171,7 +171,7 @@ class TestSynth:
 
     @pytest.mark.parametrize("flag, value", [
         ("--graphs", "-2"), ("--graphs", "0"), ("--classes", "0"), ("--per-class", "0"),
-        ("--feature-dim", "0"), ("--graph-classes", "-2"),
+        ("--feature-dim", "0"), ("--graph-classes", "-2"), ("--seed", "-1"),
     ])
     def test_bad_count_exits_2_before_writing(self, tmp_path, capsys, flag, value):
         out = tmp_path / "out"
@@ -264,7 +264,9 @@ class TestPretrainCommand:
         "model.encoder_variant=gat", "model.align_mode=foo", "model.d=0",
         "model.encoder_layers=-1", "model.transformer_layers=-1",
         "model.dropout=1.0", "model.dropout=-0.1", "train.feat_drop=1.0",
-        "train.edge_drop=1.0", "train.batch_episodes=0",
+        "train.edge_drop=1.0", "train.batch_episodes=0", "model.seed=-1",
+        "train.seed=-1", "model.ffn_hidden=-1", "train.n_way=1", "train.query_size=0",
+        "train.shot_start=0", "train.shot_end=0",
     ])
     def test_bad_config_value_exits_2(self, trained, tmp_path, capsys, value):
         code = main(["pretrain", str(trained / "run.cfg"), "--out", str(tmp_path),
@@ -272,6 +274,18 @@ class TestPretrainCommand:
         err = capsys.readouterr().err
         assert code == 2
         assert "Traceback" not in err and err.startswith("error: ")
+        assert not (tmp_path / "final.ckpt").exists()
+
+    # the corpus has 3 classes of 12 nodes and no graph labels
+    @pytest.mark.parametrize("value", ["train.n_way=10", "train.levels=graph",
+                                       "train.shot_start=50"])
+    def test_infeasible_episode_is_protocol_error(self, trained, tmp_path, capsys,
+                                                  value):
+        code = main(["pretrain", str(trained / "run.cfg"), "--out", str(tmp_path),
+                     "--set", value])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.startswith("error: protocol error: ")
         assert not (tmp_path / "final.ckpt").exists()
 
     def test_divergence_exits_4(self, trained, tmp_path, capsys):
@@ -383,6 +397,18 @@ class TestEvalCommand:
                      "--registry", str(corpus_dir / "registry.json"),
                      "--level", "node", "--out", str(tmp_path)])
         assert code == 3
+
+    def test_array_of_another_dtype_than_header_exits_3(self, trained, corpus_dir,
+                                                         tmp_path, capsys):
+        meta, arrays = read_arrays(trained / "a" / "final.ckpt", CKPT_MAGIC)
+        arrays["enc_ln0_gamma"] = arrays["enc_ln0_gamma"].astype("float32")
+        ckpt = write_arrays(tmp_path / "t.ckpt", CKPT_MAGIC, meta, arrays)
+        code = main(["eval", str(ckpt), "synth",
+                     "--registry", str(corpus_dir / "registry.json"),
+                     "--level", "node", "--out", str(tmp_path / "out")])
+        err = capsys.readouterr().err
+        assert code == 3
+        assert err.startswith("error: cannot load checkpoint") and "float32" in err
 
     def test_checkpoint_that_is_a_directory_exits_3(self, corpus_dir, tmp_path, capsys):
         code = main(["eval", str(tmp_path), "synth",
@@ -516,6 +542,12 @@ class TestTokenizeCommand:
         assert code == 3
         assert "not a JSON object" in capsys.readouterr().err
 
+    def test_negative_seed_exits_2(self, corpus_dir, tmp_path, capsys):
+        code = main(["tokenize", str(corpus_dir / "g0.json"), "--level", "node",
+                     "--seed", "-1", "--out", str(tmp_path)])
+        assert code == 2
+        assert "--seed" in capsys.readouterr().err
+
     def test_with_trained_checkpoint(self, trained, corpus_dir, tmp_path):
         code = main(["tokenize", str(corpus_dir / "g0.json"), "--level", "node",
                      "--n", "2", "--k", "2", "--queries", "4",
@@ -526,6 +558,24 @@ class TestTokenizeCommand:
 
 
 class TestUsageErrors:
+    @pytest.mark.parametrize("command", ["synth", "pretrain", "eval", "tokenize"])
+    def test_out_naming_a_file_exits_2(self, trained, corpus_dir, tmp_path, capsys,
+                                       command):
+        taken = tmp_path / "taken"
+        taken.write_text("")
+        argv = {
+            "synth": ["synth"] + SYNTH_FLAGS,
+            "pretrain": ["pretrain", str(trained / "run.cfg")],
+            "eval": ["eval", str(trained / "a" / "final.ckpt"), str(corpus_dir),
+                     "--level", "node", "--n", "2", "--k", "2"],
+            "tokenize": ["tokenize", str(corpus_dir / "g0.json"), "--level", "node",
+                         "--n", "2", "--k", "2"],
+        }[command]
+        code = main(argv + ["--out", str(taken)])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.startswith(f"error: cannot create output directory {taken}")
+
     def test_argparse_usage_exit_code(self):
         with pytest.raises(SystemExit) as ei:
             main(["eval"])

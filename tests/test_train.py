@@ -117,11 +117,11 @@ class TestClipping:
 
 
 class TestCheckpoints:
-    def test_round_trip_bit_exact(self, tmp_path):
-        model_cfg = SMALL_MODEL
+    @pytest.mark.parametrize("dtype", ["float64", "float32"])
+    def test_round_trip_bit_exact(self, tmp_path, dtype):
+        model_cfg = dataclasses.replace(SMALL_MODEL, dtype=dtype)
         arrays = init_params(model_cfg)
-        # one float32 array exercises the second dtype code
-        arrays["enc_ln0_beta"] = np.random.default_rng(0).standard_normal(8).astype(np.float32)
+        arrays["enc_ln0_beta"] = np.random.default_rng(0).standard_normal(8).astype(dtype)
         opt = AdamWState.fresh(arrays)
         opt.step = 17
         for k in opt.m:
@@ -192,6 +192,14 @@ class TestCheckpoints:
         del named["opt_v:enc_ln0_beta"]
         write_arrays(path, CKPT_MAGIC, meta, named)
         with pytest.raises(ValueError, match="enc_ln0_beta"):
+            load_checkpoint(path)
+        # the header fixes the dtype: a float32 array in a float64 model is refused
+        path = save_checkpoint(tmp_path / "m.ckpt", arrays, opt, SMALL_MODEL,
+                               small_train(), epoch=0)
+        meta, named = read_arrays(path, CKPT_MAGIC)
+        named["enc_ln0_beta"] = named["enc_ln0_beta"].astype(np.float32)
+        write_arrays(path, CKPT_MAGIC, meta, named)
+        with pytest.raises(ValueError, match="dtype float32"):
             load_checkpoint(path)
 
     def test_trailing_bytes_rejected(self, tmp_path):
