@@ -206,11 +206,19 @@ def mul(a, b) -> Tensor:
 # ---------------------------------------------------------------------------
 
 def _t(v: np.ndarray) -> np.ndarray:
-    return np.swapaxes(v, -1, -2)
+    return v.swapaxes(-1, -2)
+
+
+def _rows(v: np.ndarray) -> np.ndarray:
+    """[... x m] -> [rows x m]: every row of every leading index."""
+    return v.reshape(-1, v.shape[-1])
 
 
 def matmul(a, b, transpose_b: bool = False) -> Tensor:
-    """a @ b (or a @ b^T), batched over any leading axes numpy broadcasts."""
+    """a @ b (or a @ b^T), batched over any leading axes numpy broadcasts.
+
+    The gradient of a matrix b shared by a batched a (a weight) is one GEMM
+    over all of a's rows."""
     a = _wrap(a)
     b = _wrap(b)
     bv = _t(b.values) if transpose_b else b.values
@@ -220,6 +228,9 @@ def matmul(a, b, transpose_b: bool = False) -> Tensor:
         return _unbroadcast(g @ _t(bv), a.values.shape)
 
     def grad_b(g):
+        if bv.ndim == 2:
+            ra, rg = _rows(a.values), _rows(g)
+            return rg.T @ ra if transpose_b else ra.T @ rg
         gb = _t(g) @ a.values if transpose_b else _t(a.values) @ g
         return _unbroadcast(gb, b.values.shape)
 
@@ -283,29 +294,41 @@ def slice_cols(x, start: int, stop: int) -> Tensor:
 
 
 def take_rows(x, idx) -> Tensor:
-    """Rows `idx` of x: an index array (repeats allowed) or a slice (a view)."""
+    """Rows of x along axis -2: a slice (a view), or an index array with
+    repeats allowed. A matrix x [n x m] gives [*idx.shape x m]; a batch
+    x [B x n x m] takes idx [B x k] and gives each batch element rows of its
+    own matrix, [B x k x m]."""
     x = _wrap(x)
-    idx = idx if isinstance(idx, slice) else np.asarray(idx, dtype=np.intp)
-    out = x.values[idx]
+    if isinstance(idx, slice):
+        key = (..., idx, slice(None))
+    else:
+        idx = np.asarray(idx, dtype=np.intp)
+        key = idx if x.values.ndim == 2 else (np.arange(idx.shape[0])[:, None], idx)
+    out = x.values[key]
 
     def vjp(g):
         full = np.zeros_like(x.values)
-        np.add.at(full, idx, g)
+        if isinstance(idx, slice):
+            full[key] = g
+        else:
+            np.add.at(full, key, g)
         return full
 
     return _make(out, (x,), (vjp,))
 
 
 def class_means(x, labels, n_way: int) -> Tensor:
-    """[n_way x d] mean of the rows of `x` carrying each label 0..n_way-1."""
+    """[... x n_way x d] mean of the rows of x [... x S x d] carrying each
+    label 0..n_way-1, for labels [... x S] (one row of labels per batch
+    element)."""
     labels = np.asarray(labels, dtype=np.int64)
-    onehot = (labels[None, :] == np.arange(n_way)[:, None]).astype(np.float64)
-    counts = onehot.sum(axis=1, keepdims=True)
-    empty = np.nonzero(counts[:, 0] == 0)[0]
-    if empty.size:
-        raise ValueError(f"class {empty[0]} has no support rows")
+    onehot = labels[..., None, :] == np.arange(n_way)[:, None]
+    counts = onehot.sum(axis=-1, keepdims=True)
+    if not counts.all():
+        raise ValueError(f"class {np.argwhere(counts[..., 0] == 0)[0][-1]} has no support rows")
     x = _wrap(x)
-    return const_matmul((onehot / counts).astype(x.values.dtype), x)
+    mean = (onehot / counts).astype(x.values.dtype, copy=False)
+    return const_matmul(mean, x, mat_t=_t(mean))
 
 
 # ---------------------------------------------------------------------------
@@ -387,13 +410,10 @@ def layernorm(x, gamma, beta, eps: float = LAYERNORM_EPS) -> Tensor:
         g *= inv
         return g
 
-    def rows(a):  # [... x m] -> [rows x m]
-        return a.reshape(-1, m)
-
     return _make(out, (x, gamma, beta), (
         grad_x,
-        lambda g: np.einsum("ij,ij->j", rows(g), rows(xhat)),
-        lambda g: rows(g).sum(axis=0),
+        lambda g: np.einsum("ij,ij->j", _rows(g), _rows(xhat)),
+        lambda g: _rows(g).sum(axis=0),
     ))
 
 
@@ -401,18 +421,21 @@ def attention(a, b, wq, wk, wv, wo, n_heads: int, mask=None) -> Tensor:
     """Multi-head softmax attention of the rows of `a` over the rows of `b`.
 
     Head i owns columns i*w:(i+1)*w of each projection, w = width / n_heads.
-    A `mask` of shape (n_heads, rows(a), rows(b)), such as an inverted-dropout
-    keep mask, multiplies the attention weights. One tape node; the
-    backward is the softmax-attention VJP, computed once for all six inputs,
-    and `a` may be `b`.
+    `a` [... x n x m] and `b` [... x s x m] may carry leading (batch) axes;
+    each leading index attends within its own rows. A `mask` of shape
+    (..., n_heads, n, s), such as an inverted-dropout keep mask, multiplies
+    the attention weights. One tape node; the backward is the
+    softmax-attention VJP, computed once for all six inputs, each weight
+    gradient one GEMM over all rows, and `a` may be `b`.
     """
     a, b, wq, wk, wv, wo = (_wrap(t) for t in (a, b, wq, wk, wv, wo))
 
-    def split(x):  # [n x m] -> [h x n x m/h]
-        return x.reshape(x.shape[0], n_heads, -1).transpose(1, 0, 2)
+    def split(x):  # [... x n x m] -> [... x h x n x m/h]
+        return x.reshape(x.shape[:-1] + (n_heads, -1)).swapaxes(-2, -3)
 
-    def merge(x):  # [h x n x m/h] -> [n x m]
-        return x.transpose(1, 0, 2).reshape(x.shape[1], -1)
+    def merge(x):  # [... x h x n x m/h] -> [... x n x m]
+        x = x.swapaxes(-2, -3)
+        return x.reshape(x.shape[:-2] + (-1,))
 
     q, k, v = split(a.values @ wq.values), split(b.values @ wk.values), split(b.values @ wv.values)
     c = 1.0 / math.sqrt(q.shape[-1])  # a Python float keeps float32 float32
@@ -427,8 +450,9 @@ def attention(a, b, wq, wk, wv, wo, n_heads: int, mask=None) -> Tensor:
         g_probs = g_ctx @ _t(v) if mask is None else (g_ctx @ _t(v)) * mask
         g_scores = probs * (g_probs - (g_probs * probs).sum(axis=-1, keepdims=True)) * c
         gq, gk, gv = merge(g_scores @ k), merge(_t(g_scores) @ q), merge(_t(dropped) @ g_ctx)
+        ra, rb = _rows(a.values).T, _rows(b.values).T
         return (gq @ _t(wq.values), gk @ _t(wk.values) + gv @ _t(wv.values),
-                _t(a.values) @ gq, _t(b.values) @ gk, _t(b.values) @ gv, _t(merged) @ g)
+                ra @ _rows(gq), rb @ _rows(gk), rb @ _rows(gv), _rows(merged).T @ _rows(g))
 
     memo: list = [None, None]  # (g, grads(g)): the tape calls once per parent
 

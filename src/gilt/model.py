@@ -1,4 +1,4 @@
-"""End-to-end episode forward pass: graph in, class log-probabilities out.
+"""End-to-end forward pass: a batch of episodes in, class log-probabilities out.
 
 This module wires the stages together: aligned features (optionally through
 a trainable projection), structural encoding, item representations, token
@@ -6,11 +6,21 @@ assembly, the two-stage transformer, and the prototype readout. Every step
 runs on the same autodiff tape, so one backward call reaches all
 parameters, projection and encoder affines included.
 
-Training-time stochasticity is a pure function of the episode, drawn here and
-nowhere else: `episode_forward` reseeds one rng from episode.aug_seed on every
-call and draws, in order, each graph's feature and edge-keep masks, then per
-transformer layer the stage-one (heads, S, S), stage-two (heads, Q, S) and FFN
-(S+Q, ffn_hidden) masks. Ops only apply the masks handed in, so replays are exact.
+One forward serves a batch of B episodes of one level that share n_way and
+support size S (a training step's batch; evaluation runs batches of one).
+Each episode encodes on its own; from the item representations on, the
+batch runs once, on a leading batch axis: support tokens [B x S x 2d] and
+query tokens [B x Qmax x 2d]. An episode with Q_b < Qmax queries is padded
+with zero query rows, whose masks are 1 and whose loss weight is 0. That is
+exact: no query reads another query, and the FFN and LayerNorm are row-wise.
+
+Training-time stochasticity is a pure function of each episode, drawn here
+and nowhere else: `batch_forward` reseeds one rng per episode from its
+aug_seed on every call and draws from it, in order, each of the episode's
+graphs' feature and edge-keep masks, then per transformer layer the
+stage-one (heads, S, S), stage-two (heads, Q_b, S) and FFN
+(S+Q_b, ffn_hidden) masks. The batch's masks are these, padded and stacked.
+Ops only apply the masks handed in, so replays are exact.
 
 One function encodes: a training episode's graphs run in one call, as one
 block-diagonal graph (the disjoint union of its support and query graphs),
@@ -28,7 +38,7 @@ from .encoder import VARIANTS, encode, encoder_init, normalize_adjacency
 from .episodes import Episode
 from .features import AlignedFeatures, AlignSpec, align_features
 from .graphs import Corpus
-from .head import episode_loss, predict
+from .head import episode_loss, predict, query_weights
 from .tokens import build_tokens, item_repr, mean_pool
 from .transformer import transformer_forward, transformer_init
 
@@ -142,6 +152,23 @@ def _transformer_masks(rng: np.random.Generator, cfg: ModelConfig, s: int, q: in
             for _ in range(cfg.transformer_layers)]
 
 
+def _batch_masks(rngs, cfg: ModelConfig, s: int, q_sizes):
+    """Per layer, the batch's stage-one [B x h x S x S], stage-two
+    [B x h x Qmax x S] and FFN [B x (S+Qmax) x ffn] keep masks: each
+    episode's own draw, with 1 on its pad rows (the last rows of the
+    stage-two and FFN masks)."""
+    q_max = max(q_sizes)
+
+    def padded(mask, q):
+        return np.pad(mask, [(0, 0)] * (mask.ndim - 2) + [(0, q_max - q), (0, 0)],
+                      constant_values=1)
+
+    drawn = [[(m1, padded(m2, q), padded(m3, q))
+              for m1, m2, m3 in _transformer_masks(rng, cfg, s, q)]
+             for rng, q in zip(rngs, q_sizes)]
+    return [tuple(map(np.stack, zip(*layer))) for layer in zip(*drawn)]
+
+
 def _encode_union(bank: GraphBank, refs, params: dict[str, ad.Tensor],
                   cfg: ModelConfig, rng, feat_drop: float,
                   edge_drop: float) -> tuple[ad.Tensor, list[int]]:
@@ -176,7 +203,10 @@ def _encode_union(bank: GraphBank, refs, params: dict[str, ad.Tensor],
     return encode(adj, x, params, cfg.encoder_layers, cfg.encoder_variant), sizes
 
 
-def _item_reprs(bank: GraphBank, episode: Episode, params, cfg, train, rng):
+def _item_rows(bank: GraphBank, episode: Episode, params, cfg, train, rng):
+    """One episode's item source rows and its support and query refs into
+    them: its graph's encoder rows (node, link), or one pooled row per graph,
+    supports first (graph)."""
     graph_level = episode.level == "graph"
     # a graph episode names its graphs, supports first; others name one graph
     refs = (np.concatenate([episode.support_refs, episode.query_refs])
@@ -189,38 +219,93 @@ def _item_reprs(bank: GraphBank, episode: Episode, params, cfg, train, rng):
         h = hs[0] if len(hs) == 1 else ad.concat(hs, axis=0)
         sizes = [x.shape[0] for x in hs]
     if not graph_level:
-        return (item_repr(h, episode.level, episode.support_refs),
-                item_repr(h, episode.level, episode.query_refs))
-    pooled = mean_pool(h, sizes)
+        return h, episode.support_refs, episode.query_refs
     n_sup = len(episode.support_refs)
-    return (ad.take_rows(pooled, slice(0, n_sup)),
-            ad.take_rows(pooled, slice(n_sup, len(refs))))
+    return mean_pool(h, sizes), np.arange(n_sup), np.arange(n_sup, len(refs))
+
+
+def _batch_items(bank: GraphBank, episodes, params, cfg, rngs):
+    """Support items [B x S x d] and query items [B x Qmax x d] of a batch.
+
+    The episodes' item source rows are concatenated (a batch of one uses
+    its own) and each episode's refs are offset into them. The refs of an
+    episode's pad query rows name one appended zero row, so its pad items
+    are zero rows.
+    """
+    train = rngs is not None
+    rows, sup, qry, offset = [], [], [], 0
+    for episode, rng in zip(episodes, rngs if train else [None] * len(episodes)):
+        h, s, q = _item_rows(bank, episode, params, cfg, train, rng)
+        rows.append(h)
+        sup.append(np.asarray(s, dtype=np.int64) + offset)
+        qry.append(np.asarray(q, dtype=np.int64) + offset)
+        offset += h.shape[0]
+    q_max = max(len(q) for q in qry)
+    if any(len(q) < q_max for q in qry):
+        rows.append(ad.Tensor(np.zeros((1, rows[0].shape[1]), dtype=rows[0].dtype)))
+        qry = [np.concatenate([q, np.full((q_max - len(q),) + q.shape[1:], offset)])
+               for q in qry]
+    h = rows[0] if len(rows) == 1 else ad.concat(rows, axis=0)
+    level = episodes[0].level
+    return item_repr(h, level, np.array(sup)), item_repr(h, level, np.array(qry))
+
+
+def batch_tokens(bank: GraphBank, episodes, params: dict[str, ad.Tensor],
+                 cfg: ModelConfig, rngs=None):
+    """Support [B x S x 2d] and query [B x Qmax x 2d] tokens of a batch of
+    episodes, pre-transformer. With `rngs`, one augmentation rng per
+    episode, the episodes encode as in training."""
+    if len({(ep.level, ep.n_way, ep.support_size) for ep in episodes}) != 1:
+        raise ValueError("a batch's episodes must share level, n_way and support size")
+    sup, qry = _batch_items(bank, episodes, params, cfg, rngs)
+    labels = np.array([ep.support_labels for ep in episodes])
+    return build_tokens(sup, labels, qry, episodes[0].n_way)
 
 
 def episode_tokens(bank: GraphBank, episode: Episode,
-                   params: dict[str, ad.Tensor], cfg: ModelConfig,
-                   train: bool = False, rng: np.random.Generator | None = None):
-    """Support and query token matrices for one episode, pre-transformer."""
-    sup, qry = _item_reprs(bank, episode, params, cfg, train, rng)
-    return build_tokens(sup, episode.support_labels, qry, episode.n_way)
+                   params: dict[str, ad.Tensor], cfg: ModelConfig):
+    """Support [S x 2d] and query [Q x 2d] tokens of one episode, without
+    augmentation: batch_tokens of a batch of one, its batch axis summed away."""
+    return tuple(ad.sum_(t, axis=0) for t in batch_tokens(bank, [episode], params, cfg))
+
+
+def batch_forward(bank: GraphBank, episodes, params: dict[str, ad.Tensor],
+                  cfg: ModelConfig, train: bool = False) -> ad.Tensor:
+    """Class log-probabilities [B x Qmax x n_way] for a batch of episodes of
+    one level; rows past an episode's own query count are padding."""
+    rngs = [np.random.default_rng(ep.aug_seed) for ep in episodes] if train else None
+    t_sup, t_qry = batch_tokens(bank, episodes, params, cfg, rngs)
+    masks = (_batch_masks(rngs, cfg, t_sup.shape[-2], [ep.query_size for ep in episodes])
+             if train and cfg.dropout > 0.0 else None)
+    s_out, q_out = transformer_forward(t_sup, t_qry, params, cfg.transformer_layers,
+                                       cfg.n_heads, masks, cfg.unshared_attention)
+    labels = np.array([ep.support_labels for ep in episodes])
+    return predict(s_out, q_out, labels, episodes[0].n_way,
+                   cfg.d, full_token=cfg.full_token_prediction)
+
+
+def batch_probs_and_loss(bank: GraphBank, episodes, params: dict[str, ad.Tensor],
+                         cfg: ModelConfig, train: bool = False):
+    """The batch's log-probabilities, its loss (the mean of the episodes'
+    losses) and each episode's loss as a float array."""
+    logp = batch_forward(bank, episodes, params, cfg, train=train)
+    labels = [ep.query_labels for ep in episodes]
+    per_episode = (logp.values * query_weights(logp.values.shape, labels)).sum(axis=(1, 2))
+    return logp, episode_loss(logp, labels), per_episode
 
 
 def episode_forward(bank: GraphBank, episode: Episode,
                     params: dict[str, ad.Tensor], cfg: ModelConfig,
                     train: bool = False) -> ad.Tensor:
-    """Class log-probabilities [Q x n_way] for one episode."""
-    rng = np.random.default_rng(episode.aug_seed) if train else None
-    t_sup, t_qry = episode_tokens(bank, episode, params, cfg, train, rng)
-    masks = (_transformer_masks(rng, cfg, t_sup.shape[0], t_qry.shape[0])
-             if train and cfg.dropout > 0.0 else None)
-    s_out, q_out = transformer_forward(t_sup, t_qry, params, cfg.transformer_layers,
-                                       cfg.n_heads, masks, cfg.unshared_attention)
-    return predict(s_out, q_out, episode.support_labels, episode.n_way,
-                   cfg.d, full_token=cfg.full_token_prediction)
+    """Class log-probabilities [Q x n_way] for one episode: the batch forward
+    of a batch of one, its batch axis summed away."""
+    return ad.sum_(batch_forward(bank, [episode], params, cfg, train=train), axis=0)
 
 
 def episode_probs_and_loss(bank: GraphBank, episode: Episode,
                            params: dict[str, ad.Tensor], cfg: ModelConfig,
                            train: bool = False):
-    logp = episode_forward(bank, episode, params, cfg, train=train)
-    return logp, episode_loss(logp, episode.query_labels)
+    """episode_forward's log-probabilities and the episode's loss, both from
+    one batch forward of a batch of one."""
+    logp, loss, _ = batch_probs_and_loss(bank, [episode], params, cfg, train=train)
+    return ad.sum_(logp, axis=0), loss

@@ -4,7 +4,8 @@ An item representation is read off the encoder output: a node keeps its
 row, a candidate link takes the elementwise product of its endpoint rows,
 a whole graph mean-pools its rows. A graph episode pools all its graphs at
 once: their encoder rows are stacked and one segment mean gives one row per
-graph.
+graph. Items are gathered by refs into those rows, so a refs array with a
+leading batch axis gathers a whole batch of episodes at once.
 
 Tokens are asymmetric. A support token concatenates the item with the
 L2-normalized mean of its class's support representations (the class
@@ -30,15 +31,14 @@ PROTO_NORM_FLOOR = 1e-12
 
 
 def item_repr(h: ad.Tensor, level: str, refs: np.ndarray) -> ad.Tensor:
-    """Representations for node or link items of one graph."""
-    if level == "node":
-        return ad.take_rows(h, np.asarray(refs, dtype=np.int64))
+    """Items at `refs` into the rows of h: a node or graph keeps its row, a
+    link (refs [..., 2]) takes the product of its endpoint rows."""
+    refs = np.asarray(refs, dtype=np.int64)
     if level == "link":
-        refs = np.asarray(refs, dtype=np.int64).reshape(-1, 2)
-        left = ad.take_rows(h, refs[:, 0])
-        right = ad.take_rows(h, refs[:, 1])
-        return ad.mul(left, right)
-    raise ValueError(f"item_repr handles node/link; got {level!r}")
+        return ad.mul(ad.take_rows(h, refs[..., 0]), ad.take_rows(h, refs[..., 1]))
+    if level in ("node", "graph"):
+        return ad.take_rows(h, refs)
+    raise ValueError(f"item_repr handles node/link/graph; got {level!r}")
 
 
 def mean_pool(h: ad.Tensor, sizes) -> ad.Tensor:
@@ -59,18 +59,19 @@ def mean_pool(h: ad.Tensor, sizes) -> ad.Tensor:
 
 
 def class_prototypes(reprs: ad.Tensor, labels: np.ndarray, n_way: int) -> ad.Tensor:
-    """[n_way x d] L2-normalized class means; a zero mean stays a zero row."""
+    """[... x n_way x d] L2-normalized class means; a zero mean stays a zero row."""
     return ad.normalize_rows(ad.class_means(reprs, labels, n_way), PROTO_NORM_FLOOR)
 
 
 def build_tokens(support: ad.Tensor, support_labels: np.ndarray,
                  query: ad.Tensor, n_way: int) -> tuple[ad.Tensor, ad.Tensor]:
-    """Assemble [S x 2d] support and [Q x 2d] query token matrices."""
+    """Assemble [... x S x 2d] support and [... x Q x 2d] query tokens from
+    items [... x S x d] and [... x Q x d], with labels [... x S]."""
     labels = np.asarray(support_labels, dtype=np.int64)
     protos = class_prototypes(support, labels, n_way)
-    t_support = ad.concat([support, ad.take_rows(protos, labels)], axis=1)
+    t_support = ad.concat([support, ad.take_rows(protos, labels)], axis=-1)
     zeros = ad.Tensor(np.zeros_like(query.values))
-    t_query = ad.concat([query, zeros], axis=1)
+    t_query = ad.concat([query, zeros], axis=-1)
     return t_support, t_query
 
 

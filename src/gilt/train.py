@@ -1,9 +1,11 @@
 """Episodic multi-task pre-training.
 
 One optimizer step works on a small batch of episodes per task level. Each
-level's episode losses are averaged, the level means are combined with
-fixed weights (link episodes weigh heaviest), and a single backward pass
-feeds AdamW with decoupled weight decay and global-norm gradient clipping.
+level's batch runs as one forward (`model.batch_probs_and_loss`) on a
+leading batch axis, whose loss is the mean of the episodes' losses; the
+level means are combined with fixed weights (link episodes weigh heaviest),
+and a single backward pass feeds AdamW with decoupled weight decay and
+global-norm gradient clipping.
 The support budget shrinks linearly over training, so late epochs rehearse
 the small-shot regime the model will face at evaluation time.
 
@@ -31,6 +33,7 @@ from .graphs import Corpus, DataError
 from .model import (
     GraphBank,
     ModelConfig,
+    batch_probs_and_loss,
     episode_probs_and_loss,
     init_params,
     params_to_tensors,
@@ -42,6 +45,8 @@ TELEMETRY_COLUMNS = ("epoch", "L_node", "L_link", "L_graph", "L_total", "lr", "s
 # AdamW moment decays and denominator floor, and the global gradient-norm cap
 BETA1, BETA2, ADAM_EPS = 0.9, 0.999, 1e-8
 CLIP_NORM = 1.0
+# standard deviation of the seeded jitter on the preflight's parameter copy
+PREFLIGHT_JITTER = 1e-2
 
 
 class TrainingDiverged(RuntimeError):
@@ -72,8 +77,9 @@ class TrainConfig:
             raise ValueError(f"unknown task levels {sorted(unknown)}")
         if not self.levels:
             raise ValueError("at least one task level required")
-        for name, least in (("batch_episodes", 1), ("n_way", 2), ("query_size", 1),
-                            ("shot_start", 1), ("shot_end", 1), ("seed", 0)):
+        for name, least in (("epochs", 1), ("batch_episodes", 1), ("n_way", 2),
+                            ("query_size", 1), ("shot_start", 1), ("shot_end", 1),
+                            ("seed", 0)):
             if getattr(self, name) < least:
                 raise ValueError(f"{name} must be >= {least}, got {getattr(self, name)}")
         if self.batch_episodes > self.episodes_per_level:
@@ -266,12 +272,21 @@ def _epoch_sampler(corpus, level, train_cfg: TrainConfig, epoch: int) -> Episode
 
 
 def _preflight(bank, episode, params, model_cfg) -> None:
-    """Gradient-check the first episode's loss on a float64 copy of the
-    parameters and the config, since finite differences need 64-bit. The
-    bank's aligned features do not depend on the dtype, so it serves both.
-    Working on a copy also keeps the check's gradients out of the run's
-    first optimizer step."""
-    params64 = params_to_tensors({k: p.values.astype(np.float64) for k, p in params.items()})
+    """Gradient-check the batch forward that training runs, on a batch of
+    the first episode alone, on a float64 copy of the parameters and the
+    config, since finite differences need 64-bit. The bank's aligned
+    features do not depend on the dtype, so it serves both.
+
+    The copy carries seeded N(0, PREFLIGHT_JITTER^2) jitter. A fresh model
+    can sit where the loss is not differentiable (its query class-space rows
+    are rounding noise under normalize_rows' floor, so any step flips them
+    to unit rows); the jitter moves the check off that point, and a wrong
+    VJP is wrong at every point, so it still fails. Working on a copy also
+    keeps the check's gradients out of the run's first optimizer step."""
+    rng = np.random.default_rng(0)
+    params64 = params_to_tensors({
+        k: p.values.astype(np.float64) + rng.normal(0.0, PREFLIGHT_JITTER, p.shape)
+        for k, p in params.items()})
     cfg64 = replace(model_cfg, dtype="float64")
 
     def loss():
@@ -334,18 +349,16 @@ def train(corpus: Corpus, model_cfg: ModelConfig, train_cfg: TrainConfig,
                 p.zero_grad()
             level_means = []
             for lv in train_cfg.levels:
-                batch_losses = []
-                for _ in range(train_cfg.batch_episodes):
-                    episode = samplers[lv].sample(k_shot=shots)
-                    if not checked:
-                        _preflight(bank, episode, params, model_cfg)
-                        checked = True
-                    _, ell = episode_probs_and_loss(bank, episode, params,
-                                                    model_cfg, train=True)
-                    batch_losses.append(ell)
-                    epoch_losses[lv].append(float(ell.values))
-                mean_loss = ad.mul(_sum_tensors(batch_losses),
-                                   1.0 / len(batch_losses))
+                episodes = [samplers[lv].sample(k_shot=shots)
+                            for _ in range(train_cfg.batch_episodes)]
+                if not checked:
+                    _preflight(bank, episodes[0], params, model_cfg)
+                    checked = True
+                # one forward per level: the batch's mean loss, and each
+                # episode's loss for telemetry
+                _, mean_loss, per_episode = batch_probs_and_loss(
+                    bank, episodes, params, model_cfg, train=True)
+                epoch_losses[lv].extend(float(ell) for ell in per_episode)
                 level_means.append(ad.mul(mean_loss, weights[lv]))
             total = _sum_tensors(level_means)
             value = float(total.values)

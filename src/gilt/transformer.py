@@ -13,6 +13,13 @@ normalization sits inside the residual branch (pre-LN).
 The cross-attention weight sharing can be switched off per layer for
 ablation runs, which doubles the attention parameter count.
 
+Both streams may carry leading axes: training runs a level's batch of
+episodes as support tokens [B x S x 2d] and query tokens [B x Qmax x 2d],
+and every op attends, normalizes or maps within one batch element. A query
+row past an episode's own query count is padding; since no query reads
+another query and the FFN and LayerNorm are row-wise, it changes no real
+row.
+
 Dropout arrives as keep masks from their single draw site, `model.py`, one
 (stage-one, stage-two, FFN) tuple per layer in draw order; nothing here reads an rng.
 """
@@ -64,10 +71,11 @@ def transformer_init(d: int, n_layers: int, n_heads: int, ffn_hidden: int,
 def transformer_forward(t_support: ad.Tensor, t_query: ad.Tensor,
                         params: dict[str, ad.Tensor], n_layers: int,
                         n_heads: int, masks=None, unshared: bool = False):
-    """Run the stack; n_layers=0 passes both streams through unchanged. `masks`
-    is None (no dropout) or one (stage-one, stage-two, FFN) tuple per layer."""
+    """Run the stack on [... x S x 2d] support and [... x Q x 2d] query
+    tokens; n_layers=0 passes both streams through unchanged. `masks` is None
+    (no dropout) or one (stage-one, stage-two, FFN) tuple per layer."""
     ts, tq = t_support, t_query
-    n_s = ts.shape[0]
+    n_s = ts.shape[-2]
     for i in range(n_layers):
         p = lambda name: params[f"tf{i}_{name}"]  # noqa: E731
         m1, m2, m3 = masks[i] if masks is not None else (None, None, None)
@@ -82,7 +90,7 @@ def transformer_forward(t_support: ad.Tensor, t_query: ad.Tensor,
                                      *cross, n_heads, m2))
 
         # the FFN maps each row on its own, so one pass serves both streams
-        x = ad.concat([ts, tq], axis=0)
+        x = ad.concat([ts, tq], axis=-2)
         hidden = ad.relu(ad.add(ad.matmul(ad.layernorm(x, p("ln2_gamma"), p("ln2_beta")),
                                           p("ffn_w1")), p("ffn_b1")))
         if m3 is not None:

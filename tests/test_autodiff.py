@@ -356,6 +356,65 @@ def test_class_means_gradient():
     assert report.passed, report.max_rel_err
 
 
+# Ops on 3-D inputs [B x rows x cols]: (call on the input tensors and a
+# slice of the batch that picks the matching rows of the constants, inputs).
+_BATCHED = {
+    "attention": (lambda t, b: ad.attention(t[0], t[0], *t[1:], 2,
+                                            _mask((3, 2, 4, 4), 120)[b]),
+                  [_rand((3, 4, 6), 121)]
+                  + [_rand((6, 6), s, scale=0.5) for s in range(122, 126)]),
+    "attention-cross": (lambda t, b: ad.attention(*t, 2, _mask((3, 2, 2, 4), 126)[b]),
+                        [_rand((3, 2, 6), 127), _rand((3, 4, 6), 128)]
+                        + [_rand((6, 6), s, scale=0.5) for s in range(129, 133)]),
+    "class_means": (lambda t, b: ad.class_means(t[0], _BATCH_LABELS[b], 3),
+                    [_rand((2, 6, 4), 133)]),
+    "take_rows-slice": (lambda t, b: ad.take_rows(t[0], slice(1, 3)), [_rand((2, 4, 3), 134)]),
+    "take_rows-index": (lambda t, b: ad.take_rows(t[0], np.array([[0, 0, 2], [3, 1, 1]])[b]),
+                        [_rand((2, 4, 3), 135)]),
+    "cosine_rows": (lambda t, b: ad.cosine_rows(*t),
+                    [_rand((2, 4, 5), 136), _rand((2, 3, 5), 137)]),
+    "matmul-shared-weight": (lambda t, b: ad.matmul(*t, transpose_b=True),
+                             [_rand((2, 4, 6), 138), _rand((5, 6), 139)]),
+}
+_ALL = slice(None)
+
+
+@pytest.mark.parametrize("name", sorted(_BATCHED))
+def test_batched_gradients(name):
+    call, arrays = _BATCHED[name]
+    leaves = {f"x{i}": ad.tensor(a, requires_grad=True) for i, a in enumerate(arrays)}
+    w = _rand(call(list(leaves.values()), _ALL).shape, 140)
+    report = ad.grad_check(lambda: ad.sum_(ad.mul(call(list(leaves.values()), _ALL), w)),
+                           leaves)
+    assert report.passed, report
+
+
+@pytest.mark.parametrize("name", sorted(_BATCHED))
+def test_batched_op_is_each_batch_element_alone(name):
+    # a batch element's output and its input gradients are those of the
+    # element run on its own; a shared weight's gradient is their sum
+    call, arrays = _BATCHED[name]
+    batched = [ad.tensor(a, requires_grad=True) for a in arrays]
+    out = call(batched, _ALL)
+    seed = _rand(out.shape, 141)
+    out.backward(seed)
+    weight_grads = [np.zeros_like(a) for a in arrays]
+    for i in range(out.shape[0]):
+        b = slice(i, i + 1)
+        one = [ad.tensor(a[b] if a.ndim == 3 else a, requires_grad=True) for a in arrays]
+        part = call(one, b)
+        part.backward(seed[b])
+        np.testing.assert_allclose(part.values[0], out.values[i], rtol=0, atol=1e-12)
+        for j, (a, t) in enumerate(zip(arrays, one)):
+            if a.ndim == 3:
+                np.testing.assert_allclose(t.grad[0], batched[j].grad[i], rtol=0, atol=1e-12)
+            else:
+                weight_grads[j] += t.grad
+    for a, t, g in zip(arrays, batched, weight_grads):
+        if a.ndim != 3:
+            np.testing.assert_allclose(t.grad, g, rtol=0, atol=1e-12)
+
+
 def _attention_inputs(seed, dtype=np.float64):
     rng = np.random.default_rng(seed)
     a, b = (ad.tensor(rng.standard_normal((n, 6)), requires_grad=True, dtype=dtype)
@@ -529,6 +588,8 @@ def test_nan_guard_raises():
         ad.set_nan_guard(False)
 
 
+_BATCH_LABELS = np.array([[2, 0, 1, 1, 0, 2], [0, 0, 1, 2, 2, 1]])
+
 # One case per differentiable op: (call on the input tensors and the dtype,
 # float64 inputs, tolerance in float32 eps). The tolerance bounds
 # max|f32 - f64| / max|f64| over the output and every input gradient; it
@@ -559,6 +620,19 @@ _OP_CASES = {
     "normalize_rows": (lambda t, dt: ad.normalize_rows(t[0], 1e-12), [_rand((4, 5), 98)], 4),
     "cosine_rows": (lambda t, dt: ad.cosine_rows(*t), [_rand((4, 5), 99), _rand((3, 5), 100)],
                     4),
+    # the same ops on a leading batch axis, as a training step runs them
+    "matmul-shared-weight": (lambda t, dt: ad.matmul(*t),
+                             [_rand((2, 4, 6), 102), _rand((6, 5), 103)], 2),
+    "take_rows-batched": (lambda t, dt: ad.take_rows(t[0], [[0, 0, 2], [3, 1, 1]]),
+                          [_rand((2, 4, 3), 104)], 2),
+    "class_means-batched": (lambda t, dt: ad.class_means(t[0], _BATCH_LABELS, 3),
+                            [_rand((2, 6, 4), 105)], 4),
+    "attention-batched": (lambda t, dt: ad.attention(t[0], t[0], *t[1:], 2,
+                                                     _mask((3, 2, 4, 4), 106, dtype=dt)),
+                          [_rand((3, 4, 6), 107)]
+                          + [_rand((6, 6), s, scale=0.5) for s in (108, 109, 110, 111)], 8),
+    "cosine_rows-batched": (lambda t, dt: ad.cosine_rows(*t),
+                            [_rand((2, 4, 5), 112), _rand((2, 3, 5), 113)], 4),
 }
 
 

@@ -266,7 +266,7 @@ class TestPretrainCommand:
         "model.dropout=1.0", "model.dropout=-0.1", "train.feat_drop=1.0",
         "train.edge_drop=1.0", "train.batch_episodes=0", "model.seed=-1",
         "train.seed=-1", "model.ffn_hidden=-1", "train.n_way=1", "train.query_size=0",
-        "train.shot_start=0", "train.shot_end=0",
+        "train.shot_start=0", "train.shot_end=0", "train.epochs=0", "train.epochs=-3",
     ])
     def test_bad_config_value_exits_2(self, trained, tmp_path, capsys, value):
         code = main(["pretrain", str(trained / "run.cfg"), "--out", str(tmp_path),

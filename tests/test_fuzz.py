@@ -6,8 +6,9 @@ checkpoint must exit 3 on it with a one-line error.
 
 Text inputs: a graph file or a registry with one JSON value replaced or
 deleted (or 1-3 bytes corrupted), or a config with 1-2 values set, must
-leave `eval` and `tokenize` with exit 0, 2 or 3 and `pretrain` with 0, 2,
-3 or 4, with a one-line error and never a traceback.
+leave `eval`, `tokenize` and `pretrain` with exit 0, 2 or 3, with a
+one-line error and never a traceback. Exit 4 (divergence or a failed
+preflight gradient check) is never right for these inputs.
 """
 import contextlib
 import copy
@@ -259,9 +260,7 @@ def _text_command(name: str, root, registry, config=BASE_CONFIG) -> list[str]:
 
 def _assert_clean_exit(argv) -> None:
     code, err = _run(argv)
-    # pretrain may also exit 4: on a degenerate tiny model the preflight
-    # gradient check can fail where rows sit at a norm or variance floor
-    assert code in ((0, 2, 3, 4) if argv[0] == "pretrain" else (0, 2, 3)), err
+    assert code in (0, 2, 3), err
     assert "Traceback" not in err
     assert code == 0 or (err.startswith("error: ") and err.count("\n") == 1), err
 
@@ -305,6 +304,7 @@ def test_mutated_registry_exits_cleanly(text_root, command, text):
 
 @FUZZ_TEXT
 @given(edits=CONFIG_EDITS)
+@example(edits=[("model.dropout", "0.75")])
 @example(edits=[("model.seed", "-1")])
 @example(edits=[("train.seed", "-1")])
 @example(edits=[("model.ffn_hidden", "-1")])
@@ -318,3 +318,23 @@ def test_mutated_config_exits_cleanly(text_root, edits):
     _assert_clean_exit(_text_command("pretrain", text_root,
                                      text_root / "config" / "registry.json",
                                      config={**BASE_CONFIG, **dict(edits)}))
+
+
+# node 3's features [0.1, 1.0] -> [1.1, 1.0], a graph the graph fuzz drew: a
+# fresh d=2 model's query class-space rows are rounding noise on it, where
+# the loss is not differentiable, and a preflight on the unjittered
+# parameters failed it with exit 4 in both dtypes
+DEGENERATE_GRAPH = {**BASE_GRAPH, "features": [
+    [1.0, 0.0], [0.0, 1.0], [1.0, 0.2], [1.1, 1.0], [0.9, 0.0], [0.0, 0.8],
+    [1.0, 0.1], [0.2, 1.0]]}
+
+
+@pytest.mark.parametrize("dtype", ["float64", "float32"])
+def test_preflight_passes_a_degenerate_tiny_model(text_root, dtype):
+    root = text_root / f"degenerate-{dtype}"
+    root.mkdir()
+    (root / "registry.json").write_text(json.dumps({"d": {"path": "g.json"}}))
+    (root / "g.json").write_text(json.dumps(DEGENERATE_GRAPH))
+    code, err = _run(_text_command("pretrain", text_root, root / "registry.json",
+                                   config={**BASE_CONFIG, "model.dtype": dtype}))
+    assert code == 0, err

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
@@ -19,6 +21,7 @@ from gilt.graphs import (
 from gilt.model import (
     GraphBank,
     ModelConfig,
+    batch_probs_and_loss,
     episode_forward,
     episode_probs_and_loss,
     init_params,
@@ -127,6 +130,64 @@ class TestForward:
         assert probs.values.dtype == np.float32
 
 
+class TestBatchForward:
+    """A batch runs as one forward and equals its episodes run alone: the
+    loss is the mean of theirs, each per-episode loss and log-probability
+    row is theirs, and every parameter gradient is the mean of theirs. One
+    episode's queries are cut short, so its pad rows run."""
+
+    TOL = {"float64": 1e-12, "float32": 1e-5}
+
+    @pytest.mark.parametrize("dtype", ["float64", "float32"])
+    @pytest.mark.parametrize("level", ["node", "link", "graph"])
+    def test_matches_episodes_alone(self, node_setup, link_setup, graph_setup, level,
+                                    dtype):
+        setup = {"node": node_setup, "link": link_setup, "graph": graph_setup}[level]
+        cfg = ModelConfig(d=4, encoder_layers=2, transformer_layers=2, n_heads=2,
+                          ffn_hidden=8, dropout=0.2, dtype=dtype, seed=1)
+        bank = GraphBank(setup[0].corpus, cfg)
+        sampler = EpisodeSampler(bank.corpus, level, 2, 2,
+                                 query_size=setup[1].query_size, feat_drop=0.1,
+                                 edge_drop=0.1, seed=17)
+        episodes = [sampler.sample() for _ in range(3)]
+        short = episodes[1]
+        keep = short.query_size // 2
+        episodes[1] = dataclasses.replace(short, query_refs=short.query_refs[:keep],
+                                          query_labels=short.query_labels[:keep])
+        # off the init, so that no path carries a structurally zero gradient
+        rng = np.random.default_rng(3)
+        arrays = {k: a + rng.normal(0.0, 0.1, a.shape).astype(dtype)
+                  for k, a in init_params(cfg).items()}
+        tol = self.TOL[dtype]
+
+        params = params_to_tensors(arrays)
+        logp, loss, per_episode = batch_probs_and_loss(bank, episodes, params, cfg,
+                                                       train=True)
+        loss.backward()
+        assert logp.shape == (3, max(ep.query_size for ep in episodes), 2)
+
+        alone = params_to_tensors(arrays)
+        total = None
+        for b, ep in enumerate(episodes):
+            logp_b, loss_b = episode_probs_and_loss(bank, ep, alone, cfg, train=True)
+            _assert_close(logp.values[b, :ep.query_size], logp_b.values, tol)
+            assert abs(per_episode[b] - loss_b.values) <= tol * abs(loss_b.values)
+            total = loss_b if total is None else ad.add(total, loss_b)
+        mean = ad.mul(total, 1.0 / len(episodes))
+        mean.backward()
+        assert abs(loss.values - mean.values) <= tol * abs(mean.values)
+        for name, p in alone.items():
+            assert p.grad is not None, name
+            _assert_close(params[name].grad, p.grad, tol)
+
+    def test_batch_must_share_level_n_way_and_support_size(self, node_setup):
+        bank, sampler = node_setup
+        params = params_to_tensors(init_params(CFG))
+        episodes = [sampler.sample(), sampler.sample(k_shot=1)]
+        with pytest.raises(ValueError, match="support size"):
+            batch_probs_and_loss(bank, episodes, params, CFG)
+
+
 class TestLearnableProjection:
     def test_projection_param_exists_and_learns(self, node_setup):
         bank, sampler = node_setup
@@ -210,14 +271,15 @@ def _encode_graph_oracle(g, aligned, params, cfg):
     return encode(adj, x, params, cfg.encoder_layers, cfg.encoder_variant)
 
 
-def _per_graph_item_reprs(bank, episode, params, cfg, train, rng,
-                          _item_reprs=model._item_reprs):
+def _per_graph_item_rows(bank, episode, params, cfg, train, rng,
+                         _item_rows=model._item_rows):
     """The per-graph graph-level path that the block-diagonal union replaced,
     kept as an oracle: each referenced graph is encoded alone (training draws
     its feature mask, then its edge-keep mask) and pooled by its own mean
-    (`ad.mean` then, written here as `mul(sum_)`)."""
+    (`ad.mean` then, written here as `mul(sum_)`); the item rows are the
+    supports' pooled rows, then the queries'."""
     if episode.level != "graph":
-        return _item_reprs(bank, episode, params, cfg, train, rng)
+        return _item_rows(bank, episode, params, cfg, train, rng)
     dtype = cfg.np_dtype()
 
     def pooled_row(gi):
@@ -237,8 +299,10 @@ def _per_graph_item_reprs(bank, episode, params, cfg, train, rng,
             h = encode(adj, x, params, cfg.encoder_layers, cfg.encoder_variant)
         return ad.mul(ad.sum_(h, axis=0, keepdims=True), 1.0 / h.values.shape[0])
 
-    return tuple(ad.concat([pooled_row(int(gi)) for gi in refs], axis=0)
-                 for refs in (episode.support_refs, episode.query_refs))
+    refs = np.concatenate([episode.support_refs, episode.query_refs])
+    n_sup = len(episode.support_refs)
+    return (ad.concat([pooled_row(int(gi)) for gi in refs], axis=0),
+            np.arange(n_sup), np.arange(n_sup, len(refs)))
 
 
 def _assert_close(got, want, rel):
@@ -296,18 +360,18 @@ class TestBlockDiagonalGraphEpisode:
         ep = self.episode(drop)
         tol = self.TOL[dtype]
 
-        def run(item_reprs):
-            monkeypatch.setattr(model, "_item_reprs", item_reprs)
+        def run(item_rows):
+            monkeypatch.setattr(model, "_item_rows", item_rows)
             params = params_to_tensors(arrays)
-            pooled = item_reprs(bank, ep, params, cfg, True,
-                                np.random.default_rng(ep.aug_seed))
+            pooled, sup, qry = item_rows(bank, ep, params, cfg, True,
+                                         np.random.default_rng(ep.aug_seed))
             params = params_to_tensors(arrays)
             logp, loss = episode_probs_and_loss(bank, ep, params, cfg, train=True)
             loss.backward()
-            return [p.values for p in pooled], logp.values, params
+            return [pooled.values, sup, qry], logp.values, params
 
-        new_pooled, new_logp, new_params = run(model._item_reprs)
-        old_pooled, old_logp, old_params = run(_per_graph_item_reprs)
+        new_pooled, new_logp, new_params = run(model._item_rows)
+        old_pooled, old_logp, old_params = run(_per_graph_item_rows)
         for got, want in zip(new_pooled, old_pooled):
             _assert_close(got, want, tol)
         _assert_close(new_logp, old_logp, tol)
@@ -365,7 +429,7 @@ class TestBlockDiagonalGraphEpisode:
             return logps, report.per_run
 
         new_logps, new_runs = run()
-        monkeypatch.setattr(model, "_item_reprs", _per_graph_item_reprs)
+        monkeypatch.setattr(model, "_item_rows", _per_graph_item_rows)
         old_logps, old_runs = run()
         for got, want in zip(new_logps, old_logps):
             _assert_close(got, want, self.TOL["float64"])
@@ -386,12 +450,26 @@ def _tape_nodes(root) -> int:
 
 class TestTapeBudget:
     """One desk-preset training episode (epoch 0: 10 shots, 64 queries,
-    augmentation and dropout on) records at most this many tape nodes."""
+    augmentation and dropout on), run as a batch of one, records at most
+    this many tape nodes; a training step's batch of 4 episodes per level
+    records at most STEP_BUDGET."""
 
     # the measured counts, which are deterministic: a graph episode encodes
     # its graphs as one union, and the tape holds only differentiable nodes,
     # so a per-graph fall back or a constant back on the tape breaks them
     BUDGET = {"node": 92, "link": 96, "graph": 93}
+    # each episode encodes on its own (7 nodes; a graph episode pools, 8),
+    # one concat joins their rows, and the rest of the forward runs once
+    # for the batch: against 4 x BUDGET for four forwards
+    STEP_BUDGET = {"node": 114, "link": 118, "graph": 118}
+
+    @staticmethod
+    def sampler(corpora, level, train_cfg):
+        return EpisodeSampler(
+            corpora[level], level, n_way=2 if level == "link" else train_cfg.n_way,
+            k_shot=train_cfg.shot_start, query_size=train_cfg.query_size,
+            policy="pretrain", seed=0, feat_drop=train_cfg.feat_drop,
+            edge_drop=train_cfg.edge_drop)
 
     @pytest.fixture(scope="class")
     def desk(self):
@@ -412,17 +490,24 @@ class TestTapeBudget:
     @pytest.mark.parametrize("level", ["node", "link", "graph"])
     def test_desk_episode_within_budget(self, desk, level):
         corpora, model_cfg, train_cfg = desk
-        sampler = EpisodeSampler(
-            corpora[level], level, n_way=2 if level == "link" else train_cfg.n_way,
-            k_shot=train_cfg.shot_start, query_size=train_cfg.query_size,
-            policy="pretrain", seed=0, feat_drop=train_cfg.feat_drop,
-            edge_drop=train_cfg.edge_drop)
+        sampler = self.sampler(corpora, level, train_cfg)
         params = params_to_tensors(init_params(model_cfg))
         bank = GraphBank(corpora[level], model_cfg)
         _, loss = episode_probs_and_loss(bank, sampler.sample(), params, model_cfg,
                                          train=True)
         assert _tape_nodes(loss) <= self.BUDGET[level]
         # every recorded parent takes a gradient: no constant is a tape node
+        assert all(p.requires_grad for n in ad._topo_order(loss) for p in n._parents)
+
+    @pytest.mark.parametrize("level", ["node", "link", "graph"])
+    def test_desk_step_within_budget(self, desk, level):
+        corpora, model_cfg, train_cfg = desk
+        sampler = self.sampler(corpora, level, train_cfg)
+        params = params_to_tensors(init_params(model_cfg))
+        bank = GraphBank(corpora[level], model_cfg)
+        episodes = [sampler.sample() for _ in range(train_cfg.batch_episodes)]
+        _, loss, _ = batch_probs_and_loss(bank, episodes, params, model_cfg, train=True)
+        assert _tape_nodes(loss) <= self.STEP_BUDGET[level]
         assert all(p.requires_grad for n in ad._topo_order(loss) for p in n._parents)
 
     def test_layernorm_is_one_tape_node(self):

@@ -54,8 +54,18 @@ class TestItemRepr:
         assert mean_pool(h32, [1, 2]).values.dtype == np.float32
 
     def test_unknown_level(self):
-        with pytest.raises(ValueError, match="node/link"):
-            item_repr(t([[1.0]]), "graph", np.array([0]))
+        with pytest.raises(ValueError, match="node/link/graph"):
+            item_repr(t([[1.0]]), "edge", np.array([0]))
+
+    def test_batched_refs_gather_per_episode(self):
+        # refs with a leading batch axis gather a [B x k x d] block; graph
+        # items are rows of the pooled matrix
+        h = t(np.arange(12.0).reshape(6, 2))
+        out = item_repr(h, "graph", np.array([[0, 2], [5, 5]]))
+        assert np.array_equal(out.values, [[[0.0, 1.0], [4.0, 5.0]],
+                                           [[10.0, 11.0], [10.0, 11.0]]])
+        links = item_repr(h, "link", np.array([[[0, 1]], [[2, 3]]]))
+        assert np.array_equal(links.values, [[[0.0, 3.0]], [[24.0, 35.0]]])
 
 
 class TestPrototypes:

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from gilt import autodiff as ad
+from gilt import model as gilt_model
 from gilt.arrayfile import read_arrays, write_arrays
 from gilt.graphs import (
     Corpus,
@@ -287,9 +288,8 @@ class TestTrainingLoop:
         result = train(corpus, model_cfg, small_train(epochs=1, preflight=True))
         assert result.params["enc_ln0_gamma"].dtype == np.float32
 
-    def test_float32_preflight_catches_a_wrong_vjp(self, corpus, monkeypatch):
-        # finite differences need 64-bit, so a float32 run checks its first
-        # episode on a float64 copy rather than not at all
+    @staticmethod
+    def _double_layernorm_x_grad(monkeypatch):
         real = ad.layernorm
 
         def doubled_x_grad(x, gamma, beta):
@@ -300,9 +300,38 @@ class TestTrainingLoop:
             return out
 
         monkeypatch.setattr(ad, "layernorm", doubled_x_grad)
+
+    def test_float32_preflight_catches_a_wrong_vjp(self, corpus, monkeypatch):
+        # finite differences need 64-bit, so a float32 run checks its first
+        # episode on a float64 copy rather than not at all
+        self._double_layernorm_x_grad(monkeypatch)
         model_cfg = dataclasses.replace(SMALL_MODEL, dtype="float32")
         with pytest.raises(TrainingDiverged, match="preflight gradient check failed"):
             train(corpus, model_cfg, small_train(epochs=1, preflight=True))
+
+    def test_float64_preflight_catches_a_wrong_vjp(self, corpus, monkeypatch):
+        # the jitter on the checked copy moves the point, not the verdict:
+        # a wrong VJP is wrong everywhere
+        self._double_layernorm_x_grad(monkeypatch)
+        with pytest.raises(TrainingDiverged, match="preflight gradient check failed"):
+            train(corpus, SMALL_MODEL, small_train(epochs=1, preflight=True))
+
+    def test_preflight_checks_the_batch_forward(self, corpus, monkeypatch):
+        # the check runs the forward that training runs, on a batch of the
+        # first episode alone; each training step then runs one batch
+        sizes = []
+        real = gilt_model.batch_forward
+
+        def counted(bank, episodes, *args, **kwargs):
+            sizes.append(len(episodes))
+            return real(bank, episodes, *args, **kwargs)
+
+        monkeypatch.setattr(gilt_model, "batch_forward", counted)
+        cfg = small_train(epochs=1, preflight=True)
+        train(corpus, SMALL_MODEL, cfg)
+        steps = cfg.episodes_per_level // cfg.batch_episodes
+        assert sizes[-steps:] == [cfg.batch_episodes] * steps
+        assert set(sizes[:-steps]) == {1}
 
 
 class TestPresets:
