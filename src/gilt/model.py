@@ -7,7 +7,7 @@ runs on the same autodiff tape, so one backward call reaches all
 parameters, projection and encoder affines included.
 
 One forward serves a batch of B episodes of one level that share n_way and
-support size S (a training step's batch; evaluation runs batches of one).
+support size S (a training step's batch, or a pack of an evaluation run).
 Each episode encodes on its own; from the item representations on, the
 batch runs once, on a leading batch axis: support tokens [B x S x 2d] and
 query tokens [B x Qmax x 2d]. An episode with Q_b < Qmax queries is padded
@@ -294,18 +294,10 @@ def batch_probs_and_loss(bank: GraphBank, episodes, params: dict[str, ad.Tensor]
     return logp, episode_loss(logp, labels), per_episode
 
 
-def episode_forward(bank: GraphBank, episode: Episode,
-                    params: dict[str, ad.Tensor], cfg: ModelConfig,
-                    train: bool = False) -> ad.Tensor:
-    """Class log-probabilities [Q x n_way] for one episode: the batch forward
-    of a batch of one, its batch axis summed away."""
-    return ad.sum_(batch_forward(bank, [episode], params, cfg, train=train), axis=0)
-
-
 def episode_probs_and_loss(bank: GraphBank, episode: Episode,
                            params: dict[str, ad.Tensor], cfg: ModelConfig,
                            train: bool = False):
-    """episode_forward's log-probabilities and the episode's loss, both from
-    one batch forward of a batch of one."""
+    """One episode's log-probabilities [Q x n_way] and its loss, both from
+    one batch forward of a batch of one, its batch axis summed away."""
     logp, loss, _ = batch_probs_and_loss(bank, [episode], params, cfg, train=train)
     return ad.sum_(logp, axis=0), loss

@@ -45,8 +45,11 @@ TELEMETRY_COLUMNS = ("epoch", "L_node", "L_link", "L_graph", "L_total", "lr", "s
 # AdamW moment decays and denominator floor, and the global gradient-norm cap
 BETA1, BETA2, ADAM_EPS = 0.9, 0.999, 1e-8
 CLIP_NORM = 1.0
-# standard deviation of the seeded jitter on the preflight's parameter copy
+# standard deviation of the seeded jitter on the preflight's parameter copy,
+# and its central-difference step: a step of 1e-5 can straddle a kink of the
+# loss (a ReLU, a norm floor) and misread a right gradient
 PREFLIGHT_JITTER = 1e-2
+PREFLIGHT_STEP = 1e-6
 
 
 class TrainingDiverged(RuntimeError):
@@ -293,8 +296,8 @@ def _preflight(bank, episode, params, model_cfg) -> None:
         _, ell = episode_probs_and_loss(bank, episode, params64, cfg64, train=True)
         return ell
 
-    report = ad.grad_check(loss, params64, tol=1e-3, max_coords_per_param=2,
-                           rng=np.random.default_rng(0))
+    report = ad.grad_check(loss, params64, h=PREFLIGHT_STEP, tol=1e-3,
+                           max_coords_per_param=2, rng=np.random.default_rng(0))
     if not report.passed:
         raise TrainingDiverged(
             f"preflight gradient check failed: max rel err "

@@ -1,9 +1,11 @@
 import dataclasses
 import json
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
+import gilt.evaluate as evaluate_module
 from gilt.episodes import Episode, EpisodeSampler
 from gilt.evaluate import (
     LeakageError,
@@ -12,6 +14,7 @@ from gilt.evaluate import (
     assert_no_leakage,
     evaluate,
     hits_at_k,
+    pack_episodes,
     params_digest,
     roc_auc,
     sweep_shots,
@@ -29,7 +32,8 @@ from gilt.graphs import (
     make_graph,
     make_synthetic,
 )
-from gilt.model import GraphBank, ModelConfig, init_params
+from gilt.model import (GraphBank, ModelConfig, batch_forward, init_params,
+                        params_to_tensors)
 
 CFG = ModelConfig(d=4, encoder_layers=2, transformer_layers=1, n_heads=2,
                   ffn_hidden=8, dropout=0.1)
@@ -400,3 +404,148 @@ class TestEvaluateProtocol:
         lines = path.read_text().splitlines()
         assert lines[0] == "k_shot,mean_accuracy,sd_accuracy"
         assert len(lines) == 3
+
+
+class TestPackEpisodes:
+    @staticmethod
+    def _episodes(queries, support=4):
+        return [SimpleNamespace(support_size=support, query_size=q) for q in queries]
+
+    @staticmethod
+    def _shape(e):
+        return e.support_size, e.query_size
+
+    def test_packs_keep_order_shape_and_budget(self):
+        # rows S + Q: 10 x 5, 6, 6, 64, 7, 7 against a 40-row budget
+        episodes = self._episodes([6, 6, 6, 6, 6, 2, 2, 60, 3, 3])
+        row_bytes, budget = 8, 8 * 40
+        packs = pack_episodes(episodes, row_bytes, budget)
+        assert [[e.query_size for e in p] for p in packs] == [
+            [6, 6, 6, 6], [6], [2, 2], [60], [3, 3]]
+        assert [e for p in packs for e in p] == episodes
+        for p in packs:
+            assert len({self._shape(e) for e in p}) == 1
+            assert len(p) * sum(self._shape(p[0])) * row_bytes <= budget or len(p) == 1
+        # a pack closes only where the shape changes or the budget would break
+        for p, following in zip(packs, packs[1:]):
+            assert (self._shape(following[0]) != self._shape(p[0])
+                    or (len(p) + 1) * sum(self._shape(p[0])) * row_bytes > budget)
+
+    def test_support_size_splits_packs_too(self):
+        episodes = self._episodes([6, 6], support=4) + self._episodes([6], support=2)
+        assert [len(p) for p in pack_episodes(episodes, 8, 8 * 1000)] == [2, 1]
+
+    def test_episode_over_the_budget_runs_alone(self):
+        episodes = self._episodes([100, 100, 1])
+        assert [len(p) for p in pack_episodes(episodes, 8, 8 * 50)] == [1, 1, 1]
+        assert pack_episodes(self._episodes([]), 8, 8 * 50) == []
+
+
+def _runs_alone(corpus, arrays, cfg, level, n_way, k_shot, episodes_per_run, seeds):
+    """The protocol's per-run results with every episode run as a batch of
+    one, and each episode's row count S + Q."""
+    bank = GraphBank(corpus, cfg)
+    params = params_to_tensors(arrays, requires_grad=False)
+    runs, rows = [], []
+    for seed in seeds:
+        sampler = EpisodeSampler(corpus, level, n_way=n_way, k_shot=k_shot,
+                                 query_size=2048, policy="eval", seed=[997, seed])
+        accs, aucs, hits = [], [], []
+        for _ in range(episodes_per_run):
+            ep = sampler.sample()
+            rows.append(ep.support_size + ep.query_size)
+            logp = batch_forward(bank, [ep], params, cfg).values[0]
+            accs.append(accuracy(np.argmax(logp, axis=1), ep.query_labels))
+            if level == "link":
+                aucs.append(roc_auc(logp[:, 1], ep.query_labels))
+                hits.append(hits_at_k(logp[:, 1], ep.query_labels, 10))
+        run = {"seed": seed, "accuracy": float(np.mean(accs))}
+        if level == "link":
+            run["auc"] = float(np.mean(aucs))
+            run["hits"] = float(np.mean(hits))
+        runs.append(run)
+    return runs, rows
+
+
+@pytest.fixture(scope="module")
+def pack_corpora():
+    # graphs of three sizes, and graph classes chosen two of three, so the
+    # episodes of one run differ in query count
+    graphs = []
+    for i, per_class in enumerate((16, 24, 32)):
+        g = make_synthetic(SyntheticSpec(3, per_class, 0.3, 0.05, 6, 2.5, 0.5,
+                                         seed=20 + i))
+        g = assign_split(g, (0.6, 0.2, 0.2), "node", seed=30 + i)
+        graphs.append(assign_split(g, (0.6, 0.2, 0.2), "link", seed=40 + i))
+    small = []
+    for i in range(30):
+        p = 0.2 + 0.3 * (i % 3)
+        s = make_synthetic(SyntheticSpec(2, 4 + i % 2, p, p / 4, 5, 1.0, 0.4,
+                                         seed=400 + i))
+        small.append(make_graph(s.node_count, s.edges, s.features, graph_label=i % 3))
+    labelled = assign_graph_splits(Corpus(graphs=tuple(small)), (0.5, 0.25, 0.25),
+                                   seed=6)
+    corpus = Corpus(graphs=tuple(graphs))
+    return {"node": corpus, "link": corpus, "graph": labelled}
+
+
+class TestPackedEvaluation:
+    """A run's episodes run in packs, one forward each, and its results and
+    every log-probability are those of its episodes run one by one, bit for
+    bit, also when the episodes of a run differ in query count."""
+
+    WAYS = {"node": 3, "link": 2, "graph": 2}
+
+    @pytest.mark.parametrize("dtype", ["float64", "float32"])
+    @pytest.mark.parametrize("level", ["node", "link", "graph"])
+    def test_runs_equal_episodes_alone(self, pack_corpora, monkeypatch, level, dtype):
+        corpus = pack_corpora[level]
+        cfg = dataclasses.replace(CFG, dtype=dtype)
+        arrays = {k: v.astype(dtype) for k, v in _noisy(init_params(cfg), seed=5).items()}
+        seeds, n = (0, 1), 8
+        want, rows = _runs_alone(corpus, arrays, cfg, level, self.WAYS[level], 2, n, seeds)
+        assert len(set(rows)) > 1, "a run's episodes should differ in query count"
+        # room for two of the largest episodes, so the budget cuts packs too
+        row_bytes = 2 * cfg.d * np.dtype(dtype).itemsize
+        monkeypatch.setattr(evaluate_module, "PACK_BYTES", 2 * max(rows) * row_bytes)
+        packs = []
+
+        def recorded(bank, episodes, *args, **kwargs):
+            packs.append(len(episodes))
+            logp = batch_forward(bank, episodes, *args, **kwargs)
+            for ep, got in zip(episodes, logp.values):
+                alone = batch_forward(bank, [ep], *args, **kwargs).values[0]
+                assert got[:ep.query_size].tobytes() == alone.tobytes()
+            return logp
+
+        monkeypatch.setattr(evaluate_module, "batch_forward", recorded)
+        got = evaluate(corpus, arrays, cfg, level, self.WAYS[level], 2,
+                       episodes_per_run=n, seeds=seeds)
+        assert got.per_run == want
+        assert sum(packs) == n * len(seeds) and len(packs) >= 2 * len(seeds)
+        assert max(packs) > 1, "no pack held two episodes"
+        assert len({r["accuracy"] for r in want}) > 1  # real predictions, not a constant
+
+    @pytest.mark.parametrize("at", [0, 2, 5])
+    @pytest.mark.parametrize("level", ["node", "link"])
+    def test_a_leaking_episode_anywhere_aborts_the_run(self, pack_corpora, monkeypatch,
+                                                       level, at):
+        real = EpisodeSampler.sample
+        drawn, forwards = [], []
+
+        def leaky(self, *args, **kwargs):
+            ep = real(self, *args, **kwargs)
+            drawn.append(ep)
+            if len(drawn) == at + 1:  # queries drawn from the train side
+                ep = dataclasses.replace(ep, query_refs=ep.support_refs,
+                                         query_labels=ep.support_labels)
+            return ep
+
+        monkeypatch.setattr(EpisodeSampler, "sample", leaky)
+        monkeypatch.setattr(evaluate_module, "batch_forward",
+                            lambda *args, **kwargs: forwards.append(args))
+        with pytest.raises(LeakageError):
+            evaluate(pack_corpora[level], init_params(CFG), CFG, level,
+                     self.WAYS[level], 2, episodes_per_run=6, seeds=(0,))
+        assert len(drawn) == 6
+        assert not forwards, "an episode ran before the run was checked"

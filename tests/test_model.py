@@ -21,8 +21,8 @@ from gilt.graphs import (
 from gilt.model import (
     GraphBank,
     ModelConfig,
+    batch_forward,
     batch_probs_and_loss,
-    episode_forward,
     episode_probs_and_loss,
     init_params,
     params_to_tensors,
@@ -31,6 +31,12 @@ from gilt.train import desk_preset
 
 CFG = ModelConfig(d=4, encoder_layers=2, transformer_layers=1, n_heads=2,
                   ffn_hidden=8, dropout=0.0, seed=0)
+
+
+def episode_forward(bank, episode, params, cfg, train=False):
+    """Class log-probabilities [Q x n_way] of one episode: the batch forward
+    of a batch of one, its batch axis summed away."""
+    return ad.sum_(batch_forward(bank, [episode], params, cfg, train=train), axis=0)
 
 
 @pytest.fixture(scope="module")

@@ -1,4 +1,7 @@
 import dataclasses
+import importlib.util
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -14,12 +17,15 @@ from gilt.graphs import (
     make_graph,
     make_synthetic,
 )
-from gilt.model import ModelConfig, init_params
+from gilt.episodes import shots_at
+from gilt.model import GraphBank, ModelConfig, init_params, params_to_tensors
 from gilt.train import (
     CKPT_MAGIC,
     AdamWState,
     TrainConfig,
     TrainingDiverged,
+    _epoch_sampler,
+    _preflight,
     adamw_step,
     clip_gradients,
     config_from_sidecar,
@@ -315,6 +321,24 @@ class TestTrainingLoop:
         self._double_layernorm_x_grad(monkeypatch)
         with pytest.raises(TrainingDiverged, match="preflight gradient check failed"):
             train(corpus, SMALL_MODEL, small_train(epochs=1, preflight=True))
+
+    def test_preflight_passes_across_a_kink(self, monkeypatch):
+        # the first training episode of the benchmark's seed-6 desk corpus:
+        # its gradient is right, but a central difference of step 1e-5
+        # straddles a kink of the loss and read 2.2e-3 on enc_ln1_gamma
+        spec = importlib.util.spec_from_file_location(
+            "perfbench_inputs", Path(__file__).resolve().parent.parent / "perfbench"
+            / "inputs.py")
+        inputs = importlib.util.module_from_spec(spec)
+        # its dataclasses look their module up while it loads
+        monkeypatch.setitem(sys.modules, spec.name, inputs)
+        spec.loader.exec_module(inputs)
+        corpus = inputs.small_corpus(6, inputs.FULL)
+        model_cfg, train_cfg = desk_preset()
+        shots = shots_at(0, train_cfg.epochs, train_cfg.shot_start, train_cfg.shot_end)
+        episode = _epoch_sampler(corpus, "node", train_cfg, 0).sample(k_shot=shots)
+        _preflight(GraphBank(corpus, model_cfg), episode,
+                   params_to_tensors(init_params(model_cfg)), model_cfg)
 
     def test_preflight_checks_the_batch_forward(self, corpus, monkeypatch):
         # the check runs the forward that training runs, on a batch of the
