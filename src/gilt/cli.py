@@ -26,6 +26,7 @@ import argparse
 import dataclasses
 import hashlib
 import json
+import math
 import os
 import subprocess
 import sys
@@ -153,6 +154,8 @@ def _version_stamp() -> dict:
     try:
         git = subprocess.run(
             ["git", "rev-parse", "--short", "HEAD"],
+            # the checkout gilt runs from, not the caller's working directory
+            cwd=Path(__file__).resolve().parent,
             capture_output=True, text=True, timeout=5,
         ).stdout.strip() or "unknown"
     except Exception:
@@ -198,6 +201,15 @@ def _check_counts(*flags) -> None:
             raise ConfigError(f"{flag} must be >= {least}, got {value}")
 
 
+def _check_reals(*flags) -> None:
+    """A usage error for the first (flag, value, low, high) whose value is not
+    a finite number in [low, high]."""
+    for flag, value, low, high in flags:
+        if not (math.isfinite(value) and low <= value <= high):
+            raise ConfigError(f"{flag} must be a finite number in [{low}, {high}], "
+                              f"got {value}")
+
+
 def _out_dir(path) -> Path:
     """The --out directory, created if missing; one that cannot be is a
     usage error."""
@@ -215,6 +227,9 @@ def cmd_synth(args) -> int:
     _check_counts(("--graphs", args.graphs, 1), ("--classes", args.classes, 1),
                   ("--per-class", args.per_class, 1), ("--feature-dim", args.feature_dim, 1),
                   ("--graph-classes", args.graph_classes, 0), ("--seed", args.seed, 0))
+    _check_reals(("--intra", args.intra, 0, 1), ("--inter", args.inter, 0, 1),
+                 ("--separation", args.separation, -math.inf, math.inf),
+                 ("--noise-sd", args.noise_sd, 0, math.inf))
     started = time.time()
     out = _out_dir(args.out)
     registry: dict[str, dict] = {}
@@ -322,13 +337,12 @@ def _load_model(path):
 def cmd_eval(args) -> int:
     started = time.time()
     from .graphs import load_corpus
-    from .evaluate import (append_results_row, evaluate, sweep_shots,
-                           write_report, write_sweep)
+    from .evaluate import sweep_shots, write_reports
 
     try:
-        ks = tuple(int(v) for v in args.sweep_k.split(",")) if args.sweep_k else None
+        ks = tuple(int(v) for v in args.k.split(","))
     except ValueError as exc:
-        raise ConfigError(f"--sweep-k expects a comma list of integers: {exc}") from exc
+        raise ConfigError(f"--k expects a comma list of integers: {exc}") from exc
     # zero runs or episodes would report NaN means
     _check_counts(("--runs", args.runs, 1), ("--episodes", args.episodes, 1),
                   ("--hits-k", args.hits_k, 1))
@@ -337,27 +351,18 @@ def cmd_eval(args) -> int:
 
     corpus = load_corpus(args.dataset, args.registry or None)
     out = _out_dir(args.out)
-    seeds = tuple(range(args.runs))
-    if ks:
-        rows = sweep_shots(corpus, arrays, model_cfg, args.level, args.n,
-                           ks=ks, episodes_per_run=args.episodes,
-                           seeds=seeds, query_size=args.queries)
-        path = write_sweep(rows, out / "sweep.csv")
-        print(f"sweep: {path}")
-    else:
-        report = evaluate(corpus, arrays, model_cfg, args.level, args.n,
-                          args.k, episodes_per_run=args.episodes,
-                          seeds=seeds, query_size=args.queries,
+    reports = sweep_shots(corpus, arrays, model_cfg, args.level, args.n, ks=ks,
+                          episodes_per_run=args.episodes,
+                          seeds=tuple(range(args.runs)), query_size=args.queries,
                           hits_k=args.hits_k)
-        write_report(report, out / "report.json")
-        append_results_row(report, out / "results.csv")
-        headline = {
-            "accuracy": (report.mean_accuracy, report.sd_accuracy),
-            "auc": (report.mean_auc, report.sd_auc),
-            "hits": (report.mean_hits, report.sd_hits),
-        }[args.metric]
-        print(f"{args.metric} {headline[0]:.4f} +/- {headline[1]:.4f}")
-        print(f"report: {out / 'report.json'}")
+    path = write_reports(reports, out / "report.json")
+    for r in reports:
+        line = f"k={r.k_shot} accuracy {r.mean_accuracy:.4f} +/- {r.sd_accuracy:.4f}"
+        if r.level == "link":
+            line += (f" auc {r.mean_auc:.4f} +/- {r.sd_auc:.4f}"
+                     f" hits@{r.hits_k} {r.mean_hits:.4f} +/- {r.sd_hits:.4f}")
+        print(line)
+    print(f"report: {path}")
 
     resolved = {k: str(v) for k, v in vars(args).items() if k != "func"}
     write_manifest(out, "eval", resolved, checkpoints=[Path(args.checkpoint)],
@@ -445,14 +450,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--registry")
     p.add_argument("--level", required=True, choices=("node", "link", "graph"))
     p.add_argument("--n", type=int, default=4, help="classes per episode")
-    p.add_argument("--k", type=int, default=5, help="support shots per class")
+    p.add_argument("--k", default="5",
+                   help="support shots per class; a comma list gives a report per count")
     p.add_argument("--runs", type=int, default=5, help="independently seeded runs")
     p.add_argument("--episodes", type=int, default=8, help="episodes per run")
     p.add_argument("--queries", type=int, default=2048, help="query-set cap")
-    p.add_argument("--metric", choices=("accuracy", "auc", "hits"),
-                   default="accuracy")
     p.add_argument("--hits-k", type=int, default=10)
-    p.add_argument("--sweep-k", help="comma list of shot counts; writes sweep.csv")
     p.add_argument("--ablate", action="append", choices=ABLATIONS,
                    help="evaluation-time architecture ablation (repeatable)")
     p.add_argument("--out", required=True)

@@ -19,12 +19,17 @@ Metrics: accuracy for classification levels, plus ROC-AUC (rank-based,
 ties counted half) and hits@k (positives strictly above the k-th best
 negative) for link prediction. Results aggregate as mean and standard
 deviation over independent run seeds.
+
+`sweep_shots` evaluates one frozen model at each support budget, sharing
+one graph bank, and returns a full `EvalReport` per budget. `write_reports`
+stores them as `report.json`, one strict-JSON array: a metric the level
+does not have is null there, while an in-memory report keeps it NaN.
 """
 from __future__ import annotations
 
-import csv
 import hashlib
 import json
+import math
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
@@ -172,8 +177,10 @@ class EvalReport:
     sd_hits: float = float("nan")
     hits_k: int = 10
 
-    def to_json(self) -> str:
-        return json.dumps(asdict(self), indent=2, sort_keys=True)
+    def to_dict(self) -> dict:
+        """The fields as strict JSON values: a NaN metric becomes None."""
+        return {name: None if isinstance(value, float) and math.isnan(value) else value
+                for name, value in asdict(self).items()}
 
 
 def _mean_sd(values):
@@ -234,55 +241,20 @@ def evaluate(corpus: Corpus, arrays: dict[str, np.ndarray], cfg: ModelConfig,
     return report
 
 
-def write_report(report: EvalReport, path) -> Path:
-    path = Path(path)
-    path.write_text(report.to_json())
-    return path
-
-
-RESULTS_COLUMNS = ("level", "n_way", "k_shot", "episodes_per_run", "n_runs",
-                   "mean_accuracy", "sd_accuracy", "mean_auc", "sd_auc",
-                   "mean_hits", "sd_hits")
-
-
-def append_results_row(report: EvalReport, path) -> Path:
-    path = Path(path)
-    fresh = not path.exists()
-    with path.open("a", newline="") as fh:
-        writer = csv.writer(fh)
-        if fresh:
-            writer.writerow(RESULTS_COLUMNS)
-        writer.writerow([
-            report.level, report.n_way, report.k_shot, report.episodes_per_run,
-            len(report.seeds), repr(report.mean_accuracy), repr(report.sd_accuracy),
-            repr(report.mean_auc), repr(report.sd_auc),
-            repr(report.mean_hits), repr(report.sd_hits),
-        ])
-    return path
-
-
 def sweep_shots(corpus: Corpus, arrays: dict[str, np.ndarray], cfg: ModelConfig,
                 level: str, n_way: int, ks=(1, 5, 10, 20),
                 episodes_per_run: int = 8, seeds=DEFAULT_SEEDS,
-                query_size: int = 2048) -> list[dict]:
-    """Evaluate the same frozen model across support budgets."""
+                query_size: int = 2048, hits_k: int = 10) -> list[EvalReport]:
+    """One report per support budget in `ks`, in order, for one frozen model."""
     bank = GraphBank(corpus, cfg)
-    rows = []
-    for k in ks:
-        rep = evaluate(corpus, arrays, cfg, level, n_way, k,
-                       episodes_per_run=episodes_per_run, seeds=seeds,
-                       query_size=query_size, bank=bank)
-        rows.append({"k_shot": int(k), "mean_accuracy": rep.mean_accuracy,
-                     "sd_accuracy": rep.sd_accuracy})
-    return rows
+    return [evaluate(corpus, arrays, cfg, level, n_way, k,
+                     episodes_per_run=episodes_per_run, seeds=seeds,
+                     query_size=query_size, hits_k=hits_k, bank=bank)
+            for k in ks]
 
 
-def write_sweep(rows: list[dict], path) -> Path:
+def write_reports(reports: list[EvalReport], path) -> Path:
     path = Path(path)
-    with path.open("w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(("k_shot", "mean_accuracy", "sd_accuracy"))
-        for row in rows:
-            writer.writerow([row["k_shot"], repr(row["mean_accuracy"]),
-                             repr(row["sd_accuracy"])])
+    path.write_text(json.dumps([r.to_dict() for r in reports], indent=2,
+                               sort_keys=True, allow_nan=False))
     return path

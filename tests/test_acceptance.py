@@ -395,16 +395,15 @@ def test_criterion_7_ablations(bench):
 def test_criterion_8_shot_curve(bench):
     rows = sweep_shots(bench.hold_weak, bench.trained, bench.model_cfg,
                        "node", 4, ks=(1, 5, 10, 20))
-    acc = [r["mean_accuracy"] for r in rows]
-    sd = [r["sd_accuracy"] for r in rows]
+    acc = [r.mean_accuracy for r in rows]
+    sd = [r.sd_accuracy for r in rows]
 
     non_decreasing = all(
         acc[i + 1] >= acc[i] - max(sd[i], sd[i + 1]) for i in range(3))
     gains = [acc[i + 1] - acc[i] for i in range(3)]
     early_gain = max(gains[0], gains[1]) >= gains[2]
 
-    curve = ", ".join(f"K={r['k_shot']}: {r['mean_accuracy']:.3f}"
-                      for r in rows)
+    curve = ", ".join(f"K={r.k_shot}: {r.mean_accuracy:.3f}" for r in rows)
     ok = non_decreasing and early_gain
     assert _verdict(8, ok,
                     f"{curve}; non-decreasing within noise {non_decreasing}, "

@@ -1,16 +1,21 @@
+import argparse
 import json
+import re
 import struct
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
+import gilt.cli
 from gilt.cli import (
     ConfigError,
     _ablated,
     _apply_thread_cap,
     apply_overrides,
     build_dataclass,
+    build_parser,
     load_config,
     main,
     parse_config_text,
@@ -172,6 +177,8 @@ class TestSynth:
     @pytest.mark.parametrize("flag, value", [
         ("--graphs", "-2"), ("--graphs", "0"), ("--classes", "0"), ("--per-class", "0"),
         ("--feature-dim", "0"), ("--graph-classes", "-2"), ("--seed", "-1"),
+        ("--intra", "1.5"), ("--inter", "-0.1"), ("--intra", "nan"),
+        ("--noise-sd", "-1"), ("--separation", "nan"),
     ])
     def test_bad_count_exits_2_before_writing(self, tmp_path, capsys, flag, value):
         out = tmp_path / "out"
@@ -180,6 +187,24 @@ class TestSynth:
         assert code == 2
         assert flag in err and "Traceback" not in err
         assert not out.exists()
+
+    def test_manifest_stamps_the_package_checkout(self, tmp_path, monkeypatch):
+        # a caller standing in another git repository must not stamp its commit
+        other = tmp_path / "other"
+        other.mkdir()
+        git = ["git", "-C", str(other), "-c", "user.name=t", "-c", "user.email=t@t"]
+        subprocess.run(git + ["init", "-q"], check=True)
+        subprocess.run(git + ["commit", "-q", "--allow-empty", "-m", "init"], check=True)
+        theirs = subprocess.run(git + ["rev-parse", "--short", "HEAD"], check=True,
+                                capture_output=True, text=True).stdout.strip()
+        package = Path(gilt.cli.__file__).resolve().parent
+        ours = subprocess.run(["git", "-C", str(package), "rev-parse", "--short", "HEAD"],
+                              capture_output=True, text=True).stdout.strip() or "unknown"
+        monkeypatch.chdir(other)
+        assert main(["synth", "--out", str(tmp_path / "out")] + SYNTH_FLAGS) == 0
+        stamp = json.loads((tmp_path / "out" / "manifest.json").read_text())["version"]
+        assert stamp["git"] != theirs
+        assert stamp["git"] == ours
 
 
 class TestPretrainCommand:
@@ -313,6 +338,10 @@ class TestPretrainCommand:
         assert (out / "final.ckpt").exists()
 
 
+def _no_constant(name):
+    raise ValueError(f"{name} is not strict JSON")
+
+
 class TestEvalCommand:
     def test_report_and_manifest(self, trained, corpus_dir, tmp_path):
         ckpt = trained / "a" / "final.ckpt"
@@ -322,9 +351,12 @@ class TestEvalCommand:
                      "--runs", "2", "--episodes", "2", "--queries", "16",
                      "--out", str(tmp_path)])
         assert code == 0
-        report = json.loads((tmp_path / "report.json").read_text())
-        assert report["level"] == "node"
-        assert (tmp_path / "results.csv").exists()
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["manifest.json",
+                                                              "report.json"]
+        [report] = json.loads((tmp_path / "report.json").read_text(),
+                              parse_constant=_no_constant)
+        assert (report["level"], report["k_shot"]) == ("node", 2)
+        assert report["mean_auc"] is None and report["sd_hits"] is None
         assert json.loads((tmp_path / "manifest.json").read_text())["checkpoints"]
 
     def test_truncated_checkpoint_exits_3(self, corpus_dir, tmp_path, capsys):
@@ -371,17 +403,26 @@ class TestEvalCommand:
         assert code == 2
         assert "protocol error" in capsys.readouterr().err
 
-    def test_sweep(self, trained, corpus_dir, tmp_path):
+    def test_sweep(self, trained, corpus_dir, tmp_path, capsys):
+        # a link sweep keeps every metric and --hits-k for each shot count
         ckpt = trained / "a" / "final.ckpt"
         code = main(["eval", str(ckpt), "synth",
                      "--registry", str(corpus_dir / "registry.json"),
-                     "--level", "node", "--n", "2", "--sweep-k", "1,2",
+                     "--level", "link", "--n", "2", "--k", "1,2", "--hits-k", "3",
                      "--runs", "2", "--episodes", "2", "--queries", "16",
                      "--out", str(tmp_path)])
         assert code == 0
-        lines = (tmp_path / "sweep.csv").read_text().splitlines()
-        assert lines[0] == "k_shot,mean_accuracy,sd_accuracy"
-        assert len(lines) == 3
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["manifest.json",
+                                                              "report.json"]
+        reports = json.loads((tmp_path / "report.json").read_text(),
+                             parse_constant=_no_constant)
+        assert [r["k_shot"] for r in reports] == [1, 2]
+        for r in reports:
+            assert r["hits_k"] == 3
+            assert 0.0 <= r["mean_auc"] <= 1.0 and 0.0 <= r["mean_hits"] <= 1.0
+        lines = capsys.readouterr().out.splitlines()
+        assert [line.split()[0] for line in lines[:2]] == ["k=1", "k=2"]
+        assert all(" auc " in line and " hits@3 " in line for line in lines[:2])
 
     def test_eval_time_ablation_runs(self, trained, corpus_dir, tmp_path):
         ckpt = trained / "a" / "final.ckpt"
@@ -491,14 +532,15 @@ class TestEvalCommand:
         assert not (tmp_path / "report.json").exists()
 
     @pytest.mark.parametrize("value", ["1,x", "1,,2", "two", "1.5"])
-    def test_malformed_sweep_k_is_usage_error(self, trained, corpus_dir, tmp_path,
-                                              capsys, value):
+    def test_malformed_k_is_usage_error(self, trained, corpus_dir, tmp_path,
+                                        capsys, value):
         code = main(["eval", str(trained / "a" / "final.ckpt"), "synth",
                      "--registry", str(corpus_dir / "registry.json"),
-                     "--level", "node", "--n", "2", "--sweep-k", value,
+                     "--level", "node", "--n", "2", "--k", value,
                      "--out", str(tmp_path)])
         assert code == 2
-        assert "--sweep-k" in capsys.readouterr().err
+        assert "--k" in capsys.readouterr().err
+        assert not (tmp_path / "report.json").exists()
 
 
 class TestTokenizeCommand:
@@ -586,3 +628,24 @@ class TestUsageErrors:
                               capture_output=True, text=True, timeout=60)
         assert proc.returncode == 0
         assert "pretrain" in proc.stdout
+
+
+class TestDocs:
+    @staticmethod
+    def _section(text: str, title: str) -> str:
+        start = text.index(f"\n## {title}\n")
+        end = text.find("\n## ", start + 1)
+        return text[start:end if end >= 0 else None]
+
+    def test_every_documented_flag_is_a_parser_option(self):
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+        documented = set()
+        for title in ("Command line", "Artifacts"):
+            documented |= set(re.findall(r"(?<![\w-])--[a-z][a-z0-9-]*",
+                                         self._section(readme, title)))
+        commands = next(a for a in build_parser()._actions
+                        if isinstance(a, argparse._SubParsersAction)).choices
+        options = {flag for sub in commands.values() for action in sub._actions
+                   for flag in action.option_strings}
+        assert documented, "no flags found in README"
+        assert not documented - options, f"no parser has {sorted(documented - options)}"

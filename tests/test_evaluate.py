@@ -10,7 +10,6 @@ from gilt.episodes import Episode, EpisodeSampler
 from gilt.evaluate import (
     LeakageError,
     accuracy,
-    append_results_row,
     assert_no_leakage,
     evaluate,
     hits_at_k,
@@ -18,8 +17,7 @@ from gilt.evaluate import (
     params_digest,
     roc_auc,
     sweep_shots,
-    write_report,
-    write_sweep,
+    write_reports,
 )
 from gilt.graphs import (
     TEST,
@@ -355,7 +353,7 @@ class TestEvaluateProtocol:
                      episodes_per_run=2, seeds=(0, 1))
         b = evaluate(eval_corpus, arrays, CFG, "node", 2, 2,
                      episodes_per_run=2, seeds=(0, 1))
-        assert a.to_json() == b.to_json()
+        assert a.to_dict() == b.to_dict()
         assert params_digest(arrays) == before
 
     def test_shared_bank_never_serves_another_models_encodings(self, eval_corpus):
@@ -369,7 +367,7 @@ class TestEvaluateProtocol:
                           seeds=(0,), bank=shared)
         fresh = evaluate(eval_corpus, b, cfg, "node", 2, 2, episodes_per_run=2,
                          seeds=(0,))
-        assert reused.to_json() == fresh.to_json()
+        assert reused.to_dict() == fresh.to_dict()
         # a bank built for another cfg must not serve this one: a truncated
         # encoder, other prepared features, another prepared width
         for change in ({"encoder_layers": 1}, {"align_mode": "learnable-projection"},
@@ -380,30 +378,35 @@ class TestEvaluateProtocol:
                               episodes_per_run=2, seeds=(0,), bank=shared)
             fresh = evaluate(eval_corpus, c, other, "node", 2, 2,
                              episodes_per_run=2, seeds=(0,))
-            assert reused.to_json() == fresh.to_json(), change
+            assert reused.to_dict() == fresh.to_dict(), change
 
     def test_report_files(self, eval_corpus, tmp_path):
         arrays = init_params(CFG)
         rep = evaluate(eval_corpus, arrays, CFG, "node", 2, 2,
                        episodes_per_run=2, seeds=(0,))
-        payload = json.loads(write_report(rep, tmp_path / "r.json").read_text())
-        assert payload["level"] == "node"
-        csv_path = tmp_path / "results.csv"
-        append_results_row(rep, csv_path)
-        append_results_row(rep, csv_path)
-        lines = csv_path.read_text().splitlines()
-        assert lines[0].startswith("level,")
-        assert len(lines) == 3
+        assert np.isnan(rep.mean_auc)  # in memory a missing metric stays NaN
 
-    def test_sweep(self, eval_corpus, tmp_path):
+        def no_constant(name):
+            raise ValueError(f"{name} is not strict JSON")
+
+        text = write_reports([rep, rep], tmp_path / "r.json").read_text()
+        payload = json.loads(text, parse_constant=no_constant)
+        assert len(payload) == 2 and payload[0] == payload[1]
+        assert payload[0]["level"] == "node"
+        for name in ("mean_auc", "sd_auc", "mean_hits", "sd_hits"):
+            assert payload[0][name] is None
+        assert payload[0]["per_run"] == rep.per_run
+
+    def test_sweep(self, eval_corpus):
         arrays = init_params(CFG)
-        rows = sweep_shots(eval_corpus, arrays, CFG, "node", 2, ks=(1, 2),
-                           episodes_per_run=2, seeds=(0, 1))
-        assert [r["k_shot"] for r in rows] == [1, 2]
-        path = write_sweep(rows, tmp_path / "sweep.csv")
-        lines = path.read_text().splitlines()
-        assert lines[0] == "k_shot,mean_accuracy,sd_accuracy"
-        assert len(lines) == 3
+        reports = sweep_shots(eval_corpus, arrays, CFG, "link", 2, ks=(1, 2),
+                              episodes_per_run=2, seeds=(0, 1), hits_k=3)
+        assert [r.k_shot for r in reports] == [1, 2]
+        for k, rep in zip((1, 2), reports):
+            alone = evaluate(eval_corpus, arrays, CFG, "link", 2, k,
+                             episodes_per_run=2, seeds=(0, 1), hits_k=3)
+            assert rep.to_dict() == alone.to_dict()
+            assert rep.hits_k == 3 and np.isfinite(rep.mean_auc)
 
 
 class TestPackEpisodes:
