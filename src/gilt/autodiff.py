@@ -2,15 +2,16 @@
 
 A small tape of differentiable nodes only: every op records, as its parents,
 just the inputs that take a gradient, each with its vector-Jacobian closure.
-A numpy operand or a no-grad ``Tensor`` is a constant and never enters the
-tape. ``Tensor.backward`` replays the tape in reverse topological order.
+A constant is a numpy operand or a ``Tensor`` with ``requires_grad=False``;
+it never enters the tape, and an op whose inputs are all constants makes
+another. There is no global mode: what an op records depends on its inputs
+alone. ``Tensor.backward`` replays the tape in reverse topological order.
 Values inherit the dtype of their inputs (tests and reproducible runs use
 64-bit, training may use 32-bit). Reductions go through numpy's pairwise
 summation, so single-threaded runs are bit-stable.
 """
 from __future__ import annotations
 
-import contextlib
 import math
 from dataclasses import dataclass, field
 from typing import Callable, Iterable, Sequence
@@ -21,8 +22,6 @@ import scipy.sparse as sp
 __all__ = [
     "Tensor",
     "tensor",
-    "no_grad",
-    "set_nan_guard",
     "add",
     "mul",
     "matmul",
@@ -42,30 +41,9 @@ __all__ = [
     "GradCheckReport",
 ]
 
-_grad_enabled = True
-_nan_guard = False
-
 # Floor-form LayerNorm stabilizer: rows with variance above this are
 # standardized exactly; near-constant rows divide by sqrt(eps) instead.
 LAYERNORM_EPS = 1e-5
-
-
-def set_nan_guard(on: bool) -> None:
-    """Enable per-op finiteness assertions (test mode)."""
-    global _nan_guard
-    _nan_guard = bool(on)
-
-
-@contextlib.contextmanager
-def no_grad():
-    """Run ops without recording the tape (inference / finite differences)."""
-    global _grad_enabled
-    prev = _grad_enabled
-    _grad_enabled = False
-    try:
-        yield
-    finally:
-        _grad_enabled = prev
 
 
 class Tensor:
@@ -156,9 +134,7 @@ def _wrap(x, like: Tensor | None = None) -> Tensor:
 
 
 def _make(values: np.ndarray, inputs: Sequence[Tensor], vjps: Sequence[Callable]) -> Tensor:
-    if _nan_guard and not np.all(np.isfinite(values)):
-        raise FloatingPointError("non-finite values produced by an op under nan guard")
-    live = [(t, v) for t, v in zip(inputs, vjps) if t.requires_grad] if _grad_enabled else []
+    live = [(t, v) for t, v in zip(inputs, vjps) if t.requires_grad]
     out = Tensor(values, requires_grad=bool(live))
     if live:
         out._parents, out._vjps = map(tuple, zip(*live))
@@ -556,11 +532,9 @@ def grad_check(
         for i in coords:
             orig = flat[i]
             flat[i] = orig + h
-            with no_grad():
-                f_plus = float(f().values)
+            f_plus = float(f().values)
             flat[i] = orig - h
-            with no_grad():
-                f_minus = float(f().values)
+            f_minus = float(f().values)
             flat[i] = orig
             numeric = (f_plus - f_minus) / (2.0 * h)
             a = float(analytic[name].reshape(-1)[i])

@@ -375,9 +375,8 @@ def cmd_tokenize(args) -> int:
     _check_counts(("--seed", args.seed, 0))
     from .graphs import load_corpus
     from .episodes import EpisodeSampler
-    from .model import GraphBank, ModelConfig, episode_tokens, init_params, params_to_tensors
+    from .model import GraphBank, ModelConfig, batch_tokens, init_params, params_to_tensors
     from .tokens import freeze_tokens, write_tokens
-    from . import autodiff as ad
 
     corpus = load_corpus(args.dataset, args.registry or None)
     if args.checkpoint:
@@ -393,9 +392,8 @@ def cmd_tokenize(args) -> int:
 
     params = params_to_tensors(arrays, requires_grad=False)
     bank = GraphBank(corpus, model_cfg)
-    with ad.no_grad():
-        t_sup, t_qry = episode_tokens(bank, episode, params, model_cfg)
-    ts = freeze_tokens(t_sup, t_qry, episode.support_labels,
+    t_sup, t_qry = batch_tokens(bank, [episode], params, model_cfg)
+    ts = freeze_tokens(t_sup.values[0], t_qry.values[0], episode.support_labels,
                        episode.query_labels, episode.class_ids,
                        episode.n_way, episode.k_shot, model_cfg.d)
     path = write_tokens(ts, out / "tokens.bin")

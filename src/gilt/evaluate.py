@@ -7,13 +7,13 @@ and after to prove it). Split leakage is treated as a defect, not a
 warning: any episode whose items sit on the wrong side of the split
 aborts the evaluation.
 
-A run samples all its episodes and checks each against the split before
-any forward. Its episodes then run in packs: consecutive episodes of one
-shape (support and query sizes), in sampled order, batched into one
-`model.batch_forward` while the pack's activation stays within
-`PACK_BYTES` (an episode over it runs alone). Each episode's metrics read
-its own rows, in sampled order, so a run's numbers are bit-identical to
-running its episodes one by one.
+An evaluation samples every run's episodes, at every support budget, and
+checks each against the split before any forward. A run's episodes then
+run in packs: consecutive episodes of one shape (support and query sizes),
+in sampled order, batched into one `model.batch_forward` while the pack's
+activation stays within `PACK_BYTES` (an episode over it runs alone).
+Each episode's metrics read its own rows, in sampled order, so a run's
+numbers are bit-identical to running its episodes one by one.
 
 Metrics: accuracy for classification levels, plus ROC-AUC (rank-based,
 ties counted half) and hits@k (positives strictly above the k-th best
@@ -21,9 +21,10 @@ negative) for link prediction. Results aggregate as mean and standard
 deviation over independent run seeds.
 
 `sweep_shots` evaluates one frozen model at each support budget, sharing
-one graph bank, and returns a full `EvalReport` per budget. `write_reports`
-stores them as `report.json`, one strict-JSON array: a metric the level
-does not have is null there, while an in-memory report keeps it NaN.
+one graph bank, and returns a full `EvalReport` per budget; `evaluate` is
+its single-budget case. `write_reports` stores the reports as
+`report.json`, one strict-JSON array: a metric the level does not have is
+null there, while an in-memory report keeps it NaN.
 """
 from __future__ import annotations
 
@@ -188,69 +189,88 @@ def _mean_sd(values):
     return float(arr.mean()), float(arr.std(ddof=1)) if arr.size > 1 else 0.0
 
 
+def _draw_runs(corpus: Corpus, report: EvalReport, query_size: int) -> list[list[Episode]]:
+    """Each seed's episodes for `report`'s protocol, in sampled order, every
+    one checked against the split."""
+    runs = []
+    for seed in report.seeds:
+        sampler = EpisodeSampler(
+            corpus, report.level, n_way=report.n_way, k_shot=report.k_shot,
+            query_size=query_size, policy="eval", seed=[997, seed],
+        )
+        episodes = [sampler.sample() for _ in range(report.episodes_per_run)]
+        for episode in episodes:
+            assert_no_leakage(episode, corpus)
+        runs.append(episodes)
+    return runs
+
+
+def _score_run(bank: GraphBank, params, cfg: ModelConfig, report: EvalReport,
+               seed, episodes) -> dict:
+    """One run's metrics, each the mean over its episodes."""
+    level = report.level
+    row_bytes = 2 * cfg.d * np.dtype(cfg.np_dtype()).itemsize
+    accs, aucs, hits = [], [], []
+    for pack in pack_episodes(episodes, row_bytes, PACK_BYTES):
+        logps = batch_forward(bank, pack, params, cfg).values
+        for episode, logp in zip(pack, logps):
+            accs.append(accuracy(np.argmax(logp, axis=1), episode.query_labels))
+            if level == "link":
+                # log is monotone, so log-probabilities rank like probabilities
+                aucs.append(roc_auc(logp[:, 1], episode.query_labels))
+                hits.append(hits_at_k(logp[:, 1], episode.query_labels, report.hits_k))
+    run = {"seed": int(seed), "accuracy": float(np.mean(accs))}
+    if level == "link":
+        run["auc"] = float(np.mean(aucs))
+        run["hits"] = float(np.mean(hits))
+    return run
+
+
 def evaluate(corpus: Corpus, arrays: dict[str, np.ndarray], cfg: ModelConfig,
              level: str, n_way: int, k_shot: int, episodes_per_run: int = 8,
              seeds=DEFAULT_SEEDS, query_size: int = 2048, hits_k: int = 10,
              bank: GraphBank | None = None) -> EvalReport:
-    """Frozen-model evaluation over several independently seeded runs.
-
-    A passed `bank` is used only when `bank.corpus is corpus and bank.cfg ==
-    cfg`; any other bank is ignored and a fresh one is built.
-    """
-    digest_before = params_digest(arrays)
-    params = params_to_tensors(arrays, requires_grad=False)
-    if bank is None or bank.corpus is not corpus or bank.cfg != cfg:
-        bank = GraphBank(corpus, cfg)
-    bank.use_model(digest_before)
-
-    report = EvalReport(level=level, n_way=n_way, k_shot=k_shot,
-                        episodes_per_run=episodes_per_run,
-                        seeds=tuple(seeds), hits_k=hits_k)
-    row_bytes = 2 * cfg.d * np.dtype(cfg.np_dtype()).itemsize
-    for seed in seeds:
-        sampler = EpisodeSampler(
-            corpus, level, n_way=n_way, k_shot=k_shot, query_size=query_size,
-            policy="eval", seed=[997, seed],
-        )
-        episodes = [sampler.sample() for _ in range(episodes_per_run)]
-        for episode in episodes:
-            assert_no_leakage(episode, corpus)
-        accs, aucs, hits = [], [], []
-        for pack in pack_episodes(episodes, row_bytes, PACK_BYTES):
-            logps = batch_forward(bank, pack, params, cfg).values
-            for episode, logp in zip(pack, logps):
-                accs.append(accuracy(np.argmax(logp, axis=1), episode.query_labels))
-                if level == "link":
-                    # log is monotone, so log-probabilities rank like probabilities
-                    aucs.append(roc_auc(logp[:, 1], episode.query_labels))
-                    hits.append(hits_at_k(logp[:, 1], episode.query_labels, hits_k))
-        run = {"seed": int(seed), "accuracy": float(np.mean(accs))}
-        if level == "link":
-            run["auc"] = float(np.mean(aucs))
-            run["hits"] = float(np.mean(hits))
-        report.per_run.append(run)
-
-    report.mean_accuracy, report.sd_accuracy = _mean_sd(
-        [r["accuracy"] for r in report.per_run])
-    if level == "link":
-        report.mean_auc, report.sd_auc = _mean_sd([r["auc"] for r in report.per_run])
-        report.mean_hits, report.sd_hits = _mean_sd([r["hits"] for r in report.per_run])
-
-    if params_digest(arrays) != digest_before:
-        raise RuntimeError("evaluation mutated model parameters")
+    """Frozen-model evaluation over several independently seeded runs: the
+    one report of `sweep_shots` at the single budget `k_shot`."""
+    [report] = sweep_shots(corpus, arrays, cfg, level, n_way, (k_shot,),
+                           episodes_per_run, seeds, query_size, hits_k, bank)
     return report
 
 
 def sweep_shots(corpus: Corpus, arrays: dict[str, np.ndarray], cfg: ModelConfig,
                 level: str, n_way: int, ks=(1, 5, 10, 20),
                 episodes_per_run: int = 8, seeds=DEFAULT_SEEDS,
-                query_size: int = 2048, hits_k: int = 10) -> list[EvalReport]:
-    """One report per support budget in `ks`, in order, for one frozen model."""
-    bank = GraphBank(corpus, cfg)
-    return [evaluate(corpus, arrays, cfg, level, n_way, k,
-                     episodes_per_run=episodes_per_run, seeds=seeds,
-                     query_size=query_size, hits_k=hits_k, bank=bank)
-            for k in ks]
+                query_size: int = 2048, hits_k: int = 10,
+                bank: GraphBank | None = None) -> list[EvalReport]:
+    """One report per support budget in `ks`, in order, for one frozen model.
+
+    Every budget's episodes are drawn and checked before the first forward,
+    so an infeasible or leaking draw at any budget is refused before any is
+    scored. A passed `bank` is used only when `bank.corpus is corpus and
+    bank.cfg == cfg`; any other bank is ignored and a fresh one is built.
+    """
+    reports = [EvalReport(level=level, n_way=n_way, k_shot=k,
+                          episodes_per_run=episodes_per_run,
+                          seeds=tuple(seeds), hits_k=hits_k) for k in ks]
+    drawn = [_draw_runs(corpus, report, query_size) for report in reports]
+
+    digest_before = params_digest(arrays)
+    params = params_to_tensors(arrays, requires_grad=False)
+    if bank is None or bank.corpus is not corpus or bank.cfg != cfg:
+        bank = GraphBank(corpus, cfg)
+    bank.use_model(digest_before)
+    for report, runs in zip(reports, drawn):
+        report.per_run = [_score_run(bank, params, cfg, report, seed, episodes)
+                          for seed, episodes in zip(report.seeds, runs)]
+        report.mean_accuracy, report.sd_accuracy = _mean_sd(
+            [r["accuracy"] for r in report.per_run])
+        if level == "link":
+            report.mean_auc, report.sd_auc = _mean_sd([r["auc"] for r in report.per_run])
+            report.mean_hits, report.sd_hits = _mean_sd([r["hits"] for r in report.per_run])
+
+    if params_digest(arrays) != digest_before:
+        raise RuntimeError("evaluation mutated model parameters")
+    return reports
 
 
 def write_reports(reports: list[EvalReport], path) -> Path:

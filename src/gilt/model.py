@@ -25,7 +25,9 @@ Ops only apply the masks handed in, so replays are exact.
 One function encodes: a training episode's graphs run in one call, as one
 block-diagonal graph (the disjoint union of its support and query graphs),
 and a graph episode pools them with one segment mean. Evaluation encodes each
-graph alone through it, without dropout, once per model, and caches the rows.
+graph alone through it, without dropout, once per model, and caches the rows
+as constants, so an evaluation forward records a tape only from the item
+representations on, and only for parameters that take a gradient.
 """
 from __future__ import annotations
 
@@ -109,7 +111,8 @@ class GraphBank:
     A bank is bound to one corpus and one cfg: its caches are keyed by graph
     index only and built with its own cfg, so `evaluate` ignores a passed
     bank unless `bank.corpus is corpus and bank.cfg == cfg`. `use_model`
-    ties the encodings to one parameter set.
+    ties the encodings to one parameter set. The encodings are constants:
+    no gradient reaches the encoder through them.
     """
 
     corpus: Corpus
@@ -132,11 +135,12 @@ class GraphBank:
             self._encoded_for = digest
 
     def encoded(self, gi: int, params: dict[str, ad.Tensor]) -> ad.Tensor:
-        """Deterministic eval-time encoder output, computed once per graph."""
+        """Deterministic eval-time encoder output, computed once per graph
+        from constant views of `params`, so the cached rows carry no tape."""
         if gi not in self._encoded:
-            with ad.no_grad():
-                self._encoded[gi], _ = _encode_union(self, [gi], params, self.cfg,
-                                                     None, 0.0, 0.0)
+            frozen = {k: ad.Tensor(p.values) for k, p in params.items()}
+            self._encoded[gi], _ = _encode_union(self, [gi], frozen, self.cfg,
+                                                 None, 0.0, 0.0)
         return self._encoded[gi]
 
 
@@ -260,13 +264,6 @@ def batch_tokens(bank: GraphBank, episodes, params: dict[str, ad.Tensor],
     sup, qry = _batch_items(bank, episodes, params, cfg, rngs)
     labels = np.array([ep.support_labels for ep in episodes])
     return build_tokens(sup, labels, qry, episodes[0].n_way)
-
-
-def episode_tokens(bank: GraphBank, episode: Episode,
-                   params: dict[str, ad.Tensor], cfg: ModelConfig):
-    """Support [S x 2d] and query [Q x 2d] tokens of one episode, without
-    augmentation: batch_tokens of a batch of one, its batch axis summed away."""
-    return tuple(ad.sum_(t, axis=0) for t in batch_tokens(bank, [episode], params, cfg))
 
 
 def batch_forward(bank: GraphBank, episodes, params: dict[str, ad.Tensor],

@@ -121,16 +121,17 @@ def read_tokens(path) -> TokenSet:
         raise ValueError(f"token file {path} does not hold a token set: {exc}") from exc
 
 
-def freeze_tokens(t_support: ad.Tensor, t_query: ad.Tensor,
+def freeze_tokens(support: np.ndarray, query: np.ndarray,
                   support_labels, query_labels, class_ids,
                   n_way: int, k_shot: int, d: int) -> TokenSet:
-    """Snapshot live token Tensors into the storable float32 form."""
+    """Snapshot one episode's token values, support [S x 2d] and query
+    [Q x 2d], into the storable float32 form."""
     q = np.asarray(query_labels, dtype=np.int64)
     return TokenSet(
-        support=t_support.values.astype(np.float32),
-        query=t_query.values.astype(np.float32),
+        support=support.astype(np.float32),
+        query=query.astype(np.float32),
         support_labels=np.asarray(support_labels, dtype=np.int64),
-        query_labels=q if q.size else np.full(t_query.values.shape[0], -1, np.int64),
+        query_labels=q if q.size else np.full(query.shape[0], -1, np.int64),
         class_ids=np.asarray(class_ids, dtype=np.int64),
         n_way=n_way, k_shot=k_shot, d=d,
     )

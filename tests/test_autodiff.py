@@ -557,8 +557,6 @@ def test_grad_check_detects_corrupted_gradient():
         def __call__(self):
             out = f()
             vjps = out._vjps
-            if not vjps:  # finite-difference passes run without a tape
-                return out
 
             def bad_vjp(g, real=vjps[0]):
                 full = real(g).copy()
@@ -570,22 +568,6 @@ def test_grad_check_detects_corrupted_gradient():
 
     report = ad.grad_check(Lying(), {"x": x})
     assert not report.passed
-
-
-def test_no_grad_builds_no_tape():
-    x = ad.tensor(_rand((3, 3), 23), requires_grad=True)
-    with ad.no_grad():
-        out = ad.mul(x, x)
-    assert not out.requires_grad and out._parents == ()
-
-
-def test_nan_guard_raises():
-    ad.set_nan_guard(True)
-    try:
-        with np.errstate(invalid="ignore"), pytest.raises(FloatingPointError):
-            ad.mul(ad.tensor(np.array([np.inf])), 0.0)
-    finally:
-        ad.set_nan_guard(False)
 
 
 _BATCH_LABELS = np.array([[2, 0, 1, 1, 0, 2], [0, 0, 1, 2, 2, 1]])
@@ -637,7 +619,7 @@ _OP_CASES = {
 
 
 def test_every_differentiable_op_has_a_float32_case():
-    harness = {"tensor", "no_grad", "set_nan_guard", "grad_check"}
+    harness = {"tensor", "grad_check"}
     # a key "op-variant" is a further case of op
     assert ({n for n in ad.__all__ if n[0].islower()} - harness
             == {key.partition("-")[0] for key in _OP_CASES})
@@ -667,7 +649,7 @@ def test_required_ops_are_exposed():
     for path in src.glob("*.py"):
         if path.name != "autodiff.py":
             used |= set(re.findall(r"\bad\.([a-z_]+)\(", path.read_text()))
-    harness = {"tensor", "no_grad", "set_nan_guard", "grad_check", "global_grad_norm"}
+    harness = {"tensor", "grad_check", "global_grad_norm"}
     for name in used:
         assert name in ad.__all__ or name in harness, name
         assert callable(getattr(ad, name))

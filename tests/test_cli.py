@@ -403,6 +403,24 @@ class TestEvalCommand:
         assert code == 2
         assert "protocol error" in capsys.readouterr().err
 
+    def test_late_oversized_k_is_refused_before_any_forward(
+            self, trained, corpus_dir, tmp_path, capsys, monkeypatch):
+        import gilt.evaluate
+
+        calls = []
+        real = gilt.evaluate.batch_forward
+        monkeypatch.setattr(gilt.evaluate, "batch_forward",
+                            lambda *a, **kw: calls.append(1) or real(*a, **kw))
+        code = main(["eval", str(trained / "a" / "final.ckpt"), "synth",
+                     "--registry", str(corpus_dir / "registry.json"),
+                     "--level", "node", "--n", "2", "--k", "1,2,999",
+                     "--runs", "2", "--episodes", "2", "--queries", "16",
+                     "--out", str(tmp_path)])
+        assert code == 2
+        assert "protocol error" in capsys.readouterr().err
+        assert not (tmp_path / "report.json").exists()
+        assert calls == []
+
     def test_sweep(self, trained, corpus_dir, tmp_path, capsys):
         # a link sweep keeps every metric and --hits-k for each shot count
         ckpt = trained / "a" / "final.ckpt"

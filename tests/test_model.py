@@ -257,6 +257,18 @@ class TestEvalCache:
         assert h3 is not h1
         assert h3.values.tobytes() == h1.values.tobytes()
 
+    def test_encodings_are_constants_even_for_trainable_params(self, node_setup):
+        _, sampler = node_setup
+        bank = GraphBank(sampler.corpus, CFG)
+        params = params_to_tensors(init_params(CFG))
+        h = bank.encoded(0, params)
+        assert not h.requires_grad and h._parents == ()
+        logp = batch_forward(bank, [sampler.sample()], params, CFG, train=False)
+        ad.sum_(logp).backward()
+        enc = [k for k in params if k.startswith("enc_")]
+        assert enc and all(params[k].grad is None for k in enc)
+        assert params["tf0_wq"].grad is not None
+
     def test_cache_matches_direct_compute(self, node_setup):
         _, sampler = node_setup
         bank = GraphBank(sampler.corpus, CFG)

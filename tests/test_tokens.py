@@ -179,8 +179,8 @@ class TestTokenSetIO:
                 class_ids=np.array([0, 1]), n_way=2, k_shot=1, d=4,
             )
 
-    def test_freeze_from_tensors(self, tmp_path):
-        sup, qry = t(np.ones((4, 6))), t(np.zeros((2, 6)))
+    def test_freeze_from_arrays(self, tmp_path):
+        sup, qry = np.ones((4, 6)), np.zeros((2, 6))
         ts = freeze_tokens(sup, qry, [0, 0, 1, 1], [], [5, 8], 2, 2, 3)
         assert ts.support.dtype == np.float32
         assert np.array_equal(ts.query_labels, [-1, -1])

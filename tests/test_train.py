@@ -18,6 +18,7 @@ from gilt.graphs import (
     make_synthetic,
 )
 from gilt.episodes import shots_at
+from gilt.evaluate import evaluate
 from gilt.model import GraphBank, ModelConfig, init_params, params_to_tensors
 from gilt.train import (
     CKPT_MAGIC,
@@ -236,6 +237,17 @@ class TestTrainingLoop:
             "final.ckpt", "last.ckpt", "telemetry.csv"]
         header = (tmp_path / "telemetry.csv").read_text().splitlines()[0]
         assert header == "epoch,L_node,L_link,L_graph,L_total,lr,shots"
+
+    def test_library_writes_nothing_to_stdout(self, corpus, tmp_path, capfd):
+        # stdout belongs to the caller: a harness prints its result last there
+        cfg = small_train(levels=("node", "link", "graph"), epochs=1,
+                          episodes_per_level=2, n_way=2, shot_start=2, shot_end=1,
+                          preflight=True)
+        result = train(corpus, SMALL_MODEL, cfg, out_dir=tmp_path)
+        for level in ("node", "link", "graph"):
+            evaluate(corpus, result.params, SMALL_MODEL, level, n_way=2, k_shot=2,
+                     episodes_per_run=2, seeds=(0, 1), query_size=8)
+        assert capfd.readouterr().out == ""
 
     def test_absent_level_reported_as_nan(self, corpus):
         result = train(corpus, SMALL_MODEL, small_train())
