@@ -24,10 +24,13 @@ Ops only apply the masks handed in, so replays are exact.
 
 One function encodes: a training episode's graphs run in one call, as one
 block-diagonal graph (the disjoint union of its support and query graphs),
-and a graph episode pools them with one segment mean. Evaluation encodes each
-graph alone through it, without dropout, once per model, and caches the rows
-as constants, so an evaluation forward records a tape only from the item
-representations on, and only for parameters that take a gradient.
+and a graph episode pools them with one segment mean. A training node or
+link episode passes the nodes its items read, so each hop computes only the
+rows later hops need (see `encoder`), and its refs are renumbered into the
+rows returned. Evaluation encodes each graph alone through it, whole and
+without dropout, once per model, and caches the rows as constants, so an
+evaluation forward records a tape only from the item representations on,
+and only for parameters that take a gradient.
 """
 from __future__ import annotations
 
@@ -164,6 +167,8 @@ def _batch_masks(rngs, cfg: ModelConfig, s: int, q_sizes):
     q_max = max(q_sizes)
 
     def padded(mask, q):
+        if q == q_max:
+            return mask
         return np.pad(mask, [(0, 0)] * (mask.ndim - 2) + [(0, q_max - q), (0, 0)],
                       constant_values=1)
 
@@ -174,10 +179,11 @@ def _batch_masks(rngs, cfg: ModelConfig, s: int, q_sizes):
 
 
 def _encode_union(bank: GraphBank, refs, params: dict[str, ad.Tensor],
-                  cfg: ModelConfig, rng, feat_drop: float,
-                  edge_drop: float) -> tuple[ad.Tensor, list[int]]:
+                  cfg: ModelConfig, rng, feat_drop: float, edge_drop: float,
+                  rows=None) -> tuple[ad.Tensor, list[int]]:
     """Encoder rows of the graphs `refs`, stacked in order, plus each graph's
-    row count.
+    row count. `rows`, if given, is passed to `encode`, which may then
+    return just those rows.
 
     The graphs run as one disjoint union: their features stacked, their kept
     edges offset into one edge list. The symmetric normalization of a
@@ -201,31 +207,35 @@ def _encode_union(bank: GraphBank, refs, params: dict[str, ad.Tensor],
         sizes.append(g.node_count)
         offset += g.node_count
     adj = normalize_adjacency(offset, np.concatenate(edges)).astype(dtype, copy=False)
-    x = ad.Tensor(np.concatenate(xs))
-    if aligned.needs_projection:  # set by the align mode, so by every graph alike
-        x = ad.matmul(x, params["proj_w"])
-    return encode(adj, x, params, cfg.encoder_layers, cfg.encoder_variant), sizes
+    # needs_projection is set by the align mode, so by every graph alike
+    proj_w = params["proj_w"] if aligned.needs_projection else None
+    return encode(adj, np.concatenate(xs), params, cfg.encoder_layers,
+                  cfg.encoder_variant, rows, proj_w), sizes
 
 
 def _item_rows(bank: GraphBank, episode: Episode, params, cfg, train, rng):
     """One episode's item source rows and its support and query refs into
     them: its graph's encoder rows (node, link), or one pooled row per graph,
-    supports first (graph)."""
+    supports first (graph). A node or link episode in training encodes only
+    the rows its items read, and its refs are renumbered into them."""
     graph_level = episode.level == "graph"
+    sup, qry = episode.support_refs, episode.query_refs
     # a graph episode names its graphs, supports first; others name one graph
-    refs = (np.concatenate([episode.support_refs, episode.query_refs])
-            if graph_level else [episode.graph_index])
+    refs = np.concatenate([sup, qry]) if graph_level else [episode.graph_index]
+    # mean_pool reads every row of a graph episode's graphs
+    rows = np.union1d(sup, qry) if train and not graph_level else None
     if train:
         h, sizes = _encode_union(bank, refs, params, cfg, rng,
-                                 episode.feat_drop, episode.edge_drop)
+                                 episode.feat_drop, episode.edge_drop, rows)
     else:
         hs = [bank.encoded(int(gi), params) for gi in refs]
         h = hs[0] if len(hs) == 1 else ad.concat(hs, axis=0)
         sizes = [x.shape[0] for x in hs]
-    if not graph_level:
-        return h, episode.support_refs, episode.query_refs
-    n_sup = len(episode.support_refs)
-    return mean_pool(h, sizes), np.arange(n_sup), np.arange(n_sup, len(refs))
+    if graph_level:
+        return mean_pool(h, sizes), np.arange(len(sup)), np.arange(len(sup), len(refs))
+    if rows is not None and h.shape[0] == len(rows):  # the encoder kept just these
+        sup, qry = np.searchsorted(rows, sup), np.searchsorted(rows, qry)
+    return h, sup, qry
 
 
 def _batch_items(bank: GraphBank, episodes, params, cfg, rngs):

@@ -3,6 +3,7 @@ import pytest
 import scipy.sparse as sp
 
 from gilt import autodiff as ad
+from gilt import encoder
 from gilt.encoder import encode, encoder_init, normalize_adjacency
 from gilt.graphs import SyntheticSpec, make_synthetic
 
@@ -264,3 +265,111 @@ class TestSymmetricBackward:
         assert gx.dtype == dtype and gx.tobytes() == gx_ref.tobytes()
         for k in grads_ref:
             assert grads[k].tobytes() == grads_ref[k].tobytes(), k
+
+
+def encode_unrestricted(adj, x, params, n_layers, variant="linear"):
+    # `encode` before row restriction: every hop runs over every row
+    h = x if isinstance(x, ad.Tensor) else ad.Tensor(np.asarray(x))
+    for i in range(n_layers):
+        h = ad.const_matmul(adj, h, mat_t=adj)
+        if variant == "nonlinear":
+            h = ad.relu(ad.matmul(h, params[f"enc_w{i}"]))
+        h = ad.layernorm(h, params[f"enc_ln{i}_gamma"], params[f"enc_ln{i}_beta"])
+    return h
+
+
+class TestRestrictedRows:
+    """`encode(..., rows=...)` against the unrestricted stack: the rows read
+    and every gradient agree, on a sparse graph where the later hops run on
+    row slices of the adjacency."""
+
+    TOL = {np.float64: 1e-12, np.float32: 1e-5}
+
+    @pytest.fixture(scope="class")
+    def graph(self):
+        # 400 nodes, mean degree about 3
+        g = make_synthetic(SyntheticSpec(4, 100, 0.024, 0.002, 6, 1.0, 0.5, seed=11))
+        rows = np.sort(np.random.default_rng(0).choice(g.node_count, 12, replace=False))
+        return g, rows
+
+    @staticmethod
+    def arrays(width, n_layers, variant, dtype):
+        rng = np.random.default_rng(3)
+        arrays = encoder_init(width, n_layers, variant=variant, dtype=dtype)
+        return {k: (v + 0.1 * rng.standard_normal(v.shape)).astype(dtype)
+                for k, v in arrays.items()}
+
+    def run(self, fn, adj, x0, arrays, w, n_layers, variant, proj=None):
+        params = tensor_params(arrays)
+        x = ad.Tensor(x0, requires_grad=True)
+        proj_w = None if proj is None else ad.Tensor(proj, requires_grad=True)
+        h = fn(adj, x, params, n_layers, variant, proj_w)
+        ad.sum_(ad.mul(ad.mul(h, h), w)).backward()
+        grads = {k: p.grad for k, p in params.items()}
+        grads["x"] = x.grad
+        if proj_w is not None:
+            grads["proj_w"] = proj_w.grad
+        return h.values, grads
+
+    def check(self, adj, x0, rows, n_layers, variant, dtype, proj=None):
+        arrays = self.arrays(x0.shape[1] if proj is None else proj.shape[1],
+                             n_layers, variant, dtype)
+        w = np.random.default_rng(4).standard_normal(
+            (adj.shape[0], arrays["enc_ln0_beta"].shape[0] if n_layers
+             else x0.shape[1])).astype(dtype)
+
+        def restricted(adj, x, params, n_layers, variant, proj_w):
+            return encode(adj, x, params, n_layers, variant, rows=rows, proj_w=proj_w)
+
+        def oracle(adj, x, params, n_layers, variant, proj_w):
+            if proj_w is not None:
+                x = ad.matmul(x, proj_w)
+            return ad.take_rows(encode_unrestricted(adj, x, params, n_layers, variant),
+                                rows)
+
+        h, grads = self.run(restricted, adj, x0, arrays, w[rows], n_layers, variant, proj)
+        h_ref, grads_ref = self.run(oracle, adj, x0, arrays, w[rows], n_layers,
+                                    variant, proj)
+        tol = self.TOL[dtype]
+        assert h.dtype == h_ref.dtype == dtype and h.shape == (len(rows), w.shape[1])
+        assert np.max(np.abs(h - h_ref)) <= tol * np.max(np.abs(h_ref))
+        assert grads.keys() == grads_ref.keys()
+        for k, want in grads_ref.items():
+            assert grads[k].dtype == dtype, k
+            assert np.max(np.abs(grads[k] - want)) <= tol * np.max(np.abs(want)), k
+
+    def test_later_hops_run_on_row_slices(self, graph):
+        g, rows = graph
+        adj = normalize_adjacency(g.node_count, g.edges)
+        hops, x_rows = encoder._hops(adj, rows, 4)
+        assert [mat.shape for mat, _ in hops] == [(400, 400), (122, 400), (44, 122),
+                                                 (12, 44)]
+        assert hops[0][0] is adj and x_rows is None
+        hops, x_rows = encoder._hops(adj, rows, 2)
+        assert [mat.shape for mat, _ in hops] == [(44, 122), (12, 44)]
+        assert len(x_rows) == 122
+
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    @pytest.mark.parametrize("n_layers", [4, 2, 0])
+    @pytest.mark.parametrize("variant", ["linear", "nonlinear"])
+    def test_matches_unrestricted(self, graph, variant, n_layers, dtype):
+        g, rows = graph
+        adj = normalize_adjacency(g.node_count, g.edges).astype(dtype)
+        self.check(adj, g.features.astype(dtype), rows, n_layers, variant, dtype)
+
+    @pytest.mark.parametrize("n_layers", [4, 2])
+    def test_projection_runs_on_the_rows_read(self, graph, n_layers):
+        g, rows = graph
+        adj = normalize_adjacency(g.node_count, g.edges)
+        proj = np.random.default_rng(5).standard_normal((g.features.shape[1], 4))
+        self.check(adj, g.features, rows, n_layers, "linear", np.float64, proj)
+
+    def test_rows_over_half_the_graph_run_unrestricted(self):
+        g = make_synthetic(SyntheticSpec(4, 30, 0.3, 0.03, 8, 1.0, 0.2, seed=5))
+        adj = normalize_adjacency(g.node_count, g.edges)
+        params = tensor_params(encoder_init(8, 3))
+        # one row over half: every hop, the last included, keeps every row
+        rows = np.arange(g.node_count // 2 + 1)
+        h = encode(adj, g.features, params, 3, rows=rows).values
+        want = encode_unrestricted(adj, g.features, params, 3).values
+        assert h.shape == want.shape and h.tobytes() == want.tobytes()

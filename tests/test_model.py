@@ -186,6 +186,22 @@ class TestBatchForward:
             assert p.grad is not None, name
             _assert_close(params[name].grad, p.grad, tol)
 
+    def test_batch_masks_are_each_episodes_draw(self):
+        # an episode with the batch's most queries keeps its masks as drawn;
+        # a shorter one's stage-two and FFN masks get rows of 1 at the end
+        cfg = ModelConfig(d=4, transformer_layers=2, n_heads=2, ffn_hidden=8,
+                          dropout=0.2)
+        q_sizes = [5, 3, 5]
+        masks = model._batch_masks([np.random.default_rng(b) for b in range(3)], cfg,
+                                   4, q_sizes)
+        for b, q in enumerate(q_sizes):
+            drawn = model._transformer_masks(np.random.default_rng(b), cfg, 4, q)
+            for (m1, m2, m3), (d1, d2, d3) in zip(masks, drawn):
+                assert m1[b].tobytes() == d1.tobytes()
+                assert m2[b, :, :q].tobytes() == d2.tobytes()
+                assert m3[b, :4 + q].tobytes() == d3.tobytes()
+                assert np.all(m2[b, :, q:] == 1.0) and np.all(m3[b, 4 + q:] == 1.0)
+
     def test_batch_must_share_level_n_way_and_support_size(self, node_setup):
         bank, sampler = node_setup
         params = params_to_tensors(init_params(CFG))
@@ -455,6 +471,148 @@ class TestBlockDiagonalGraphEpisode:
         assert len({r["accuracy"] for r in new_runs}) > 1
 
 
+def _encode_all_rows(adj, x, params, n_layers, variant="linear", rows=None,
+                     proj_w=None):
+    """`encode` before row restriction, kept as an oracle: it projects and
+    propagates every row and returns them all, whatever `rows` asks for."""
+    h = x if isinstance(x, ad.Tensor) else ad.Tensor(np.asarray(x))
+    if proj_w is not None:
+        h = ad.matmul(h, proj_w)
+    for i in range(n_layers):
+        h = ad.const_matmul(adj, h, mat_t=adj)
+        if variant == "nonlinear":
+            h = ad.relu(ad.matmul(h, params[f"enc_w{i}"]))
+        h = ad.layernorm(h, params[f"enc_ln{i}_gamma"], params[f"enc_ln{i}_beta"])
+    return h
+
+
+def _split_both(g, seed):
+    g = assign_split(g, (0.6, 0.2, 0.2), "node", seed=seed)
+    return assign_split(g, (0.6, 0.2, 0.2), "link", seed=seed + 1)
+
+
+@pytest.fixture(scope="module")
+def sparse_desk():
+    """A 2000-node graph of mean degree about 3: a desk-preset node or link
+    episode's items are a small part of it, so its last two hops restrict."""
+    g = make_synthetic(SyntheticSpec(4, 500, 0.005, 0.0005, 8, 2.0, 0.5, seed=20))
+    return Corpus(graphs=(_split_both(g, 21),))
+
+
+def _run_step(bank, episodes, arrays, cfg, monkeypatch, encode_fn):
+    """A training forward and backward of `episodes` with `encode_fn` as the
+    model's encoder: the log-probabilities, the loss and every gradient, plus
+    the row count of each encoder output."""
+    shapes = []
+
+    def spy(*args, **kwargs):
+        h = encode_fn(*args, **kwargs)
+        shapes.append(h.shape[0])
+        return h
+
+    monkeypatch.setattr(model, "encode", spy)
+    params = params_to_tensors(arrays)
+    logp, loss, _ = batch_probs_and_loss(bank, episodes, params, cfg, train=True)
+    loss.backward()
+    monkeypatch.undo()
+    return logp.values, loss.values, {k: p.grad for k, p in params.items()}, shapes
+
+
+class TestRestrictedTrainingEncode:
+    """A training node or link episode encodes only the rows its items read
+    (`_item_rows` renumbers its refs into them); the same step with the
+    all-rows oracle as the encoder gives the same losses and gradients."""
+
+    TOL = {"float64": 1e-12, "float32": 1e-5}
+
+    @pytest.fixture(scope="class")
+    def corpus(self):
+        # graph 0: 400 nodes of mean degree about 3, whose later hops restrict;
+        # graph 1: 10 nodes, of which an episode reads over half, so none does
+        big = make_synthetic(SyntheticSpec(4, 100, 0.024, 0.002, 6, 1.0, 0.5, seed=11))
+        small = make_synthetic(SyntheticSpec(2, 5, 0.6, 0.2, 6, 1.0, 0.5, seed=12))
+        return Corpus(graphs=(big, small))
+
+    @staticmethod
+    def episodes(level):
+        """A restricted episode on graph 0 (6 queries) and an unrestricted one
+        on graph 1 (3 queries, so it also pads), 2-way 2-shot."""
+        if level == "node":
+            refs = [(np.array([7, 93, 210, 388]), np.array([15, 150, 151, 260, 301, 399])),
+                    (np.array([0, 5, 1, 6]), np.array([2, 7, 9]))]
+        else:
+            refs = [(np.array([[3, 40], [100, 333], [41, 42], [250, 9]]),
+                     np.array([[5, 6], [120, 399], [7, 300], [60, 61], [3, 200],
+                               [17, 71]])),
+                    (np.array([[0, 1], [2, 8], [3, 4], [5, 9]]),
+                     np.array([[6, 7], [1, 9], [0, 2]]))]
+        return [Episode(level=level, n_way=2, k_shot=2, graph_index=gi,
+                        support_refs=sup, support_labels=np.array([0, 1, 0, 1]),
+                        query_refs=qry, query_labels=np.arange(len(qry)) % 2,
+                        class_ids=np.array([0, 1]), feat_drop=0.1, edge_drop=0.1,
+                        aug_seed=77 + gi)
+                for gi, (sup, qry) in enumerate(refs)]
+
+    def check(self, corpus, cfg, level, monkeypatch):
+        bank = GraphBank(corpus, cfg)
+        arrays = init_params(cfg)
+        rng = np.random.default_rng(5)
+        for name in arrays:  # move the affines and weights off their init
+            arrays[name] = arrays[name] + rng.normal(
+                0.0, 0.1, arrays[name].shape).astype(cfg.dtype)
+        episodes = self.episodes(level)
+        got = _run_step(bank, episodes, arrays, cfg, monkeypatch, model.encode)
+        want = _run_step(bank, episodes, arrays, cfg, monkeypatch, _encode_all_rows)
+        read = [len(np.union1d(ep.support_refs, ep.query_refs)) for ep in episodes]
+        assert got[3] == [read[0], 10] and want[3] == [400, 10]
+        tol = self.TOL[cfg.dtype]
+        for g, w in zip(got[:2], want[:2]):
+            _assert_close(g, w, tol)
+        for name, w in want[2].items():
+            assert w is not None, name
+            _assert_close(got[2][name], w, tol)
+
+    @pytest.mark.parametrize("dtype", ["float64", "float32"])
+    @pytest.mark.parametrize("align_mode", ["pad", "learnable-projection"])
+    @pytest.mark.parametrize("variant", ["linear", "nonlinear"])
+    @pytest.mark.parametrize("level", ["node", "link"])
+    def test_mixed_batch_matches_all_rows(self, corpus, monkeypatch, level, variant,
+                                          align_mode, dtype):
+        cfg = ModelConfig(d=4, encoder_layers=4, transformer_layers=1, n_heads=2,
+                          ffn_hidden=8, dropout=0.1, encoder_variant=variant,
+                          align_mode=align_mode, intermediate_dim=3, dtype=dtype,
+                          seed=3)
+        self.check(corpus, cfg, level, monkeypatch)
+
+    @pytest.mark.parametrize("align_mode", ["pad", "learnable-projection"])
+    def test_no_encoder_layers(self, corpus, monkeypatch, align_mode):
+        # the rows read are taken straight from the (projected) features
+        cfg = ModelConfig(d=4, encoder_layers=0, transformer_layers=1, n_heads=2,
+                          ffn_hidden=8, dropout=0.1, align_mode=align_mode,
+                          intermediate_dim=3, seed=3)
+        self.check(corpus, cfg, "node", monkeypatch)
+
+    @pytest.mark.parametrize("dtype", ["float64", "float32"])
+    @pytest.mark.parametrize("level", ["node", "link"])
+    def test_desk_graph_is_bit_identical(self, monkeypatch, level, dtype):
+        # on a 160-node desk graph no hop restricts, so nothing may change
+        g = make_synthetic(SyntheticSpec(4, 40, 0.3, 0.05, 8, 2.0, 0.5, seed=20))
+        corpus = Corpus(graphs=(_split_both(g, 21),))
+        model_cfg, train_cfg = desk_preset()
+        cfg = dataclasses.replace(model_cfg, dtype=dtype)
+        sampler = TestTapeBudget.sampler({level: corpus}, level, train_cfg)
+        episodes = [sampler.sample() for _ in range(train_cfg.batch_episodes)]
+        bank = GraphBank(corpus, cfg)
+        arrays = init_params(cfg)
+        got = _run_step(bank, episodes, arrays, cfg, monkeypatch, model.encode)
+        want = _run_step(bank, episodes, arrays, cfg, monkeypatch, _encode_all_rows)
+        assert got[3] == want[3] == [160] * 4
+        for g, w in zip(got[:2], want[:2]):
+            assert g.tobytes() == w.tobytes()
+        for name, w in want[2].items():
+            assert got[2][name].tobytes() == w.tobytes(), name
+
+
 def _tape_nodes(root) -> int:
     """Tensors reachable from `root` through the tape's parent links."""
     seen, stack = set(), [root]
@@ -528,6 +686,26 @@ class TestTapeBudget:
         assert _tape_nodes(loss) <= self.STEP_BUDGET[level]
         assert all(p.requires_grad for n in ad._topo_order(loss) for p in n._parents)
 
+    @pytest.mark.parametrize("level", ["node", "link"])
+    def test_restricted_episode_records_as_many(self, sparse_desk, monkeypatch, level):
+        # restricted hops are one tape node each, as whole-graph hops are
+        model_cfg, train_cfg = desk_preset()
+        sampler = self.sampler({level: sparse_desk}, level, train_cfg)
+        shapes = []
+
+        def spy(*args, **kwargs):
+            h = encode(*args, **kwargs)
+            shapes.append(h.shape[0])
+            return h
+
+        monkeypatch.setattr(model, "encode", spy)
+        params = params_to_tensors(init_params(model_cfg))
+        bank = GraphBank(sparse_desk, model_cfg)
+        _, loss = episode_probs_and_loss(bank, sampler.sample(), params, model_cfg,
+                                         train=True)
+        assert shapes[0] < 2000 // 2
+        assert _tape_nodes(loss) == self.BUDGET[level]
+
     def test_layernorm_is_one_tape_node(self):
         x = ad.Tensor(np.linspace(-1.0, 1.0, 12).reshape(3, 4), requires_grad=True)
         gamma, beta = (ad.Tensor(np.full(4, v), requires_grad=True) for v in (1.5, 0.5))
@@ -564,3 +742,32 @@ class TestNoTransposeInEncoderHops:
         loss.backward()
         assert all(p.grad is not None for p in params.values())
         assert transposes == []
+
+    def test_restricted_node_step_builds_no_transpose(self, sparse_desk, transposes,
+                                                       monkeypatch):
+        # a restricted hop's backward matrix is the CSC view of its row slice:
+        # the slice's own arrays, read as the transpose
+        hops = []
+
+        def spy(mat, x, mat_t=None, _orig=ad.const_matmul):
+            hops.append((mat, mat_t))
+            return _orig(mat, x, mat_t=mat_t)
+
+        monkeypatch.setattr(ad, "const_matmul", spy)
+        model_cfg, train_cfg = desk_preset()
+        sampler = TestTapeBudget.sampler({"node": sparse_desk}, "node", train_cfg)
+        params = params_to_tensors(init_params(model_cfg))
+        bank = GraphBank(sparse_desk, model_cfg)
+        episodes = [sampler.sample() for _ in range(train_cfg.batch_episodes)]
+        _, loss, _ = batch_probs_and_loss(bank, episodes, params, model_cfg, train=True)
+        loss.backward()
+        assert all(p.grad is not None for p in params.values())
+        assert transposes == []
+        restricted = [(mat, mat_t) for mat, mat_t in hops
+                      if sp.issparse(mat) and mat.shape[0] < 2000]
+        assert len(restricted) >= 2 * len(episodes)  # at least the last two hops
+        for mat, mat_t in restricted:
+            assert mat.format == "csr" and mat_t.format == "csc"
+            assert mat_t.shape == mat.shape[::-1]
+            for name in ("data", "indices", "indptr"):
+                assert np.shares_memory(getattr(mat_t, name), getattr(mat, name)), name
