@@ -21,7 +21,6 @@ import scipy.sparse as sp
 
 __all__ = [
     "Tensor",
-    "tensor",
     "add",
     "mul",
     "matmul",
@@ -36,7 +35,6 @@ __all__ = [
     "layernorm",
     "attention",
     "normalize_rows",
-    "cosine_rows",
     "grad_check",
     "GradCheckReport",
 ]
@@ -119,11 +117,6 @@ def _topo_order(root: Tensor) -> list[Tensor]:
             if id(parent) not in seen:
                 stack.append((parent, False))
     return order
-
-
-def tensor(values, requires_grad: bool = False, dtype=None) -> Tensor:
-    arr = np.asarray(values, dtype=dtype)
-    return Tensor(arr, requires_grad=requires_grad)
 
 
 def _wrap(x, like: Tensor | None = None) -> Tensor:
@@ -459,16 +452,6 @@ def normalize_rows(x, floor: float) -> Tensor:
         return np.where(active, g - radial, g) / denom
 
     return _make(out, (x,), (vjp,))
-
-
-def cosine_rows(a, b, zero_floor: float = 1e-12) -> Tensor:
-    """Cosine similarity of every row of `a` against every row of `b`.
-
-    Rows whose norm is at/below `zero_floor` count as zero vectors: their
-    cosines are 0.
-    """
-    return matmul(normalize_rows(a, zero_floor), normalize_rows(b, zero_floor),
-                  transpose_b=True)
 
 
 # ---------------------------------------------------------------------------

@@ -376,7 +376,7 @@ def cmd_tokenize(args) -> int:
     from .graphs import load_corpus
     from .episodes import EpisodeSampler
     from .model import GraphBank, ModelConfig, batch_tokens, init_params, params_to_tensors
-    from .tokens import freeze_tokens, write_tokens
+    from .tokens import TokenSet, write_tokens
 
     corpus = load_corpus(args.dataset, args.registry or None)
     if args.checkpoint:
@@ -393,9 +393,9 @@ def cmd_tokenize(args) -> int:
     params = params_to_tensors(arrays, requires_grad=False)
     bank = GraphBank(corpus, model_cfg)
     t_sup, t_qry = batch_tokens(bank, [episode], params, model_cfg)
-    ts = freeze_tokens(t_sup.values[0], t_qry.values[0], episode.support_labels,
-                       episode.query_labels, episode.class_ids,
-                       episode.n_way, episode.k_shot, model_cfg.d)
+    ts = TokenSet(t_sup.values[0], t_qry.values[0], episode.support_labels,
+                  episode.query_labels, episode.class_ids,
+                  episode.n_way, episode.k_shot, model_cfg.d)
     path = write_tokens(ts, out / "tokens.bin")
 
     resolved = {k: str(v) for k, v in vars(args).items() if k != "func"}

@@ -1,12 +1,14 @@
 """Feature alignment onto a unified width, plus column standardization.
 
 Every graph arrives with its own feature dimensionality. Alignment maps each
-feature matrix onto a fixed width d so one model can read them all:
+feature matrix onto a fixed width so one model can read them all:
 
-  * d_in > d: PCA down to d.
-  * d_in <= d, "pad" mode: PCA to full rank, then zero-pad up to d.
-  * "learnable-projection" mode: PCA to a fixed intermediate width; a dense
-    trainable map (owned by the model) lifts that to d.
+  * d_in > width: PCA down to width.
+  * d_in <= width: PCA to full rank, then zero-pad up to width.
+
+The model picks the width from its config: d in "pad" mode, or a fixed
+intermediate width in "learnable-projection" mode, where a dense trainable
+map (owned by the model) lifts it to d.
 
 PCA picks its route from the matrix's shape. A tall matrix (d_in <= n)
 streams: the centred d_in x d_in covariance is accumulated block by block,
@@ -111,47 +113,18 @@ def pca_transform(model: PCAModel, x) -> np.ndarray:
     return (x - model.mean) @ model.components.T
 
 
-@dataclass(frozen=True)
-class AlignSpec:
-    unified_dim: int
-    mode: str = "pad"               # "pad" | "learnable-projection"
-    intermediate_dim: int = 64
-
-    def __post_init__(self):
-        if self.mode not in ("pad", "learnable-projection"):
-            raise ValueError(f"unknown alignment mode {self.mode!r}")
-        if self.unified_dim < 1 or self.intermediate_dim < 1:
-            raise ValueError("alignment dims must be >= 1")
-
-
-@dataclass(frozen=True)
-class AlignedFeatures:
-    """Standardized, width-aligned features for one graph.
-
-    When needs_projection is set, x has intermediate width and the model's
-    trainable projection produces the final d columns; otherwise x is the
-    encoder input as-is.
-    """
-
-    x: np.ndarray
-    pca: PCAModel
-    needs_projection: bool
-
-
-def align_features(features, spec: AlignSpec) -> AlignedFeatures:
+def align_features(features, width: int) -> np.ndarray:
+    """Standardized PCA scores of `features`, [n x width]: min(n, d_in, width)
+    score columns, each divided by its own standard deviation (0 where it has
+    none), then zero columns up to `width`."""
     x = np.asarray(features, dtype=np.float64)
     n, d_in = x.shape
-    target = spec.intermediate_dim if spec.mode == "learnable-projection" else spec.unified_dim
-    q = min(d_in, n, target)
+    q = min(d_in, n, width)
     pca = fit_pca(x, q)
     # a score column has zero mean and population variance lambda * (n-1)/n
     sd = np.sqrt(pca.explained_variance * (n - 1) / n)
     scores = pca_transform(pca, x)
     scaled = np.divide(scores, sd, out=np.zeros_like(scores), where=sd > 0)
-    if q < target:
-        scaled = np.concatenate([scaled, np.zeros((n, target - q))], axis=1)
-    return AlignedFeatures(
-        x=scaled,
-        pca=pca,
-        needs_projection=spec.mode == "learnable-projection",
-    )
+    if q < width:
+        scaled = np.concatenate([scaled, np.zeros((n, width - q))], axis=1)
+    return scaled

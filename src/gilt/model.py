@@ -11,8 +11,12 @@ support size S (a training step's batch, or a pack of an evaluation run).
 Each episode encodes on its own; from the item representations on, the
 batch runs once, on a leading batch axis: support tokens [B x S x 2d] and
 query tokens [B x Qmax x 2d]. An episode with Q_b < Qmax queries is padded
-with zero query rows, whose masks are 1 and whose loss weight is 0. That is
-exact: no query reads another query, and the FFN and LayerNorm are row-wise.
+with zero query rows, whose masks are 1 and whose loss weight is 0. No query
+reads another query, and the FFN and LayerNorm are row-wise, so in exact
+arithmetic pad rows change no real row. In floating point they can move its
+last bits, since a BLAS product such as LayerNorm's row means can round a row
+differently when the row count changes (see `evaluate.pack_episodes`); runs
+stay deterministic.
 
 Training-time stochasticity is a pure function of each episode, drawn here
 and nowhere else: `batch_forward` reseeds one rng per episode from its
@@ -41,7 +45,7 @@ import numpy as np
 from . import autodiff as ad
 from .encoder import VARIANTS, encode, encoder_init, normalize_adjacency
 from .episodes import Episode
-from .features import AlignedFeatures, AlignSpec, align_features
+from .features import align_features
 from .graphs import Corpus
 from .head import episode_loss, predict, query_weights
 from .tokens import build_tokens, item_repr, mean_pool
@@ -65,11 +69,14 @@ class ModelConfig:
     seed: int = 0
 
     def __post_init__(self):
-        self.align_spec()  # rejects an unknown align mode and a width below 1
-        for name, allowed in (("dtype", ("float32", "float64")),
+        for name, allowed in (("align_mode", ("pad", "learnable-projection")),
+                              ("dtype", ("float32", "float64")),
                               ("encoder_variant", VARIANTS)):
             if getattr(self, name) not in allowed:
                 raise ValueError(f"unknown {name} {getattr(self, name)!r}")
+        for name in ("d", "intermediate_dim"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"{name} must be >= 1, got {getattr(self, name)}")
         if self.n_heads < 1 or (2 * self.d) % self.n_heads:
             raise ValueError(f"n_heads={self.n_heads} must divide 2d={2 * self.d}")
         # 0 layers is an ablation
@@ -81,10 +88,6 @@ class ModelConfig:
 
     def np_dtype(self):
         return np.float32 if self.dtype == "float32" else np.float64
-
-    def align_spec(self) -> AlignSpec:
-        return AlignSpec(unified_dim=self.d, mode=self.align_mode,
-                         intermediate_dim=self.intermediate_dim)
 
 
 def init_params(cfg: ModelConfig) -> dict[str, np.ndarray]:
@@ -124,10 +127,13 @@ class GraphBank:
     _encoded: dict = field(default_factory=dict)
     _encoded_for: str | None = None
 
-    def prepared(self, gi: int) -> AlignedFeatures:
+    def prepared(self, gi: int) -> np.ndarray:
+        """Graph gi's aligned features: intermediate_dim wide when a learnable
+        projection lifts them to d, else d wide."""
         if gi not in self._prepared:
-            self._prepared[gi] = align_features(self.corpus.graphs[gi].features,
-                                                self.cfg.align_spec())
+            learnable = self.cfg.align_mode == "learnable-projection"
+            width = self.cfg.intermediate_dim if learnable else self.cfg.d
+            self._prepared[gi] = align_features(self.corpus.graphs[gi].features, width)
         return self._prepared[gi]
 
     def use_model(self, digest: str) -> None:
@@ -195,8 +201,8 @@ def _encode_union(bank: GraphBank, refs, params: dict[str, ad.Tensor],
     dtype = cfg.np_dtype()
     xs, edges, sizes, offset = [], [], [], 0
     for gi in refs:
-        aligned, g = bank.prepared(int(gi)), bank.corpus.graphs[int(gi)]
-        x = aligned.x.astype(dtype, copy=False)
+        g = bank.corpus.graphs[int(gi)]
+        x = bank.prepared(int(gi)).astype(dtype, copy=False)
         if feat_drop > 0.0:
             x = x * _keep_mask(rng, x.shape, feat_drop, dtype)
         kept = g.edges
@@ -207,10 +213,9 @@ def _encode_union(bank: GraphBank, refs, params: dict[str, ad.Tensor],
         sizes.append(g.node_count)
         offset += g.node_count
     adj = normalize_adjacency(offset, np.concatenate(edges)).astype(dtype, copy=False)
-    # needs_projection is set by the align mode, so by every graph alike
-    proj_w = params["proj_w"] if aligned.needs_projection else None
+    # init_params makes proj_w in learnable-projection mode only
     return encode(adj, np.concatenate(xs), params, cfg.encoder_layers,
-                  cfg.encoder_variant, rows, proj_w), sizes
+                  cfg.encoder_variant, rows, params.get("proj_w")), sizes
 
 
 def _item_rows(bank: GraphBank, episode: Episode, params, cfg, train, rng):

@@ -9,11 +9,13 @@ leading batch axis gathers a whole batch of episodes at once.
 
 Tokens are asymmetric. A support token concatenates the item with the
 L2-normalized mean of its class's support representations (the class
-prototype); a query token concatenates the item with zeros, so nothing
+prototype, from `class_prototypes`, which the head reuses after the
+transformer); a query token concatenates the item with zeros, so nothing
 about its label can leak in. Both are 2d wide.
 
-TokenSet is the frozen, file-backed form: float32 rows plus the episode
-header, written in the checkpoints' self-checking array format (arrayfile).
+TokenSet is the file-backed form: one episode's token rows plus its header,
+written as float32 rows in the checkpoints' self-checking array format
+(arrayfile).
 """
 from __future__ import annotations
 
@@ -81,13 +83,14 @@ def build_tokens(support: ad.Tensor, support_labels: np.ndarray,
 
 @dataclass(frozen=True)
 class TokenSet:
-    """One episode's tokens, frozen to float32 for storage."""
+    """One episode's tokens; `write_tokens` stores the rows as float32 and
+    the labels and class ids as int64."""
 
-    support: np.ndarray        # [S x 2d] float32
-    query: np.ndarray          # [Q x 2d] float32
-    support_labels: np.ndarray  # [S] int64
-    query_labels: np.ndarray    # [Q] int64, -1 where unknown
-    class_ids: np.ndarray       # [n_way] int64
+    support: np.ndarray         # [S x 2d]
+    query: np.ndarray           # [Q x 2d]
+    support_labels: np.ndarray  # [S]
+    query_labels: np.ndarray    # [Q]
+    class_ids: np.ndarray       # [n_way]
     n_way: int
     k_shot: int
     d: int
@@ -120,18 +123,3 @@ def read_tokens(path) -> TokenSet:
     except (TypeError, IndexError) as exc:
         raise ValueError(f"token file {path} does not hold a token set: {exc}") from exc
 
-
-def freeze_tokens(support: np.ndarray, query: np.ndarray,
-                  support_labels, query_labels, class_ids,
-                  n_way: int, k_shot: int, d: int) -> TokenSet:
-    """Snapshot one episode's token values, support [S x 2d] and query
-    [Q x 2d], into the storable float32 form."""
-    q = np.asarray(query_labels, dtype=np.int64)
-    return TokenSet(
-        support=support.astype(np.float32),
-        query=query.astype(np.float32),
-        support_labels=np.asarray(support_labels, dtype=np.int64),
-        query_labels=q if q.size else np.full(query.shape[0], -1, np.int64),
-        class_ids=np.asarray(class_ids, dtype=np.int64),
-        n_way=n_way, k_shot=k_shot, d=d,
-    )

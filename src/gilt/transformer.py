@@ -16,9 +16,10 @@ ablation runs, which doubles the attention parameter count.
 Both streams may carry leading axes: training runs a level's batch of
 episodes as support tokens [B x S x 2d] and query tokens [B x Qmax x 2d],
 and every op attends, normalizes or maps within one batch element. A query
-row past an episode's own query count is padding; since no query reads
-another query and the FFN and LayerNorm are row-wise, it changes no real
-row.
+row past an episode's own query count is padding. No query reads another
+query and the FFN and LayerNorm are row-wise, so in exact arithmetic a pad
+row changes no real row; in floating point it can move a real row's last
+bits, because BLAS may round a row differently when the row count changes.
 
 Dropout arrives as keep masks from their single draw site, `model.py`, one
 (stage-one, stage-two, FFN) tuple per layer in draw order; nothing here reads an rng.

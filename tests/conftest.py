@@ -1,4 +1,13 @@
+import os
 import sys
+
+from gilt.cli import _THREAD_VARS  # imports no numerics
+
+# One BLAS thread, as `GILT_THREADS=1` gives the CLI: on a loaded machine a
+# multi-threaded BLAS waits on busy cores. numpy is not loaded yet here, so
+# the cap holds for the whole session; a caller's own setting wins.
+for _var in _THREAD_VARS:
+    os.environ.setdefault(_var, "1")
 
 
 def pytest_terminal_summary(terminalreporter):

@@ -25,7 +25,7 @@ def _mask(shape, seed, p=0.3, dtype=np.float64):
 
 
 def _check_unary(op, shape, seed, **kwargs):
-    x = ad.tensor(_rand(shape, seed), requires_grad=True)
+    x = ad.Tensor(_rand(shape, seed), requires_grad=True)
     report = ad.grad_check(lambda: ad.sum_(op(x, **kwargs)), {"x": x})
     assert report.passed, f"{op.__name__}: {report.max_rel_err}"
 
@@ -44,17 +44,17 @@ def _ln(x):
 
 
 def test_layernorm_gradient_vs_central_differences():
-    x = ad.tensor(_rand((4, 8), 11), requires_grad=True)
-    gamma = ad.tensor(_rand(8, 13), requires_grad=True)
-    beta = ad.tensor(_rand(8, 14), requires_grad=True)
-    w = ad.tensor(_rand((4, 8), 12), requires_grad=False)
+    x = ad.Tensor(_rand((4, 8), 11), requires_grad=True)
+    gamma = ad.Tensor(_rand(8, 13), requires_grad=True)
+    beta = ad.Tensor(_rand(8, 14), requires_grad=True)
+    w = ad.Tensor(_rand((4, 8), 12), requires_grad=False)
     report = ad.grad_check(lambda: ad.sum_(ad.mul(ad.layernorm(x, gamma, beta), w)),
                            {"x": x, "gamma": gamma, "beta": beta})
     assert report.max_rel_err < 1e-6, report.max_rel_err
 
 
 def test_layernorm_rows_standardized():
-    x = ad.tensor(_rand((6, 16), 3, scale=2.0))
+    x = ad.Tensor(_rand((6, 16), 3, scale=2.0))
     out = _ln(x).values
     np.testing.assert_allclose(out.mean(axis=1), 0.0, atol=1e-12)
     np.testing.assert_allclose(out.var(axis=1), 1.0, atol=1e-10)
@@ -65,12 +65,12 @@ def test_layernorm_applies_affine_after_standardizing():
     gamma, beta = _rand(6, 5), _rand(6, 6)
     mu = x.mean(axis=1, keepdims=True)
     want = (x - mu) / np.sqrt(x.var(axis=1, keepdims=True)) * gamma + beta
-    got = ad.layernorm(ad.tensor(x), gamma, beta).values
+    got = ad.layernorm(ad.Tensor(x), gamma, beta).values
     np.testing.assert_allclose(got, want, atol=1e-12)
 
 
 def test_layernorm_near_constant_row_stays_finite():
-    x = ad.tensor(np.full((1, 4), 2.5))
+    x = ad.Tensor(np.full((1, 4), 2.5))
     out = _ln(x).values
     assert np.all(np.isfinite(out))
     np.testing.assert_allclose(out, 0.0, atol=1e-12)
@@ -79,8 +79,8 @@ def test_layernorm_near_constant_row_stays_finite():
 def test_layernorm_near_constant_row_gradient():
     # variance ~1e-9 sits below the eps floor, so the denominator is the
     # constant sqrt(eps) and the gradient is the centering map over it
-    x = ad.tensor(2.5 + 1e-4 * _rand((2, 6), 15), requires_grad=True)
-    gamma = ad.tensor(_rand(6, 16), requires_grad=True)
+    x = ad.Tensor(2.5 + 1e-4 * _rand((2, 6), 15), requires_grad=True)
+    gamma = ad.Tensor(_rand(6, 16), requires_grad=True)
     w = _rand((2, 6), 17)
     report = ad.grad_check(
         lambda: ad.sum_(ad.mul(ad.layernorm(x, gamma, np.zeros(6)), w)),
@@ -133,9 +133,9 @@ def test_layernorm_matches_reference(shape, dtype, tol):
     beta_v = rng.standard_normal(m).astype(dtype)
     seed = rng.standard_normal(shape).astype(dtype)
     for x_v in _layernorm_inputs(shape, dtype):
-        x = ad.tensor(x_v, requires_grad=True)
-        gamma = ad.tensor(gamma_v, requires_grad=True)
-        beta = ad.tensor(beta_v, requires_grad=True)
+        x = ad.Tensor(x_v, requires_grad=True)
+        gamma = ad.Tensor(gamma_v, requires_grad=True)
+        beta = ad.Tensor(beta_v, requires_grad=True)
         out = ad.layernorm(x, gamma, beta)
         out.backward(seed)
         want = _reference_layernorm(x_v, gamma_v, beta_v, seed)
@@ -160,7 +160,7 @@ def test_layernorm_float32_near_constant_rows_as_accurate_as_reference():
     seed = rng.standard_normal((256, 32)).astype(np.float32)
     oracle = _reference_layernorm(*(a.astype(np.float64) for a in (x, gamma_v, beta_v, seed)))
     ref = _reference_layernorm(x, gamma_v, beta_v, seed)
-    leaves = [ad.tensor(a, requires_grad=True) for a in (x, gamma_v, beta_v)]
+    leaves = [ad.Tensor(a, requires_grad=True) for a in (x, gamma_v, beta_v)]
     out = ad.layernorm(*leaves)
     out.backward(seed)
     for name, got, r, o in zip(("out", "dx", "dgamma", "dbeta"),
@@ -187,7 +187,7 @@ def test_unary_op_gradients(op, kwargs):
     shape = (3, 7)
     # crc32, not hash(): str hashes are salted per process
     seed = zlib.crc32(op.__name__.encode()) % 1000
-    x = ad.tensor(np.abs(_rand(shape, seed)) + 0.5, requires_grad=True)
+    x = ad.Tensor(np.abs(_rand(shape, seed)) + 0.5, requires_grad=True)
     w = _rand(shape, seed + 1)
     report = ad.grad_check(lambda: ad.sum_(ad.mul(op(x, **kwargs), w)), {"x": x})
     assert report.passed, f"{op.__name__}: {report.max_rel_err}"
@@ -195,8 +195,8 @@ def test_unary_op_gradients(op, kwargs):
 
 @pytest.mark.parametrize("shape_a,shape_b", [((3, 4), (3, 4)), ((3, 4), (1, 4)), ((3, 4), (3, 1)), ((3, 4), ())])
 def test_broadcast_binary_gradients(shape_a, shape_b):
-    a = ad.tensor(_rand(shape_a, 1), requires_grad=True)
-    b = ad.tensor(_rand(shape_b, 2) + 2.0, requires_grad=True)
+    a = ad.Tensor(_rand(shape_a, 1), requires_grad=True)
+    b = ad.Tensor(_rand(shape_b, 2) + 2.0, requires_grad=True)
     for op in (ad.add, ad.mul):
         a.zero_grad(), b.zero_grad()
         report = ad.grad_check(lambda op=op: ad.sum_(op(a, b)), {"a": a, "b": b})
@@ -204,18 +204,18 @@ def test_broadcast_binary_gradients(shape_a, shape_b):
 
 
 def test_matmul_gradients_including_transpose():
-    a = ad.tensor(_rand((3, 5), 4), requires_grad=True)
-    b = ad.tensor(_rand((5, 2), 5), requires_grad=True)
+    a = ad.Tensor(_rand((3, 5), 4), requires_grad=True)
+    b = ad.Tensor(_rand((5, 2), 5), requires_grad=True)
     report = ad.grad_check(lambda: ad.sum_(ad.matmul(a, b)), {"a": a, "b": b})
     assert report.passed
-    c = ad.tensor(_rand((4, 5), 6), requires_grad=True)
+    c = ad.Tensor(_rand((4, 5), 6), requires_grad=True)
     report = ad.grad_check(lambda: ad.sum_(ad.matmul(a, c, transpose_b=True)), {"a": a, "c": c})
     assert report.passed
 
 
 def test_batched_matmul_matches_per_batch_products():
-    a = ad.tensor(_rand((2, 3, 4), 30), requires_grad=True)
-    b = ad.tensor(_rand((2, 5, 4), 31), requires_grad=True)
+    a = ad.Tensor(_rand((2, 3, 4), 30), requires_grad=True)
+    b = ad.Tensor(_rand((2, 5, 4), 31), requires_grad=True)
     out = ad.matmul(a, b, transpose_b=True).values
     for i in range(2):
         np.testing.assert_allclose(out[i], a.values[i] @ b.values[i].T, atol=1e-12)
@@ -224,14 +224,14 @@ def test_batched_matmul_matches_per_batch_products():
         lambda: ad.sum_(ad.mul(ad.matmul(a, b, transpose_b=True), w)), {"a": a, "b": b})
     assert report.passed, report.max_rel_err
     # a shared 2-D right operand collects gradient from every batch entry
-    c = ad.tensor(_rand((4, 2), 33), requires_grad=True)
+    c = ad.Tensor(_rand((4, 2), 33), requires_grad=True)
     report = ad.grad_check(lambda: ad.sum_(ad.matmul(a, c)), {"a": a, "c": c})
     assert report.passed, report.max_rel_err
 
 
 def test_const_matmul_sparse_and_dense_agree():
     dense = _rand((6, 6), 8)
-    x = ad.tensor(_rand((6, 3), 9), requires_grad=True)
+    x = ad.Tensor(_rand((6, 3), 9), requires_grad=True)
     sparse = sp.csr_matrix(dense)
     out_d = ad.const_matmul(dense, x)
     out_s = ad.const_matmul(sparse, x)
@@ -241,8 +241,8 @@ def test_const_matmul_sparse_and_dense_agree():
 
 
 def test_concat_slice_take_rows_gradients():
-    a = ad.tensor(_rand((4, 3), 10), requires_grad=True)
-    b = ad.tensor(_rand((4, 2), 11), requires_grad=True)
+    a = ad.Tensor(_rand((4, 3), 10), requires_grad=True)
+    b = ad.Tensor(_rand((4, 2), 11), requires_grad=True)
 
     def f():
         joined = ad.concat([a, b], axis=1)
@@ -256,7 +256,7 @@ def test_concat_slice_take_rows_gradients():
 
 
 def test_reduction_gradients():
-    x = ad.tensor(_rand((3, 4), 12), requires_grad=True)
+    x = ad.Tensor(_rand((3, 4), 12), requires_grad=True)
     for axis, n in ((None, 12), (0, 3), (1, 4)):
         report = ad.grad_check(
             lambda axis=axis, n=n: ad.sum_(ad.mul(ad.mul(ad.sum_(x, axis=axis), 1.0 / n),
@@ -265,38 +265,16 @@ def test_reduction_gradients():
         assert report.passed, f"sum axis={axis}"
 
 
-def test_cosine_rows_matches_numpy_and_zero_rule():
-    a = _rand((4, 6), 13)
-    b = _rand((3, 6), 14)
-    got = ad.cosine_rows(ad.tensor(a), ad.tensor(b)).values
-    want = (a / np.linalg.norm(a, axis=1, keepdims=True)) @ (
-        b / np.linalg.norm(b, axis=1, keepdims=True)
-    ).T
-    np.testing.assert_allclose(got, want, atol=1e-12)
-    # zero row against anything is 0 by definition
-    z = np.vstack([np.zeros(6), b[0]])
-    got = ad.cosine_rows(ad.tensor(z), ad.tensor(b)).values
-    np.testing.assert_array_equal(got[0], 0.0)
-
-
-def test_cosine_rows_gradient():
-    a = ad.tensor(_rand((3, 5), 15), requires_grad=True)
-    b = ad.tensor(_rand((2, 5), 16), requires_grad=True)
-    w = _rand((3, 2), 17)
-    report = ad.grad_check(lambda: ad.sum_(ad.mul(ad.cosine_rows(a, b), w)), {"a": a, "b": b})
-    assert report.passed, report.max_rel_err
-
-
 def test_normalize_rows_units_and_zero_row():
     x = np.vstack([_rand((2, 4), 40), np.zeros((1, 4))])
-    out = ad.normalize_rows(ad.tensor(x), 1e-12).values
+    out = ad.normalize_rows(ad.Tensor(x), 1e-12).values
     np.testing.assert_allclose(out[:2], x[:2] / np.linalg.norm(x[:2], axis=1, keepdims=True),
                                atol=1e-12)
     np.testing.assert_array_equal(out[2], 0.0)
 
 
 def test_normalize_rows_gradient_at_zero_row_is_finite():
-    x = ad.tensor(np.vstack([_rand((1, 3), 41), np.zeros((1, 3))]), requires_grad=True)
+    x = ad.Tensor(np.vstack([_rand((1, 3), 41), np.zeros((1, 3))]), requires_grad=True)
     w = _rand((2, 3), 42)
     ad.sum_(ad.mul(ad.normalize_rows(x, 1e-12), w)).backward()
     assert np.all(np.isfinite(x.grad))
@@ -306,7 +284,7 @@ def test_normalize_rows_gradient_at_zero_row_is_finite():
 
 def test_normalize_rows_gradient_below_and_above_floor():
     # row 0 has norm ~0.05 (below the 0.5 floor: linear), row 1 norm ~3
-    x = ad.tensor(np.array([[0.03, -0.04, 0.0], [1.0, 2.0, -2.0]]), requires_grad=True)
+    x = ad.Tensor(np.array([[0.03, -0.04, 0.0], [1.0, 2.0, -2.0]]), requires_grad=True)
     w = _rand((2, 3), 43)
     report = ad.grad_check(lambda: ad.sum_(ad.mul(ad.normalize_rows(x, 0.5), w)), {"x": x})
     assert report.passed, report.max_rel_err
@@ -320,7 +298,7 @@ def _softmax(z):
 
 def test_log_softmax_matches_log_of_softmax():
     x = _rand((3, 5), 44, scale=3.0)
-    got = ad.log_softmax(ad.tensor(x)).values
+    got = ad.log_softmax(ad.Tensor(x)).values
     want = np.log(_softmax(x))
     np.testing.assert_allclose(got, want, atol=1e-12)
 
@@ -328,7 +306,7 @@ def test_log_softmax_matches_log_of_softmax():
 def test_log_softmax_large_gap_gives_finite_loss_and_gradient():
     # a 60-nat gap makes the true class probability ~1e-26: the loss is the
     # gap itself and the gradient still points at the true class
-    logits = ad.tensor(np.array([[0.0, -60.0], [-45.0, 0.0]]), requires_grad=True)
+    logits = ad.Tensor(np.array([[0.0, -60.0], [-45.0, 0.0]]), requires_grad=True)
     logp = ad.log_softmax(logits)
     loss = ad.sum_(ad.mul(logp, np.array([[0.0, -0.5], [-0.5, 0.0]])))
     assert np.isfinite(loss.values)
@@ -341,15 +319,15 @@ def test_log_softmax_large_gap_gives_finite_loss_and_gradient():
 def test_class_means_matches_numpy_and_rejects_missing_class():
     x = _rand((5, 3), 45)
     labels = np.array([1, 0, 1, 1, 0])
-    out = ad.class_means(ad.tensor(x), labels, 2).values
+    out = ad.class_means(ad.Tensor(x), labels, 2).values
     np.testing.assert_allclose(out, [x[[1, 4]].mean(axis=0), x[[0, 2, 3]].mean(axis=0)],
                                atol=1e-12)
     with pytest.raises(ValueError, match="class 2 has no support rows"):
-        ad.class_means(ad.tensor(x), labels, 3)
+        ad.class_means(ad.Tensor(x), labels, 3)
 
 
 def test_class_means_gradient():
-    x = ad.tensor(_rand((6, 4), 46), requires_grad=True)
+    x = ad.Tensor(_rand((6, 4), 46), requires_grad=True)
     w = _rand((3, 4), 47)
     labels = np.array([2, 0, 1, 1, 0, 2])
     report = ad.grad_check(lambda: ad.sum_(ad.mul(ad.class_means(x, labels, 3), w)), {"x": x})
@@ -371,8 +349,8 @@ _BATCHED = {
     "take_rows-slice": (lambda t, b: ad.take_rows(t[0], slice(1, 3)), [_rand((2, 4, 3), 134)]),
     "take_rows-index": (lambda t, b: ad.take_rows(t[0], np.array([[0, 0, 2], [3, 1, 1]])[b]),
                         [_rand((2, 4, 3), 135)]),
-    "cosine_rows": (lambda t, b: ad.cosine_rows(*t),
-                    [_rand((2, 4, 5), 136), _rand((2, 3, 5), 137)]),
+    "matmul-batched": (lambda t, b: ad.matmul(*t, transpose_b=True),
+                       [_rand((2, 4, 5), 136), _rand((2, 3, 5), 137)]),
     "matmul-shared-weight": (lambda t, b: ad.matmul(*t, transpose_b=True),
                              [_rand((2, 4, 6), 138), _rand((5, 6), 139)]),
 }
@@ -382,7 +360,7 @@ _ALL = slice(None)
 @pytest.mark.parametrize("name", sorted(_BATCHED))
 def test_batched_gradients(name):
     call, arrays = _BATCHED[name]
-    leaves = {f"x{i}": ad.tensor(a, requires_grad=True) for i, a in enumerate(arrays)}
+    leaves = {f"x{i}": ad.Tensor(a, requires_grad=True) for i, a in enumerate(arrays)}
     w = _rand(call(list(leaves.values()), _ALL).shape, 140)
     report = ad.grad_check(lambda: ad.sum_(ad.mul(call(list(leaves.values()), _ALL), w)),
                            leaves)
@@ -394,14 +372,14 @@ def test_batched_op_is_each_batch_element_alone(name):
     # a batch element's output and its input gradients are those of the
     # element run on its own; a shared weight's gradient is their sum
     call, arrays = _BATCHED[name]
-    batched = [ad.tensor(a, requires_grad=True) for a in arrays]
+    batched = [ad.Tensor(a, requires_grad=True) for a in arrays]
     out = call(batched, _ALL)
     seed = _rand(out.shape, 141)
     out.backward(seed)
     weight_grads = [np.zeros_like(a) for a in arrays]
     for i in range(out.shape[0]):
         b = slice(i, i + 1)
-        one = [ad.tensor(a[b] if a.ndim == 3 else a, requires_grad=True) for a in arrays]
+        one = [ad.Tensor(a[b] if a.ndim == 3 else a, requires_grad=True) for a in arrays]
         part = call(one, b)
         part.backward(seed[b])
         np.testing.assert_allclose(part.values[0], out.values[i], rtol=0, atol=1e-12)
@@ -417,9 +395,9 @@ def test_batched_op_is_each_batch_element_alone(name):
 
 def _attention_inputs(seed, dtype=np.float64):
     rng = np.random.default_rng(seed)
-    a, b = (ad.tensor(rng.standard_normal((n, 6)), requires_grad=True, dtype=dtype)
+    a, b = (ad.Tensor(rng.standard_normal((n, 6)).astype(dtype), requires_grad=True)
             for n in (3, 5))
-    ws = {w: ad.tensor(rng.uniform(-0.8, 0.8, (6, 6)), requires_grad=True, dtype=dtype)
+    ws = {w: ad.Tensor(rng.uniform(-0.8, 0.8, (6, 6)).astype(dtype), requires_grad=True)
           for w in ("wq", "wk", "wv", "wo")}
     return a, b, ws
 
@@ -469,7 +447,7 @@ def test_attention_backward_twice_uses_each_seed():
 
 def test_dropout_gradient_with_frozen_mask():
     # FFN dropout scales by a keep mask the caller drew; the mask is no tape node
-    x = ad.tensor(_rand((5, 5), 18), requires_grad=True)
+    x = ad.Tensor(_rand((5, 5), 18), requires_grad=True)
     mask = _mask((5, 5), 99, p=0.4)
     report = ad.grad_check(lambda: ad.sum_(ad.mul(x, mask)), {"x": x})
     assert report.passed
@@ -497,8 +475,8 @@ _CONSTANT_OPERAND_CASES = {
 @pytest.mark.parametrize("name", sorted(_CONSTANT_OPERAND_CASES))
 def test_constants_stay_off_the_tape(name, wrap):
     op = _CONSTANT_OPERAND_CASES[name]
-    const = (lambda a: a) if wrap == "array" else ad.tensor
-    x = ad.tensor(_rand((3, 4), 41), requires_grad=True)
+    const = (lambda a: a) if wrap == "array" else ad.Tensor
+    x = ad.Tensor(_rand((3, 4), 41), requires_grad=True)
     out = op(x, const)
     assert out._parents == (x,) and len(out._vjps) == 1
     seed = _rand(out.shape, 42)
@@ -506,14 +484,14 @@ def test_constants_stay_off_the_tape(name, wrap):
     # the one recorded VJP is x's: the gradient equals that of a run in
     # which the constants are differentiable leaves too
     got, x.grad = x.grad, None
-    op(x, lambda a: ad.tensor(a, requires_grad=True)).backward(seed)
+    op(x, lambda a: ad.Tensor(a, requires_grad=True)).backward(seed)
     assert got.tobytes() == x.grad.tobytes()
 
 
 @pytest.mark.parametrize("c", [10.0, 0.53, 1.0 / 3.0])
 def test_mul_by_a_float_keeps_numpys_float32_scalar_rule(c):
     # mul casts a Python float to the tensor's dtype, as numpy does for x * c
-    x = ad.tensor(_rand((3, 4), 43), requires_grad=True, dtype=np.float32)
+    x = ad.Tensor(_rand((3, 4), 43).astype(np.float32), requires_grad=True)
     out = ad.mul(x, c)
     seed = _rand((3, 4), 44).astype(np.float32)
     out.backward(seed)
@@ -538,13 +516,13 @@ def test_attention_all_ones_mask_is_no_mask():
 
 def test_grad_check_linear_is_exact():
     a = _rand((7,), 20)
-    theta = ad.tensor(_rand((7,), 21), requires_grad=True)
+    theta = ad.Tensor(_rand((7,), 21), requires_grad=True)
     report = ad.grad_check(lambda: ad.sum_(ad.mul(theta, a)), {"theta": theta})
     assert report.max_rel_err < 1e-9
 
 
 def test_grad_check_detects_corrupted_gradient():
-    x = ad.tensor(_rand((4,), 22), requires_grad=True)
+    x = ad.Tensor(_rand((4,), 22), requires_grad=True)
 
     def f():
         return ad.sum_(ad.mul(ad.mul(x, x), 3.0))
@@ -600,8 +578,6 @@ _OP_CASES = {
                   [_rand((3, 6), 92), _rand((5, 6), 93)]
                   + [_rand((6, 6), s, scale=0.5) for s in (94, 95, 96, 97)], 8),
     "normalize_rows": (lambda t, dt: ad.normalize_rows(t[0], 1e-12), [_rand((4, 5), 98)], 4),
-    "cosine_rows": (lambda t, dt: ad.cosine_rows(*t), [_rand((4, 5), 99), _rand((3, 5), 100)],
-                    4),
     # the same ops on a leading batch axis, as a training step runs them
     "matmul-shared-weight": (lambda t, dt: ad.matmul(*t),
                              [_rand((2, 4, 6), 102), _rand((6, 5), 103)], 2),
@@ -613,13 +589,13 @@ _OP_CASES = {
                                                      _mask((3, 2, 4, 4), 106, dtype=dt)),
                           [_rand((3, 4, 6), 107)]
                           + [_rand((6, 6), s, scale=0.5) for s in (108, 109, 110, 111)], 8),
-    "cosine_rows-batched": (lambda t, dt: ad.cosine_rows(*t),
-                            [_rand((2, 4, 5), 112), _rand((2, 3, 5), 113)], 4),
+    "matmul-batched": (lambda t, dt: ad.matmul(*t, transpose_b=True),
+                       [_rand((2, 4, 5), 112), _rand((2, 3, 5), 113)], 2),
 }
 
 
 def test_every_differentiable_op_has_a_float32_case():
-    harness = {"tensor", "grad_check"}
+    harness = {"grad_check"}
     # a key "op-variant" is a further case of op
     assert ({n for n in ad.__all__ if n[0].islower()} - harness
             == {key.partition("-")[0] for key in _OP_CASES})
@@ -630,7 +606,7 @@ def test_float32_agrees_with_float64(name):
     call, arrays, tol = _OP_CASES[name]
     results = {}
     for dtype in (np.float64, np.float32):
-        leaves = [ad.tensor(a, requires_grad=True, dtype=dtype) for a in arrays]
+        leaves = [ad.Tensor(a.astype(dtype), requires_grad=True) for a in arrays]
         out = call(leaves, dtype)
         out.backward(_rand(out.shape, 101).astype(dtype))
         results[dtype] = [out.values] + [t.grad for t in leaves]
@@ -649,7 +625,7 @@ def test_required_ops_are_exposed():
     for path in src.glob("*.py"):
         if path.name != "autodiff.py":
             used |= set(re.findall(r"\bad\.([a-z_]+)\(", path.read_text()))
-    harness = {"tensor", "grad_check", "global_grad_norm"}
+    harness = {"grad_check", "global_grad_norm"}
     for name in used:
         assert name in ad.__all__ or name in harness, name
         assert callable(getattr(ad, name))
@@ -669,8 +645,8 @@ def test_ops_draw_no_random_numbers():
 def test_determinism_same_seed_same_loss():
     def run():
         rng = np.random.default_rng(7)
-        x = ad.tensor(rng.standard_normal((16, 8)), requires_grad=True)
-        h = _ln(ad.matmul(x, ad.tensor(rng.standard_normal((8, 8)))))
+        x = ad.Tensor(rng.standard_normal((16, 8)), requires_grad=True)
+        h = _ln(ad.matmul(x, ad.Tensor(rng.standard_normal((8, 8)))))
         h = ad.mul(h, _mask(h.shape, 3, p=0.2))
         loss = ad.mul(ad.sum_(ad.mul(h, h)), 1.0 / h.values.size)
         loss.backward()
@@ -698,7 +674,7 @@ class TestBackwardFreesIntermediateGrads:
     def tape():
         """A small model-shaped tape: x and the weights are leaves, and the
         propagated `h` feeds attention, the residual add and the loss."""
-        leaves = {name: ad.tensor(_rand(shape, seed), requires_grad=True)
+        leaves = {name: ad.Tensor(_rand(shape, seed), requires_grad=True)
                   for name, shape, seed in (("x", (5, 4), 40), ("w1", (4, 4), 41),
                                             ("wq", (4, 4), 42), ("wk", (4, 4), 43),
                                             ("wv", (4, 4), 44), ("wo", (4, 4), 45))}
@@ -726,7 +702,7 @@ class TestBackwardFreesIntermediateGrads:
             assert leaf.grad.tobytes() == kept[name].grad.tobytes(), name
 
     def test_tensor_used_twice_accumulates_both_uses(self):
-        x = ad.tensor(np.array([1.0, -2.0, 3.0]), requires_grad=True)
+        x = ad.Tensor(np.array([1.0, -2.0, 3.0]), requires_grad=True)
         y = ad.mul(x, 3.0)  # an intermediate read by two consumers
         loss = ad.sum_(ad.add(ad.mul(y, x), ad.mul(y, 2.0)))
         loss.backward()

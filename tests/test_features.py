@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gilt import features
-from gilt.features import AlignSpec, align_features, fit_pca, pca_transform
+from gilt.features import align_features, fit_pca, pca_transform
 
 
 def spectrum_data(n=500, d=50, seed=0):
@@ -159,16 +159,21 @@ class TestIncrementalPCA:
         assert np.max(np.abs(projector(m.components) - projector(axes))) < 1e-8
 
 
+def aligned(x, width):
+    """align_features' columns, plus the PCA fit they are read from."""
+    return align_features(x, width), fit_pca(x, min(*np.shape(x), width))
+
+
 class TestZeroVariance:
     def test_null_direction_column_is_zero(self):
         # 20 nodes, 32 features: the centred rank is 19, so the 20th of the
         # q = 20 directions carries no variance and must not be rescaled
         # into unit-variance rounding noise
-        out = align_features(spectrum_data(20, 32, seed=8), AlignSpec(unified_dim=32))
-        assert out.pca.degenerate is True
-        assert out.pca.explained_variance[19] == 0.0
-        assert np.all(out.x[:, 19:] == 0.0)
-        assert np.max(np.abs(out.x[:, :19].var(axis=0) - 1.0)) < 1e-6
+        out, pca = aligned(spectrum_data(20, 32, seed=8), 32)
+        assert pca.degenerate is True
+        assert pca.explained_variance[19] == 0.0
+        assert np.all(out[:, 19:] == 0.0)
+        assert np.max(np.abs(out[:, :19].var(axis=0) - 1.0)) < 1e-6
 
     @pytest.mark.parametrize("scale", [100.0, 1000.0])
     @pytest.mark.parametrize("n, d_in", [(50, 10), (4, 10)], ids=["tall", "wide"])
@@ -177,13 +182,13 @@ class TestZeroVariance:
         # so only a floor relative to the largest eigenvalue catches it
         rng = np.random.default_rng(11)
         x = scale * rng.standard_normal((n, 3)) @ rng.standard_normal((3, d_in))
-        out = align_features(x, AlignSpec(unified_dim=d_in))
+        out, pca = aligned(x, d_in)
         rank = min(3, n - 1)
-        assert out.pca.degenerate is True
-        assert np.all(out.pca.explained_variance[rank:] == 0.0)
-        assert np.all(out.pca.explained_variance[:rank] > 0.0)
-        assert np.all(out.x[:, rank:] == 0.0)
-        assert np.max(np.abs(out.x[:, :rank].var(axis=0) - 1.0)) < 1e-6
+        assert pca.degenerate is True
+        assert np.all(pca.explained_variance[rank:] == 0.0)
+        assert np.all(pca.explained_variance[:rank] > 0.0)
+        assert np.all(out[:, rank:] == 0.0)
+        assert np.max(np.abs(out[:, :rank].var(axis=0) - 1.0)) < 1e-6
 
     @pytest.mark.parametrize("s", [1e-8, 1.0, 1e8])
     def test_scale_changes_nothing(self, s):
@@ -193,78 +198,72 @@ class TestZeroVariance:
         full = rng.standard_normal((50, 4))
         deficient = rng.standard_normal((50, 2)) @ rng.standard_normal((2, 6)) + 3.0
         for x in (full, deficient):
-            base = align_features(x, AlignSpec(unified_dim=x.shape[1]))
-            out = align_features(s * x, AlignSpec(unified_dim=x.shape[1]))
-            assert out.pca.degenerate is base.pca.degenerate
-            assert np.max(np.abs(out.x - base.x)) < 1e-10
-        assert not align_features(s * full, AlignSpec(unified_dim=4)).pca.degenerate
+            base, base_pca = aligned(x, x.shape[1])
+            out, pca = aligned(s * x, x.shape[1])
+            assert pca.degenerate is base_pca.degenerate
+            assert np.max(np.abs(out - base)) < 1e-10
+        assert not aligned(s * full, 4)[1].degenerate
 
     @pytest.mark.parametrize("offset", [0.0, 1.0, 1e6])
     def test_constant_features_are_degenerate(self, offset):
         x = np.tile(offset + np.array([0.1, -0.7, 0.3]), (40, 1))
-        out = align_features(x, AlignSpec(unified_dim=3))
-        assert out.pca.degenerate is True
-        assert np.all(out.pca.explained_variance == 0.0)
-        assert np.all(out.x == 0.0)
+        out, pca = aligned(x, 3)
+        assert pca.degenerate is True
+        assert np.all(pca.explained_variance == 0.0)
+        assert np.all(out == 0.0)
 
 
 class TestColumnScaling:
     def test_hand_values(self):
         # one varying column with population sd sqrt(2/3), one constant
         x = np.array([[1.0, 5.0], [2.0, 5.0], [3.0, 5.0]])
-        out = align_features(x, AlignSpec(unified_dim=2))
-        assert np.allclose(out.x[:, 0], np.array([-1.0, 0.0, 1.0]) / np.sqrt(2.0 / 3.0),
+        out, pca = aligned(x, 2)
+        assert np.allclose(out[:, 0], np.array([-1.0, 0.0, 1.0]) / np.sqrt(2.0 / 3.0),
                            atol=1e-12)
         # the constant direction is zeroed, not divided by zero
-        assert np.all(out.x[:, 1] == 0.0)
-        assert out.pca.degenerate is True
+        assert np.all(out[:, 1] == 0.0)
+        assert pca.degenerate is True
 
     @settings(max_examples=25, deadline=None)
     @given(seed=st.integers(min_value=0, max_value=10_000))
     def test_unit_variance_invariant(self, seed):
         rng = np.random.default_rng(seed)
         x = rng.standard_normal((50, 4)) * 7.0 + 3.0
-        out = align_features(x, AlignSpec(unified_dim=4))
-        assert np.max(np.abs(out.x.mean(axis=0))) < 1e-10
-        assert np.max(np.abs(out.x.var(axis=0) - 1.0)) < 1e-6
+        out = align_features(x, 4)
+        assert np.max(np.abs(out.mean(axis=0))) < 1e-10
+        assert np.max(np.abs(out.var(axis=0) - 1.0)) < 1e-6
 
 
 class TestAlignment:
     def test_reduce_when_wide(self):
         x = spectrum_data(60, 20, seed=1)
-        out = align_features(x, AlignSpec(unified_dim=8))
-        assert out.x.shape == (60, 8)
-        assert out.needs_projection is False
-        assert np.max(np.abs(out.x.var(axis=0) - 1.0)) < 1e-6
+        out = align_features(x, 8)
+        assert out.shape == (60, 8)
+        assert np.max(np.abs(out.var(axis=0) - 1.0)) < 1e-6
 
     def test_pad_when_narrow(self):
         x = spectrum_data(60, 3, seed=2)
-        out = align_features(x, AlignSpec(unified_dim=8))
-        assert out.x.shape == (60, 8)
-        assert np.all(out.x[:, 3:] == 0.0)
-        assert np.max(np.abs(out.x[:, :3].var(axis=0) - 1.0)) < 1e-6
+        out = align_features(x, 8)
+        assert out.shape == (60, 8)
+        assert np.all(out[:, 3:] == 0.0)
+        assert np.max(np.abs(out[:, :3].var(axis=0) - 1.0)) < 1e-6
 
     def test_rank_capped_by_node_count(self):
         x = spectrum_data(4, 10, seed=3)
-        out = align_features(x, AlignSpec(unified_dim=8))
-        assert out.x.shape == (4, 8)
+        out = align_features(x, 8)
+        assert out.shape == (4, 8)
         # only min(n, d_in, d) = 4 informative columns
-        assert np.all(out.x[:, 4:] == 0.0)
+        assert np.all(out[:, 4:] == 0.0)
 
     def test_learnable_projection_mode(self):
+        # the model aligns to its intermediate width in this mode
         x = spectrum_data(30, 5, seed=4)
-        spec = AlignSpec(unified_dim=32, mode="learnable-projection", intermediate_dim=16)
-        out = align_features(x, spec)
-        assert out.needs_projection is True
-        assert out.x.shape == (30, 16)
-        assert np.all(out.x[:, 5:] == 0.0)
+        out = align_features(x, 16)
+        assert out.shape == (30, 16)
+        assert np.all(out[:, 5:] == 0.0)
 
     def test_constant_features_become_zero(self):
         x = np.full((10, 4), 3.5)
-        out = align_features(x, AlignSpec(unified_dim=6))
-        assert np.all(out.x == 0.0)
-        assert out.pca.degenerate is True
-
-    def test_unknown_mode_rejected(self):
-        with pytest.raises(ValueError, match="alignment mode"):
-            AlignSpec(unified_dim=8, mode="resample")
+        out, pca = aligned(x, 6)
+        assert np.all(out == 0.0)
+        assert pca.degenerate is True

@@ -210,7 +210,23 @@ class TestBatchForward:
             batch_probs_and_loss(bank, episodes, params, CFG)
 
 
+class TestModelConfig:
+    @pytest.mark.parametrize("field, value", [
+        ("align_mode", "resample"), ("d", 0), ("intermediate_dim", 0),
+    ])
+    def test_bad_alignment_field_rejected(self, field, value):
+        with pytest.raises(ValueError, match=field):
+            ModelConfig(**{field: value})
+
+
 class TestLearnableProjection:
+    @pytest.mark.parametrize("align_mode, width", [
+        ("pad", 8), ("learnable-projection", 6),
+    ])
+    def test_bank_aligns_to_the_mode_width(self, node_setup, align_mode, width):
+        cfg = ModelConfig(d=8, n_heads=2, align_mode=align_mode, intermediate_dim=6)
+        assert GraphBank(node_setup[0].corpus, cfg).prepared(0).shape == (60, width)
+
     def test_projection_param_exists_and_learns(self, node_setup):
         bank, sampler = node_setup
         cfg = ModelConfig(d=8, encoder_layers=1, transformer_layers=1, n_heads=2,
@@ -299,8 +315,8 @@ def _encode_graph_oracle(g, aligned, params, cfg):
     """The separate eval-time encoder that `GraphBank.encoded` replaced by the
     union path, kept as an oracle: one graph, its own adjacency, no drop."""
     adj = normalize_adjacency(g.node_count, g.edges).astype(cfg.np_dtype(), copy=False)
-    x = ad.Tensor(aligned.x.astype(cfg.np_dtype(), copy=False))
-    if aligned.needs_projection:
+    x = ad.Tensor(aligned.astype(cfg.np_dtype(), copy=False))
+    if cfg.align_mode == "learnable-projection":
         x = ad.matmul(x, params["proj_w"])
     return encode(adj, x, params, cfg.encoder_layers, cfg.encoder_variant)
 
@@ -320,11 +336,11 @@ def _per_graph_item_rows(bank, episode, params, cfg, train, rng,
         if not train:
             h = bank.encoded(gi, params)
         else:
-            aligned, g = bank.prepared(gi), bank.corpus.graphs[gi]
-            x = ad.Tensor(aligned.x.astype(dtype, copy=False))
+            g = bank.corpus.graphs[gi]
+            x = ad.Tensor(bank.prepared(gi).astype(dtype, copy=False))
             if episode.feat_drop > 0.0:
                 x = ad.mul(x, model._keep_mask(rng, x.shape, episode.feat_drop, dtype))
-            if aligned.needs_projection:
+            if cfg.align_mode == "learnable-projection":
                 x = ad.matmul(x, params["proj_w"])
             edges = g.edges
             if episode.edge_drop > 0.0:

@@ -6,7 +6,6 @@ from gilt.tokens import (
     TokenSet,
     build_tokens,
     class_prototypes,
-    freeze_tokens,
     item_repr,
     mean_pool,
     read_tokens,
@@ -179,10 +178,17 @@ class TestTokenSetIO:
                 class_ids=np.array([0, 1]), n_way=2, k_shot=1, d=4,
             )
 
-    def test_freeze_from_arrays(self, tmp_path):
-        sup, qry = np.ones((4, 6)), np.zeros((2, 6))
-        ts = freeze_tokens(sup, qry, [0, 0, 1, 1], [], [5, 8], 2, 2, 3)
-        assert ts.support.dtype == np.float32
-        assert np.array_equal(ts.query_labels, [-1, -1])
+    def test_write_casts_to_storage_dtypes(self, tmp_path):
+        # float64 tokens and int32 labels, as a forward and a sampler may
+        # hand them over, are stored as float32 and int64
+        rng = np.random.default_rng(9)
+        sup, qry = rng.standard_normal((4, 6)), rng.standard_normal((2, 6))
+        ts = TokenSet(sup, qry, np.array([0, 0, 1, 1], np.int32), np.array([1, 0], np.int32),
+                      np.array([5, 8], np.int32), 2, 2, 3)
         back = read_tokens(write_tokens(ts, tmp_path / "f.tok"))
-        assert np.array_equal(back.support, ts.support)
+        assert back.support.dtype == back.query.dtype == np.float32
+        assert np.array_equal(back.support, sup.astype(np.float32))
+        assert np.array_equal(back.query, qry.astype(np.float32))
+        for name in ("support_labels", "query_labels", "class_ids"):
+            got = getattr(back, name)
+            assert got.dtype == np.int64 and np.array_equal(got, getattr(ts, name)), name
