@@ -396,6 +396,13 @@ def attention(a, b, wq, wk, wv, wo, n_heads: int, mask=None) -> Tensor:
     the attention weights. One tape node; the backward is the
     softmax-attention VJP, computed once for all six inputs, each weight
     gradient one GEMM over all rows, and `a` may be `b`.
+
+    The weights are held keys-major, [... x h x s x n] = k @ q^T, so the
+    softmax and its VJP reduce over axis -2: each step is one pass over a
+    contiguous buffer whose inner runs are n queries long, not s keys (s is
+    a support set of 10-40 tokens, n may be thousands of queries). The
+    context is then weights^T @ v. The mask keeps its (..., h, n, s) shape
+    and is read transposed, so callers draw it in the same shape and order.
     """
     a, b, wq, wk, wv, wo = (_wrap(t) for t in (a, b, wq, wk, wv, wo))
 
@@ -408,17 +415,23 @@ def attention(a, b, wq, wk, wv, wo, n_heads: int, mask=None) -> Tensor:
 
     q, k, v = split(a.values @ wq.values), split(b.values @ wk.values), split(b.values @ wv.values)
     c = 1.0 / math.sqrt(q.shape[-1])  # a Python float keeps float32 float32
-    scores = (q @ _t(k)) * c
-    e = np.exp(scores - scores.max(axis=-1, keepdims=True))
-    probs = e / e.sum(axis=-1, keepdims=True)
-    dropped = probs if mask is None else probs * mask
-    merged = merge(dropped @ v)
+    probs = k @ _t(q)  # [... x h x s x n]; softmax over the keys, axis -2
+    probs *= c
+    probs -= probs.max(axis=-2, keepdims=True)
+    np.exp(probs, out=probs)
+    probs /= probs.sum(axis=-2, keepdims=True)
+    dropped = probs if mask is None else probs * _t(mask)
+    merged = merge(_t(dropped) @ v)
 
     def grads(g):
         g_ctx = split(g @ _t(wo.values))
-        g_probs = g_ctx @ _t(v) if mask is None else (g_ctx @ _t(v)) * mask
-        g_scores = probs * (g_probs - (g_probs * probs).sum(axis=-1, keepdims=True)) * c
-        gq, gk, gv = merge(g_scores @ k), merge(_t(g_scores) @ q), merge(_t(dropped) @ g_ctx)
+        g_scores = v @ _t(g_ctx)  # d loss / d dropped, keys-major
+        if mask is not None:
+            g_scores *= _t(mask)
+        g_scores -= (g_scores * probs).sum(axis=-2, keepdims=True)
+        g_scores *= probs
+        g_scores *= c
+        gq, gk, gv = merge(_t(g_scores) @ k), merge(g_scores @ q), merge(dropped @ g_ctx)
         ra, rb = _rows(a.values).T, _rows(b.values).T
         return (gq @ _t(wq.values), gk @ _t(wk.values) + gv @ _t(wv.values),
                 ra @ _rows(gq), rb @ _rows(gk), rb @ _rows(gv), _rows(merged).T @ _rows(g))

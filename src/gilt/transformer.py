@@ -21,8 +21,15 @@ query and the FFN and LayerNorm are row-wise, so in exact arithmetic a pad
 row changes no real row; in floating point it can move a real row's last
 bits, because BLAS may round a row differently when the row count changes.
 
+The attention op holds its weights keys-major, [... x heads x S x Q]: a
+support set has 10-40 tokens while a stage-two query stream may have
+thousands, so the softmax and its backward reduce over runs of queries
+rather than over a handful of keys.
+
 Dropout arrives as keep masks from their single draw site, `model.py`, one
 (stage-one, stage-two, FFN) tuple per layer in draw order; nothing here reads an rng.
+An attention mask keeps its query-major (heads x Q x S) shape and draw order;
+the op reads it transposed.
 """
 from __future__ import annotations
 

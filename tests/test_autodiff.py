@@ -415,6 +415,90 @@ def test_attention_gradients_with_dropout(self_attention):
     assert set(report.per_param) == {"a", "b", "wq", "wk", "wv", "wo"}
 
 
+def _query_major_attention(a, b, wq, wk, wv, wo, n_heads, mask, g):
+    """Reference: `ad.attention` as it was with query-major weights
+    [... x h x n x s], the softmax over the last axis. Returns the output
+    and the gradients of (a, b, wq, wk, wv, wo) for the output seed g."""
+    def split(x):
+        return x.reshape(x.shape[:-1] + (n_heads, -1)).swapaxes(-2, -3)
+
+    def merge(x):
+        x = x.swapaxes(-2, -3)
+        return x.reshape(x.shape[:-2] + (-1,))
+
+    def t(x):
+        return x.swapaxes(-1, -2)
+
+    def rows(x):
+        return x.reshape(-1, x.shape[-1])
+
+    q, k, v = split(a @ wq), split(b @ wk), split(b @ wv)
+    c = 1.0 / np.sqrt(q.shape[-1])
+    scores = (q @ t(k)) * c
+    e = np.exp(scores - scores.max(axis=-1, keepdims=True))
+    probs = e / e.sum(axis=-1, keepdims=True)
+    dropped = probs if mask is None else probs * mask
+    merged = merge(dropped @ v)
+    g_ctx = split(g @ wo.T)
+    g_probs = g_ctx @ t(v) if mask is None else (g_ctx @ t(v)) * mask
+    g_scores = probs * (g_probs - (g_probs * probs).sum(axis=-1, keepdims=True)) * c
+    gq, gk, gv = merge(g_scores @ k), merge(t(g_scores) @ q), merge(t(dropped) @ g_ctx)
+    return merged @ wo, (gq @ wq.T, gk @ wk.T + gv @ wv.T, rows(a).T @ rows(gq),
+                         rows(b).T @ rows(gk), rows(b).T @ rows(gv), rows(merged).T @ rows(g))
+
+
+def _attention_against_reference(n, s, batch, self_attention, masked, dtype=np.float64):
+    """(op values, reference values) for the output and the six leaf
+    gradients, the reference run in float64 on the same inputs; a is b
+    gets the sum of the reference's a and b gradients."""
+    rng = np.random.default_rng(0)
+    width, n_heads = 8, 2
+    lead = (3,) if batch else ()
+    a = rng.standard_normal(lead + (n, width))
+    b = a if self_attention else rng.standard_normal(lead + (s, width))
+    ws = [rng.uniform(-0.8, 0.8, (width, width)) for _ in range(4)]
+    mask = _mask(lead + (n_heads, n, s), 1) if masked else None
+    g = rng.standard_normal(lead + (n, width))
+    cast = [x.astype(dtype) for x in (a, b, *ws)]
+    leaves = [ad.Tensor(x, requires_grad=True) for x in cast]
+    if self_attention:
+        leaves[1] = leaves[0]
+    out = ad.attention(*leaves, n_heads, None if mask is None else mask.astype(dtype))
+    out.backward(g.astype(dtype))
+    ref_out, ref_grads = _query_major_attention(*(x.astype(np.float64) for x in cast),
+                                                n_heads, mask, g)
+    ref_grads = list(ref_grads)
+    if self_attention:
+        ref_grads[0] = ref_grads[0] + ref_grads.pop(1)
+        del leaves[1]
+    return [out.values] + [t.grad for t in leaves], [ref_out] + ref_grads
+
+
+def _rel_err(got, ref):
+    """max |got - ref| over max |ref|: error relative to the array's scale
+    (a zero reference, such as the query gradients over one key, asks for
+    zeros)."""
+    scale = max(np.abs(ref).max(), np.finfo(np.float64).tiny)
+    return float(np.abs(got.astype(np.float64) - ref).max() / scale)
+
+
+_KEYS = (1, 2, 20, 40)
+_QUERIES = (1, 3, 64, 2048)
+
+
+@pytest.mark.parametrize("masked", [False, True], ids=["unmasked", "masked"])
+@pytest.mark.parametrize("batch", [False, True], ids=["matrix", "batched"])
+@pytest.mark.parametrize("n,s,self_attention",
+                         [(s, s, True) for s in _KEYS]
+                         + [(n, s, False) for s in _KEYS for n in _QUERIES])
+def test_attention_matches_query_major_reference(n, s, self_attention, batch, masked):
+    # keys-major weights reorder only the sums of the softmax and its VJP
+    got, ref = _attention_against_reference(n, s, batch, self_attention, masked)
+    for g, r in zip(got, ref):
+        assert g.shape == r.shape
+        assert _rel_err(g, r) < 1e-12
+
+
 def test_attention_float32_stays_float32():
     a, b, ws = _attention_inputs(56, np.float32)
     out = ad.attention(a, b, *ws.values(), 2, _mask((2, 3, 5), 57, dtype=np.float32))
@@ -422,6 +506,41 @@ def test_attention_float32_stays_float32():
     ad.sum_(out).backward()
     for t in (a, b, *ws.values()):
         assert t.grad.dtype == np.float32
+    # and it computes the float64 reference's values to float32 rounding:
+    # within 64 eps of each array's scale (the worst case seen is 22 eps)
+    got, ref = _attention_against_reference(64, 20, True, False, True, np.float32)
+    for g, r in zip(got, ref):
+        assert g.dtype == np.float32
+        assert _rel_err(g, r) < 64 * _F32_EPS
+
+
+def test_attention_mask_entry_is_head_query_key():
+    # the mask is drawn (h, n, s): zeroing entry (h, i, j) removes key j from
+    # query i's weights in head h alone, so only query i's output moves
+    rng = np.random.default_rng(60)
+    n, s, width, n_heads = 5, 7, 6, 3
+    a, b = rng.standard_normal((n, width)), rng.standard_normal((s, width))
+    wq, wk, wv, wo = (rng.uniform(-0.8, 0.8, (width, width)) for _ in range(4))
+    h, i, j = 1, 3, 5
+    mask = np.ones((n_heads, n, s))
+    mask[h, i, j] = 0.0
+    plain = ad.attention(a, b, wq, wk, wv, wo, n_heads).values
+    masked = ad.attention(a, b, wq, wk, wv, wo, n_heads, mask).values
+    others = np.arange(n) != i
+    assert masked[others].tobytes() == plain[others].tobytes()
+    assert np.abs(masked[i] - plain[i]).max() > 1e-3
+    # query i by hand, head by head, with head h's weight on key j removed
+    w = width // n_heads
+    context = []
+    for head in range(n_heads):
+        cols = slice(head * w, (head + 1) * w)
+        scores = (b @ wk[:, cols]) @ (a[i] @ wq[:, cols]) / np.sqrt(w)
+        weights = np.exp(scores - scores.max())
+        weights /= weights.sum()
+        if head == h:
+            weights[j] = 0.0
+        context.append(weights @ (b @ wv[:, cols]))
+    np.testing.assert_allclose(masked[i], np.concatenate(context) @ wo, rtol=0, atol=1e-12)
 
 
 def test_attention_backward_twice_uses_each_seed():
