@@ -13,13 +13,23 @@ uses.
 Node and graph episodes take one labelled-item path (`_sample_labelled`):
 an item has a class label and a split tag, and only the items differ by
 level. Node items are one graph's nodes, tagged by its `node_split`; graph
-items are the corpus's graphs, tagged by `graph_split_tag`. Link episodes
-are binary (edge vs non-edge) with a fixed 3:1 negative-to-positive ratio on
-both sides; negatives are rejection-sampled node pairs that avoid every true
-edge in the graph. Each rejection round draws all its candidate endpoints in
-one vectorized call and tests them against the graph's cached key index
-(`Graph.edge_rows`), built once per graph, in one lookup; only the pairs an
-episode has drawn are kept in a per-episode set.
+items are the corpus's graphs, tagged by `graph_split_tag`.
+
+The class index of an item source (its classes, its train and query items,
+and each item's dense class id) is built once per sampler and graph: the
+first time a sampler draws from a graph, or from the graph level, it builds
+the index and keeps it, so an episode only thresholds counts, masks and
+draws. An index lives no longer than its sampler, which is bound to one
+corpus and one policy over frozen graph arrays, so it cannot serve
+another corpus's classes.
+
+Link episodes are binary (edge vs non-edge) with a fixed 3:1
+negative-to-positive ratio on both sides; negatives are rejection-sampled
+node pairs that avoid every true edge in the graph. Each rejection round
+draws all its candidate endpoints in one vectorized call and tests them
+against the graph's cached key index (`Graph.edge_rows`), built once per
+graph, in one lookup; only the pairs an episode has drawn are kept in a
+per-episode set.
 """
 from __future__ import annotations
 
@@ -74,8 +84,53 @@ class Episode:
         return int(self.query_labels.shape[0])
 
 
+def _size(name: str, value) -> int:
+    """`value` as a Python int. Sizes are counts: an int or numpy integer,
+    never a bool (numpy would take it as 0 or 1) and never a float, which
+    is refused rather than truncated. A numpy integer is converted, so the
+    sampler's arithmetic cannot wrap in a narrow dtype."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise ProtocolError(f"{name} must be an integer, got {value!r}")
+    return int(value)
+
+
+@dataclass(frozen=True)
+class _ClassIndex:
+    """One item source's labelled items, indexed once per sampler.
+
+    `classes` holds the source's labels in ascending order, and a dense
+    class id is a position in it. `item_cls[i]` is item i's dense id;
+    `train_cls` and `query_cls` are those of the train and query pools
+    (items in ascending order), and `n_train` / `n_query` count each dense
+    id in them."""
+    classes: np.ndarray
+    item_cls: np.ndarray
+    train_items: np.ndarray
+    train_cls: np.ndarray
+    query_items: np.ndarray
+    query_cls: np.ndarray
+    n_train: np.ndarray
+    n_query: np.ndarray
+
+    @classmethod
+    def build(cls, labels: np.ndarray, train_items: np.ndarray,
+              query_items: np.ndarray) -> "_ClassIndex":
+        classes, item_cls = np.unique(labels, return_inverse=True)
+        train_cls, query_cls = item_cls[train_items], item_cls[query_items]
+        return cls(classes, item_cls, train_items, train_cls, query_items, query_cls,
+                   np.bincount(train_cls, minlength=len(classes)),
+                   np.bincount(query_cls, minlength=len(classes)))
+
+
 class EpisodeSampler:
-    """Draws episodes from a corpus; one instance per (level, policy)."""
+    """Draws episodes from a corpus; one instance per (level, policy).
+
+    The sampler builds a class index (`_ClassIndex`) once per graph it
+    draws node episodes from, keyed by graph index, and once for the graph
+    level, key -1, on first use. The indexes live as long as the sampler,
+    which is bound to one corpus and one policy over frozen graph arrays,
+    so none can serve another corpus's classes. A build that raises caches
+    nothing."""
 
     def __init__(self, corpus: Corpus, level: str, n_way: int, k_shot: int,
                  query_size: int = 64, policy: str = "pretrain", seed: int = 0,
@@ -84,6 +139,9 @@ class EpisodeSampler:
             raise ProtocolError(f"unknown task level {level!r}")
         if policy not in ("pretrain", "eval"):
             raise ProtocolError(f"unknown pool policy {policy!r}")
+        n_way = _size("n_way", n_way)
+        k_shot = _size("k_shot", k_shot)
+        query_size = _size("query_size", query_size)
         if n_way < 2:
             raise ProtocolError("n_way must be >= 2")
         if level == "link" and n_way != 2:
@@ -102,6 +160,7 @@ class EpisodeSampler:
         self._eligible = corpus.supporting(level)
         if not self._eligible:
             raise ProtocolError(f"corpus has no graph supporting level {level!r}")
+        self._indexes: dict[int, _ClassIndex] = {}
 
     # -- helpers ----------------------------------------------------------
 
@@ -129,63 +188,72 @@ class EpisodeSampler:
 
     # -- node and graph level: one labelled-item path ----------------------
 
-    def _sample_labelled(self, k_shot: int, train_items: np.ndarray,
-                         query_items: np.ndarray, labels: np.ndarray,
+    def _sample_labelled(self, k_shot: int, ix: _ClassIndex,
                          graph_index: int, where: str) -> Episode:
-        """N-way K-shot episode over labelled items: `labels[i]` is item i's
-        class, supports come from `train_items`, queries from `query_items`
-        minus the supports. `where` names the item source in errors."""
-        classes, n_train = np.unique(labels[train_items], return_counts=True)
+        """N-way K-shot episode over the labelled items of `ix`: supports
+        come from its train items, queries from its query items minus the
+        supports. `where` names the item source in errors.
+
+        Classes are drawn as dense ids. `ok` lists, in ascending order, the
+        same classes a draw over the labels themselves would, so the rng
+        picks the same positions and `ix.classes` maps them back."""
         if self.policy == "pretrain":
-            ok = classes[n_train >= k_shot + 1]
+            ok = np.flatnonzero(ix.n_train >= k_shot + 1)
         else:
-            in_query = np.isin(classes, labels[query_items])
-            ok = classes[(n_train >= k_shot) & in_query]
+            ok = np.flatnonzero((ix.n_train >= k_shot) & (ix.n_query > 0))
         if len(ok) < self.n_way:
             raise ProtocolError(
                 f"{where}: only {len(ok)} classes have enough examples "
                 f"for {self.n_way}-way {k_shot}-shot ({self.policy})"
             )
-        class_ids = self.rng.choice(ok, size=self.n_way, replace=False)
+        picked = self.rng.choice(ok, size=self.n_way, replace=False)
 
         sup_refs = np.concatenate([
-            self.rng.choice(train_items[labels[train_items] == c], size=k_shot,
-                            replace=False)
-            for c in class_ids
+            self.rng.choice(ix.train_items[ix.train_cls == c], size=k_shot, replace=False)
+            for c in picked
         ])
-        pool = query_items[np.isin(labels[query_items], class_ids)
-                           & ~np.isin(query_items, sup_refs)]
+        rank = np.full(len(ix.classes), -1, dtype=np.int64)
+        rank[picked] = np.arange(self.n_way)
+        taken = np.zeros(len(ix.item_cls), dtype=bool)
+        taken[sup_refs] = True
+        pool = ix.query_items[(rank[ix.query_cls] >= 0) & ~taken[ix.query_items]]
         if not pool.size:
             raise ProtocolError(f"{where}: query pool empty after removing support")
         q_refs = self.rng.choice(pool, size=min(self.query_size, len(pool)),
                                  replace=False)
-        q_labels = np.argmax(labels[q_refs][:, None] == class_ids, axis=1)
         return self._finish(graph_index, sup_refs,
                             np.repeat(np.arange(self.n_way), k_shot),
-                            q_refs, q_labels, class_ids, k_shot)
+                            q_refs, rank[ix.item_cls[q_refs]], ix.classes[picked],
+                            k_shot)
 
     def _sample_node(self, k_shot: int) -> Episode:
         gi = self._eligible[self.rng.integers(len(self._eligible))]
-        g = self.corpus.graphs[gi]
-        if g.node_split is None:
-            raise ProtocolError(f"graph {gi} has no node split; assign one first")
-        return self._sample_labelled(
-            k_shot, np.nonzero(g.node_split == TRAIN)[0],
-            np.nonzero(g.node_split == self._query_pool_tag())[0],
-            g.node_labels, gi, f"graph {gi}")
+        ix = self._indexes.get(gi)
+        if ix is None:
+            g = self.corpus.graphs[gi]
+            if g.node_split is None:
+                raise ProtocolError(f"graph {gi} has no node split; assign one first")
+            ix = self._indexes[gi] = _ClassIndex.build(
+                g.node_labels, np.nonzero(g.node_split == TRAIN)[0],
+                np.nonzero(g.node_split == self._query_pool_tag())[0])
+        return self._sample_labelled(k_shot, ix, gi, f"graph {gi}")
 
     def _sample_graph(self, k_shot: int) -> Episode:
-        graphs = self.corpus.graphs
-        eligible = np.asarray(self._eligible, dtype=np.int64)
-        tags = np.array([graphs[i].graph_split_tag for i in eligible])
-        if any(t is None for t in tags):
-            raise ProtocolError("graph-level episodes need corpus-wide split tags")
-        labels = np.full(len(graphs), -1, dtype=np.int64)
-        labels[eligible] = [graphs[i].graph_label for i in eligible]
-        return self._sample_labelled(
-            k_shot, eligible[tags == TRAIN],
-            eligible[tags == self._query_pool_tag()],
-            labels, -1, "graph level")
+        ix = self._indexes.get(-1)
+        if ix is None:
+            graphs = self.corpus.graphs
+            eligible = np.asarray(self._eligible, dtype=np.int64)
+            tags = np.array([graphs[i].graph_split_tag for i in eligible])
+            if any(t is None for t in tags):
+                raise ProtocolError("graph-level episodes need corpus-wide split tags")
+            # graphs that cannot serve the level get label -1, a class no
+            # pool holds, so it never has enough examples
+            labels = np.full(len(graphs), -1, dtype=np.int64)
+            labels[eligible] = [graphs[i].graph_label for i in eligible]
+            ix = self._indexes[-1] = _ClassIndex.build(
+                labels, eligible[tags == TRAIN],
+                eligible[tags == self._query_pool_tag()])
+        return self._sample_labelled(k_shot, ix, -1, "graph level")
 
     # -- link level -------------------------------------------------------
 
@@ -256,7 +324,7 @@ class EpisodeSampler:
     # -- entry point ------------------------------------------------------
 
     def sample(self, k_shot: int | None = None) -> Episode:
-        k = self.k_shot if k_shot is None else int(k_shot)
+        k = self.k_shot if k_shot is None else _size("k_shot", k_shot)
         if k < 1:
             raise ProtocolError("k_shot must be >= 1")
         if self.level == "node":

@@ -1,7 +1,14 @@
 import numpy as np
 import pytest
 
-from gilt.episodes import NEGATIVE_RATIO, EpisodeSampler, round_half_up, shots_at
+from gilt.episodes import (
+    NEGATIVE_RATIO,
+    EpisodeSampler,
+    ProtocolError,
+    round_half_up,
+    shots_at,
+)
+from gilt.evaluate import sweep_shots
 from gilt.graphs import (
     TEST,
     TRAIN,
@@ -13,6 +20,7 @@ from gilt.graphs import (
     make_graph,
     make_synthetic,
 )
+from gilt.model import ModelConfig, init_params
 
 
 @pytest.fixture(scope="module")
@@ -407,35 +415,78 @@ def _same_draw(a, b):
         for x, y in zip(a, b))
 
 
-def _oracle_corpora():
-    # node level: uneven classes, so some (n, k) combinations cannot be served
-    sizes = [12, 6, 3, 9]
-    labels = np.repeat(np.arange(4), sizes)
+# class c of the oracle corpora relabelled to sparse ids out of label order,
+# so a dense class id is neither a label nor a label's rank in 0..3
+SPARSE_IDS = np.array([2 ** 40, 3, 40, 2 ** 40 + 1])
+
+
+def _ring_graph(labels, seed, test_only=None):
+    """A ring over nodes labelled `labels`, split 60/20/20; every node of
+    class `test_only` is moved to the test split."""
     n = len(labels)
-    feats = np.random.default_rng(0).standard_normal((n, 3))
+    feats = np.random.default_rng(seed).standard_normal((n, 3))
     ring = [[i, (i + 1) % n] for i in range(n)]
-    nodes = assign_split(make_graph(n, ring, feats, node_labels=labels),
-                         (0.6, 0.2, 0.2), "node", seed=2)
-    node = Corpus(graphs=(nodes, assign_split(nodes, (0.5, 0.25, 0.25), "node", seed=3)))
-    # graph level: 4 uneven classes, plus graphs that cannot serve the level
-    graphs = [make_graph(3, [[0, 1], [1, 2]], np.full((3, 2), float(i)),
-                         graph_label=[0, 0, 1, 2, 0, 1, 3, 0, 3, 2][i % 10])
-              for i in range(40)]
+    g = assign_split(make_graph(n, ring, feats, node_labels=labels),
+                     (0.6, 0.2, 0.2), "node", seed=seed)
+    if test_only is None:
+        return g
+    split = np.where(labels == test_only, TEST, g.node_split)
+    return make_graph(n, ring, feats, node_labels=labels, node_split=split)
+
+
+def _labelled_graphs(ids, test_only=None):
+    """40 three-node graphs over 4 uneven classes named by `ids`, split
+    50/25/25; graphs 5 and 17 are node-level graphs that cannot serve the
+    graph level. Extra graphs of class `test_only`, if given, are all
+    tagged test."""
+    labels = [ids[c] for c in [0, 0, 1, 2, 0, 1, 3, 0, 3, 2] * 4]
+    graphs = [make_graph(3, [[0, 1], [1, 2]], np.full((3, 2), float(i)), graph_label=y)
+              for i, y in enumerate(labels)]
     graphs = list(assign_graph_splits(Corpus(graphs=tuple(graphs)),
                                       (0.5, 0.25, 0.25), seed=4).graphs)
+    nodes = _ring_graph(np.repeat(np.arange(4), [12, 6, 3, 9]), seed=2)
     graphs[5] = nodes
     graphs[17] = nodes
-    return {"node": node, "graph": Corpus(graphs=tuple(graphs))}
+    if test_only is not None:
+        graphs += [make_graph(3, [[0, 1], [1, 2]], np.zeros((3, 2)),
+                              graph_label=test_only, graph_split_tag=TEST)
+                   for _ in range(6)]
+    return Corpus(graphs=tuple(graphs))
+
+
+def _oracle_corpora():
+    """Corpora keyed by case, each named `<level>` or `<level>-<variant>`."""
+    # node level: uneven classes, so some (n, k) combinations cannot be served
+    sizes = [12, 6, 3, 9]
+    classes = np.repeat(np.arange(4), sizes)
+    nodes = _ring_graph(classes, seed=2)
+    node = Corpus(graphs=(nodes, assign_split(nodes, (0.5, 0.25, 0.25), "node", seed=3)))
+    sparse = _ring_graph(SPARSE_IDS[classes], seed=2)
+    # a fifth class with test nodes only: never drawn, never a query
+    test_only = _ring_graph(np.concatenate([classes, np.full(8, 4)]), seed=5, test_only=4)
+    # two graphs with other class sets and sizes: one sampler's draws
+    # move between them, each with its own class index
+    other = _ring_graph(np.repeat([40, 5, 2 ** 40], [4, 10, 8]), seed=6)
+    return {
+        "node": node,
+        "node-sparse": Corpus(graphs=(sparse,)),
+        "node-test-only": Corpus(graphs=(test_only,)),
+        "node-two-graphs": Corpus(graphs=(nodes, other)),
+        "graph": _labelled_graphs(np.arange(4)),
+        "graph-sparse": _labelled_graphs(SPARSE_IDS),
+        "graph-test-only": _labelled_graphs(np.arange(4), test_only=4),
+    }
 
 
 class TestLabelledSamplerMatchesPerLevelReference:
     CORPORA = _oracle_corpora()
 
     @pytest.mark.parametrize("policy", ["pretrain", "eval"])
-    @pytest.mark.parametrize("level", ["node", "graph"])
+    @pytest.mark.parametrize("level", sorted(CORPORA))
     def test_identical_episodes_and_errors(self, level, policy):
         corpus = self.CORPORA[level]
-        outcomes = set()
+        level, _, variant = level.partition("-")
+        outcomes, graphs_seen = set(), set()
         for seed in range(3):
             for n in (2, 3, 4):
                 for q in (1, 4, 64):
@@ -443,12 +494,18 @@ class TestLabelledSamplerMatchesPerLevelReference:
                                          policy=policy, seed=seed)
                     ref = PerLevelSampler(corpus, level, n, 2, query_size=q,
                                           policy=policy, seed=seed)
-                    for k in (1, 2, 3, 5):
+                    drawn_from = set()
+                    for k in (1, 2, 3, 5, 1, 2):
                         a, b = _draw(new, k), _draw(ref, k)
                         assert _same_draw(a, b), (seed, n, q, k)
                         assert new.rng.bit_generator.state == ref.rng.bit_generator.state
                         outcomes.add(a[0] if a[0] == "error" else "episode")
+                        if a[0] != "error":
+                            drawn_from.add(a[0])
+                    graphs_seen.add(frozenset(drawn_from))
         assert outcomes == {"episode", "error"}
+        if variant == "two-graphs":
+            assert frozenset({0, 1}) in graphs_seen
 
     def test_graph_level_skips_graphs_without_a_label(self):
         corpus = self.CORPORA["graph"]
@@ -488,8 +545,10 @@ class TestGraphEpisodes:
             make_graph(2, [[0, 1]], np.zeros((2, 2)), graph_label=i % 2) for i in range(8)
         )
         s = EpisodeSampler(Corpus(graphs=graphs), "graph", 2, 2, seed=0)
-        with pytest.raises(DataError, match="split tags"):
-            s.sample()
+        # the failed build is not cached, so the second draw fails the same way
+        for _ in range(2):
+            with pytest.raises(ProtocolError, match="split tags"):
+                s.sample()
 
 
 class TestValidation:
@@ -504,3 +563,40 @@ class TestValidation:
     def test_level_without_support(self, graph_corpus):
         with pytest.raises(DataError, match="no graph supporting"):
             EpisodeSampler(graph_corpus, "node", 2, 2)
+
+
+NOT_SIZES = [2.0, 2.5, np.float64(3.0), True, np.True_, "3", None]
+
+
+class TestSizesMustBeIntegers:
+    @pytest.mark.parametrize("value", NOT_SIZES, ids=repr)
+    @pytest.mark.parametrize("field", ["n_way", "k_shot", "query_size"])
+    def test_constructor_rejects(self, node_corpus, field, value):
+        sizes = {"n_way": 2, "k_shot": 2, "query_size": 8, field: value}
+        with pytest.raises(ProtocolError, match=f"{field} must be an integer"):
+            EpisodeSampler(node_corpus, "node", **sizes)
+
+    @pytest.mark.parametrize("value", [v for v in NOT_SIZES if v is not None], ids=repr)
+    def test_sample_rejects(self, node_corpus, value):
+        s = EpisodeSampler(node_corpus, "node", 2, 2, seed=0)
+        state = s.rng.bit_generator.state
+        with pytest.raises(ProtocolError, match="k_shot must be an integer"):
+            s.sample(k_shot=value)
+        assert s.rng.bit_generator.state == state
+
+    @pytest.mark.parametrize("level", ["node", "link", "graph"])
+    @pytest.mark.parametrize("kind", [np.int64, np.int32, np.uint8], ids=lambda t: t.__name__)
+    def test_integral_sizes_keep_draws(self, node_corpus, link_corpus, graph_corpus,
+                                       level, kind):
+        corpus = {"node": node_corpus, "link": link_corpus, "graph": graph_corpus}[level]
+        a = EpisodeSampler(corpus, level, kind(2), kind(3), query_size=kind(8), seed=1)
+        b = EpisodeSampler(corpus, level, 2, 3, query_size=8, seed=1)
+        for k in (None, 2, 4):
+            assert _same_draw(_draw(a, None if k is None else kind(k)), _draw(b, k))
+        assert a.rng.bit_generator.state == b.rng.bit_generator.state
+
+    def test_shot_sweep_refuses_fractional_shots(self, node_corpus):
+        cfg = ModelConfig(d=4, encoder_layers=1, transformer_layers=1, n_heads=2,
+                          ffn_hidden=8)
+        with pytest.raises(ProtocolError, match="k_shot must be an integer"):
+            sweep_shots(node_corpus, init_params(cfg), cfg, "node", 2, ks=(2.5,))
