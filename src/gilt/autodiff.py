@@ -17,7 +17,6 @@ from dataclasses import dataclass, field
 from typing import Callable, Iterable, Sequence
 
 import numpy as np
-import scipy.sparse as sp
 
 __all__ = [
     "Tensor",
@@ -206,25 +205,16 @@ def matmul(a, b, transpose_b: bool = False) -> Tensor:
     return _make(out, (a, b), (grad_a, grad_b))
 
 
-def const_matmul(mat, x, mat_t=None) -> Tensor:
+def const_matmul(mat, x, mat_t) -> Tensor:
     """Left-multiply by a constant (possibly sparse) matrix: mat @ x.
 
-    A caller that already holds mat's transpose passes it as `mat_t` (`mat`
-    itself when `mat.T @ g == mat @ g` bit for bit), so the backward
-    multiplies by it instead of building `mat.T`.
+    The caller passes mat's transpose as `mat_t` (`mat` itself when
+    `mat.T @ g == mat @ g` bit for bit), which the backward multiplies by,
+    so no op builds `mat.T`.
     """
     x = _wrap(x)
-    out = mat @ x.values
-    if sp.issparse(mat):
-        out = np.asarray(out)
-    if mat_t is None:
-        mat_t = mat.T
-
-    def grad_x(g):
-        r = mat_t @ g
-        return np.asarray(r) if sp.issparse(mat_t) else r
-
-    return _make(out, (x,), (grad_x,))
+    # x.values and g are ndarrays, so the products are too, sparse mat or not
+    return _make(mat @ x.values, (x,), (lambda g: mat_t @ g,))
 
 
 # ---------------------------------------------------------------------------
@@ -309,9 +299,7 @@ def sum_(x, axis: int | None = None, keepdims: bool = False) -> Tensor:
     out = x.values.sum(axis=axis, keepdims=keepdims)
 
     def vjp(g):
-        if axis is None:
-            return np.broadcast_to(g, x.values.shape).copy()
-        if not keepdims:
+        if axis is not None and not keepdims:
             g = np.expand_dims(g, axis)
         return np.broadcast_to(g, x.values.shape).copy()
 

@@ -392,7 +392,7 @@ def cmd_tokenize(args) -> int:
 
     params = params_to_tensors(arrays, requires_grad=False)
     bank = GraphBank(corpus, model_cfg)
-    t_sup, t_qry = batch_tokens(bank, [episode], params, model_cfg)
+    t_sup, t_qry = batch_tokens(bank, [episode], params)
     ts = TokenSet(t_sup.values[0], t_qry.values[0], episode.support_labels,
                   episode.query_labels, episode.class_ids,
                   episode.n_way, episode.k_shot, model_cfg.d)

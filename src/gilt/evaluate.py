@@ -207,14 +207,13 @@ def _draw_runs(corpus: Corpus, report: EvalReport, query_size: int) -> list[list
     return runs
 
 
-def _score_run(bank: GraphBank, params, cfg: ModelConfig, report: EvalReport,
-               seed, episodes) -> dict:
+def _score_run(bank: GraphBank, params, report: EvalReport, seed, episodes) -> dict:
     """One run's metrics, each the mean over its episodes."""
     level = report.level
-    row_bytes = 2 * cfg.d * np.dtype(cfg.np_dtype()).itemsize
+    row_bytes = 2 * bank.cfg.d * np.dtype(bank.cfg.np_dtype()).itemsize
     accs, aucs, hits = [], [], []
     for pack in pack_episodes(episodes, row_bytes, PACK_BYTES):
-        logps = batch_forward(bank, pack, params, cfg).values
+        logps = batch_forward(bank, pack, params).values
         for episode, logp in zip(pack, logps):
             accs.append(accuracy(np.argmax(logp, axis=1), episode.query_labels))
             if level == "link":
@@ -262,7 +261,7 @@ def sweep_shots(corpus: Corpus, arrays: dict[str, np.ndarray], cfg: ModelConfig,
         bank = GraphBank(corpus, cfg)
     bank.use_model(digest_before)
     for report, runs in zip(reports, drawn):
-        report.per_run = [_score_run(bank, params, cfg, report, seed, episodes)
+        report.per_run = [_score_run(bank, params, report, seed, episodes)
                           for seed, episodes in zip(report.seeds, runs)]
         report.mean_accuracy, report.sd_accuracy = _mean_sd(
             [r["accuracy"] for r in report.per_run])

@@ -31,12 +31,15 @@ def _frozen(arr: np.ndarray) -> np.ndarray:
 
 def _integers(values, what: str, dtype=np.int64) -> np.ndarray:
     """`values` as `dtype`. An integral float such as 2.0 is accepted; a
-    fractional, non-finite, out-of-range or non-numeric entry is rejected
-    rather than truncated or wrapped."""
+    boolean, fractional, non-finite, out-of-range or non-numeric entry is
+    rejected rather than read as 0 or 1, truncated or wrapped."""
     try:
-        arr = np.asarray(values, dtype=np.float64)
+        raw = np.asarray(values)
+        arr = raw.astype(np.float64)
     except (TypeError, ValueError) as exc:
         raise DataError(f"non-numeric {what}: {exc}") from exc
+    if raw.dtype == bool:
+        raise DataError(f"{what} must hold integers, got booleans")
     with np.errstate(invalid="ignore"):
         out = arr.astype(dtype)
     bad = out != arr
@@ -163,7 +166,7 @@ def make_graph(
     name: str = "",
 ) -> Graph:
     """Validate and freeze a Graph; the only constructor the package uses."""
-    node_count = int(node_count)
+    node_count = int(_integers(node_count, "node_count"))
     if node_count < 1:
         raise DataError("node_count must be >= 1")
     features = np.asarray(features, dtype=np.float64)

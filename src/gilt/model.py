@@ -4,7 +4,9 @@ This module wires the stages together: aligned features (optionally through
 a trainable projection), structural encoding, item representations, token
 assembly, the two-stage transformer, and the prototype readout. Every step
 runs on the same autodiff tape, so one backward call reaches all
-parameters, projection and encoder affines included.
+parameters, projection and encoder affines included. Every entry point
+reads its config from the `GraphBank` it takes, so training and evaluation
+cannot encode under two different configs.
 
 One forward serves a batch of B episodes of one level that share n_way and
 support size S (a training step's batch, or a pack of an evaluation run).
@@ -112,13 +114,13 @@ def params_to_tensors(arrays: dict[str, np.ndarray],
 
 @dataclass
 class GraphBank:
-    """Per-corpus cache of aligned features and (eval-only) encoder outputs.
+    """A forward's corpus and config, and its caches of aligned features
+    and (eval-only) encoder outputs.
 
-    A bank is bound to one corpus and one cfg: its caches are keyed by graph
-    index only and built with its own cfg, so `evaluate` ignores a passed
-    bank unless `bank.corpus is corpus and bank.cfg == cfg`. `use_model`
-    ties the encodings to one parameter set. The encodings are constants:
-    no gradient reaches the encoder through them.
+    `cfg` is the only config a forward reads, and the caches, keyed by graph
+    index only, are built with it. `use_model` ties the encodings to one
+    parameter set. The encodings are constants: no gradient reaches the
+    encoder through them.
     """
 
     corpus: Corpus
@@ -148,8 +150,7 @@ class GraphBank:
         from constant views of `params`, so the cached rows carry no tape."""
         if gi not in self._encoded:
             frozen = {k: ad.Tensor(p.values) for k, p in params.items()}
-            self._encoded[gi], _ = _encode_union(self, [gi], frozen, self.cfg,
-                                                 None, 0.0, 0.0)
+            self._encoded[gi], _ = _encode_union(self, [gi], frozen, None, 0.0, 0.0)
         return self._encoded[gi]
 
 
@@ -184,8 +185,8 @@ def _batch_masks(rngs, cfg: ModelConfig, s: int, q_sizes):
     return [tuple(map(np.stack, zip(*layer))) for layer in zip(*drawn)]
 
 
-def _encode_union(bank: GraphBank, refs, params: dict[str, ad.Tensor],
-                  cfg: ModelConfig, rng, feat_drop: float, edge_drop: float,
+def _encode_union(bank: GraphBank, refs, params: dict[str, ad.Tensor], rng,
+                  feat_drop: float, edge_drop: float,
                   rows=None) -> tuple[ad.Tensor, list[int]]:
     """Encoder rows of the graphs `refs`, stacked in order, plus each graph's
     row count. `rows`, if given, is passed to `encode`, which may then
@@ -198,7 +199,7 @@ def _encode_union(bank: GraphBank, refs, params: dict[str, ad.Tensor],
     the rng draws its feature-dropout mask, then its edge-keep mask; with
     both rates 0 it is never read.
     """
-    dtype = cfg.np_dtype()
+    dtype = bank.cfg.np_dtype()
     xs, edges, sizes, offset = [], [], [], 0
     for gi in refs:
         g = bank.corpus.graphs[int(gi)]
@@ -214,23 +215,23 @@ def _encode_union(bank: GraphBank, refs, params: dict[str, ad.Tensor],
         offset += g.node_count
     adj = normalize_adjacency(offset, np.concatenate(edges)).astype(dtype, copy=False)
     # init_params makes proj_w in learnable-projection mode only
-    return encode(adj, np.concatenate(xs), params, cfg.encoder_layers,
-                  cfg.encoder_variant, rows, params.get("proj_w")), sizes
+    return encode(adj, np.concatenate(xs), params, bank.cfg.encoder_layers,
+                  bank.cfg.encoder_variant, rows, params.get("proj_w")), sizes
 
 
-def _item_rows(bank: GraphBank, episode: Episode, params, cfg, train, rng):
+def _item_rows(bank: GraphBank, episode: Episode, params, rng):
     """One episode's item source rows and its support and query refs into
     them: its graph's encoder rows (node, link), or one pooled row per graph,
-    supports first (graph). A node or link episode in training encodes only
-    the rows its items read, and its refs are renumbered into them."""
+    supports first (graph). With an augmentation rng, a training node or link
+    episode encodes only the rows its items read, its refs renumbered."""
     graph_level = episode.level == "graph"
     sup, qry = episode.support_refs, episode.query_refs
     # a graph episode names its graphs, supports first; others name one graph
     refs = np.concatenate([sup, qry]) if graph_level else [episode.graph_index]
     # mean_pool reads every row of a graph episode's graphs
-    rows = np.union1d(sup, qry) if train and not graph_level else None
-    if train:
-        h, sizes = _encode_union(bank, refs, params, cfg, rng,
+    rows = np.union1d(sup, qry) if rng is not None and not graph_level else None
+    if rng is not None:
+        h, sizes = _encode_union(bank, refs, params, rng,
                                  episode.feat_drop, episode.edge_drop, rows)
     else:
         hs = [bank.encoded(int(gi), params) for gi in refs]
@@ -243,7 +244,7 @@ def _item_rows(bank: GraphBank, episode: Episode, params, cfg, train, rng):
     return h, sup, qry
 
 
-def _batch_items(bank: GraphBank, episodes, params, cfg, rngs):
+def _batch_items(bank: GraphBank, episodes, params, rngs):
     """Support items [B x S x d] and query items [B x Qmax x d] of a batch.
 
     The episodes' item source rows are concatenated (a batch of one uses
@@ -251,10 +252,9 @@ def _batch_items(bank: GraphBank, episodes, params, cfg, rngs):
     episode's pad query rows name one appended zero row, so its pad items
     are zero rows.
     """
-    train = rngs is not None
     rows, sup, qry, offset = [], [], [], 0
-    for episode, rng in zip(episodes, rngs if train else [None] * len(episodes)):
-        h, s, q = _item_rows(bank, episode, params, cfg, train, rng)
+    for episode, rng in zip(episodes, rngs or [None] * len(episodes)):
+        h, s, q = _item_rows(bank, episode, params, rng)
         rows.append(h)
         sup.append(np.asarray(s, dtype=np.int64) + offset)
         qry.append(np.asarray(q, dtype=np.int64) + offset)
@@ -269,24 +269,25 @@ def _batch_items(bank: GraphBank, episodes, params, cfg, rngs):
     return item_repr(h, level, np.array(sup)), item_repr(h, level, np.array(qry))
 
 
-def batch_tokens(bank: GraphBank, episodes, params: dict[str, ad.Tensor],
-                 cfg: ModelConfig, rngs=None):
+def batch_tokens(bank: GraphBank, episodes, params: dict[str, ad.Tensor], *,
+                 rngs=None):
     """Support [B x S x 2d] and query [B x Qmax x 2d] tokens of a batch of
     episodes, pre-transformer. With `rngs`, one augmentation rng per
     episode, the episodes encode as in training."""
     if len({(ep.level, ep.n_way, ep.support_size) for ep in episodes}) != 1:
         raise ValueError("a batch's episodes must share level, n_way and support size")
-    sup, qry = _batch_items(bank, episodes, params, cfg, rngs)
+    sup, qry = _batch_items(bank, episodes, params, rngs)
     labels = np.array([ep.support_labels for ep in episodes])
     return build_tokens(sup, labels, qry, episodes[0].n_way)
 
 
-def batch_forward(bank: GraphBank, episodes, params: dict[str, ad.Tensor],
-                  cfg: ModelConfig, train: bool = False) -> ad.Tensor:
+def batch_forward(bank: GraphBank, episodes, params: dict[str, ad.Tensor], *,
+                  train: bool = False) -> ad.Tensor:
     """Class log-probabilities [B x Qmax x n_way] for a batch of episodes of
     one level; rows past an episode's own query count are padding."""
+    cfg = bank.cfg
     rngs = [np.random.default_rng(ep.aug_seed) for ep in episodes] if train else None
-    t_sup, t_qry = batch_tokens(bank, episodes, params, cfg, rngs)
+    t_sup, t_qry = batch_tokens(bank, episodes, params, rngs=rngs)
     masks = (_batch_masks(rngs, cfg, t_sup.shape[-2], [ep.query_size for ep in episodes])
              if train and cfg.dropout > 0.0 else None)
     s_out, q_out = transformer_forward(t_sup, t_qry, params, cfg.transformer_layers,
@@ -296,20 +297,19 @@ def batch_forward(bank: GraphBank, episodes, params: dict[str, ad.Tensor],
                    cfg.d, full_token=cfg.full_token_prediction)
 
 
-def batch_probs_and_loss(bank: GraphBank, episodes, params: dict[str, ad.Tensor],
-                         cfg: ModelConfig, train: bool = False):
+def batch_probs_and_loss(bank: GraphBank, episodes, params: dict[str, ad.Tensor], *,
+                         train: bool = False):
     """The batch's log-probabilities, its loss (the mean of the episodes'
     losses) and each episode's loss as a float array."""
-    logp = batch_forward(bank, episodes, params, cfg, train=train)
+    logp = batch_forward(bank, episodes, params, train=train)
     labels = [ep.query_labels for ep in episodes]
     per_episode = (logp.values * query_weights(logp.values.shape, labels)).sum(axis=(1, 2))
     return logp, episode_loss(logp, labels), per_episode
 
 
 def episode_probs_and_loss(bank: GraphBank, episode: Episode,
-                           params: dict[str, ad.Tensor], cfg: ModelConfig,
-                           train: bool = False):
+                           params: dict[str, ad.Tensor], *, train: bool = False):
     """One episode's log-probabilities [Q x n_way] and its loss, both from
     one batch forward of a batch of one, its batch axis summed away."""
-    logp, loss, _ = batch_probs_and_loss(bank, [episode], params, cfg, train=train)
+    logp, loss, _ = batch_probs_and_loss(bank, [episode], params, train=train)
     return ad.sum_(logp, axis=0), loss

@@ -87,9 +87,13 @@ class TrainConfig:
                 raise ValueError(f"{name} must be >= {least}, got {getattr(self, name)}")
         if self.batch_episodes > self.episodes_per_level:
             raise ValueError("batch_episodes cannot exceed episodes_per_level")
-        for name in ("feat_drop", "edge_drop"):
-            if not 0.0 <= getattr(self, name) < 1.0:
-                raise ValueError(f"{name}={getattr(self, name)} outside [0, 1)")
+        # written so that NaN, which fails every comparison, fails them too
+        for name, top in (("feat_drop", 1.0), ("edge_drop", 1.0), ("lr", np.inf),
+                          ("weight_decay", np.inf)):
+            if not 0.0 <= getattr(self, name) < top:
+                raise ValueError(f"{name}={getattr(self, name)} outside [0, {top:g})")
+        if not self.divergence_limit > 0.0:
+            raise ValueError(f"divergence_limit must be > 0, got {self.divergence_limit}")
 
 
 def desk_preset() -> tuple[ModelConfig, TrainConfig]:
@@ -274,13 +278,13 @@ def _epoch_sampler(corpus, level, train_cfg: TrainConfig, epoch: int) -> Episode
     )
 
 
-def _preflight(bank, episode, params, model_cfg) -> None:
+def _preflight(bank, episode, params) -> None:
     """Gradient-check the batch forward that training runs, on a batch of
-    the first episode alone, on a float64 copy of the parameters and the
-    config, since finite differences need 64-bit. The bank's aligned
-    features do not depend on the dtype, so it serves both.
+    the first episode alone, on float64 copies of the parameters and the
+    bank, since finite differences need 64-bit. The bank's aligned features
+    do not depend on the dtype, so its copy shares them.
 
-    The copy carries seeded N(0, PREFLIGHT_JITTER^2) jitter. A fresh model
+    The parameter copy carries seeded N(0, PREFLIGHT_JITTER^2) jitter. A fresh model
     can sit where the loss is not differentiable (its query class-space rows
     are rounding noise under normalize_rows' floor, so any step flips them
     to unit rows); the jitter moves the check off that point, and a wrong
@@ -290,10 +294,10 @@ def _preflight(bank, episode, params, model_cfg) -> None:
     params64 = params_to_tensors({
         k: p.values.astype(np.float64) + rng.normal(0.0, PREFLIGHT_JITTER, p.shape)
         for k, p in params.items()})
-    cfg64 = replace(model_cfg, dtype="float64")
+    bank64 = GraphBank(bank.corpus, replace(bank.cfg, dtype="float64"), bank._prepared)
 
     def loss():
-        _, ell = episode_probs_and_loss(bank, episode, params64, cfg64, train=True)
+        _, ell = episode_probs_and_loss(bank64, episode, params64, train=True)
         return ell
 
     report = ad.grad_check(loss, params64, h=PREFLIGHT_STEP, tol=1e-3,
@@ -355,12 +359,12 @@ def train(corpus: Corpus, model_cfg: ModelConfig, train_cfg: TrainConfig,
                 episodes = [samplers[lv].sample(k_shot=shots)
                             for _ in range(train_cfg.batch_episodes)]
                 if not checked:
-                    _preflight(bank, episodes[0], params, model_cfg)
+                    _preflight(bank, episodes[0], params)
                     checked = True
                 # one forward per level: the batch's mean loss, and each
                 # episode's loss for telemetry
                 _, mean_loss, per_episode = batch_probs_and_loss(
-                    bank, episodes, params, model_cfg, train=True)
+                    bank, episodes, params, train=True)
                 epoch_losses[lv].extend(float(ell) for ell in per_episode)
                 level_means.append(ad.mul(mean_loss, weights[lv]))
             total = _sum_tensors(level_means)

@@ -130,7 +130,7 @@ def test_criterion_1_full_episode_gradients():
                                requires_grad=True)
 
     def loss():
-        return episode_probs_and_loss(bank, episode, params, cfg, train=True)[1]
+        return episode_probs_and_loss(bank, episode, params, train=True)[1]
 
     t0 = time.perf_counter()
     report = ad.grad_check(loss, params, tol=1e-4, max_coords_per_param=4,

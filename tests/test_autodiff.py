@@ -233,10 +233,11 @@ def test_const_matmul_sparse_and_dense_agree():
     dense = _rand((6, 6), 8)
     x = ad.Tensor(_rand((6, 3), 9), requires_grad=True)
     sparse = sp.csr_matrix(dense)
-    out_d = ad.const_matmul(dense, x)
-    out_s = ad.const_matmul(sparse, x)
+    out_d = ad.const_matmul(dense, x, mat_t=dense.T)
+    out_s = ad.const_matmul(sparse, x, mat_t=sparse.T)
     np.testing.assert_allclose(out_d.values, out_s.values, atol=1e-12)
-    report = ad.grad_check(lambda: ad.sum_(ad.const_matmul(sparse, x)), {"x": x})
+    report = ad.grad_check(lambda: ad.sum_(ad.const_matmul(sparse, x, mat_t=sparse.T)),
+                           {"x": x})
     assert report.passed
 
 
@@ -669,6 +670,12 @@ def test_grad_check_detects_corrupted_gradient():
 
 _BATCH_LABELS = np.array([[2, 0, 1, 1, 0, 2], [0, 0, 1, 2, 2, 1]])
 
+
+def _tridiagonal_matmul(t, dt):
+    mat = sp.csr_matrix(np.eye(5) + np.eye(5, k=1) + np.eye(5, k=-1), dtype=dt) * 0.5
+    return ad.const_matmul(mat, t[0], mat_t=mat.T)
+
+
 # One case per differentiable op: (call on the input tensors and the dtype,
 # float64 inputs, tolerance in float32 eps). The tolerance bounds
 # max|f32 - f64| / max|f64| over the output and every input gradient; it
@@ -680,9 +687,7 @@ _OP_CASES = {
                         [_rand((4, 5), 76)], 2),
     "matmul": (lambda t, dt: ad.matmul(*t, transpose_b=True),
                [_rand((4, 6), 77), _rand((5, 6), 78)], 2),
-    "const_matmul": (lambda t, dt: ad.const_matmul(
-        sp.csr_matrix(np.eye(5) + np.eye(5, k=1) + np.eye(5, k=-1), dtype=dt) * 0.5, t[0]),
-        [_rand((5, 3), 79)], 4),
+    "const_matmul": (_tridiagonal_matmul, [_rand((5, 3), 79)], 4),
     "concat": (lambda t, dt: ad.concat(t, axis=1), [_rand((3, 2), 80), _rand((3, 4), 81)], 1),
     "slice_cols": (lambda t, dt: ad.slice_cols(t[0], 1, 4), [_rand((3, 6), 82)], 1),
     "take_rows": (lambda t, dt: ad.take_rows(t[0], [0, 0, 2, 4]), [_rand((5, 3), 83)], 2),

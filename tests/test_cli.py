@@ -292,6 +292,9 @@ class TestPretrainCommand:
         "train.edge_drop=1.0", "train.batch_episodes=0", "model.seed=-1",
         "train.seed=-1", "model.ffn_hidden=-1", "train.n_way=1", "train.query_size=0",
         "train.shot_start=0", "train.shot_end=0", "train.epochs=0", "train.epochs=-3",
+        "train.lr=nan", "train.lr=inf", "train.lr=-5", "train.weight_decay=nan",
+        "train.weight_decay=-1", "train.divergence_limit=nan",
+        "train.divergence_limit=0",
     ])
     def test_bad_config_value_exits_2(self, trained, tmp_path, capsys, value):
         code = main(["pretrain", str(trained / "run.cfg"), "--out", str(tmp_path),
@@ -327,7 +330,9 @@ class TestPretrainCommand:
         code = main(["pretrain", str(trained / "run.cfg"), "--out", str(tmp_path),
                      "--epochs", "1", "--set", "model.n_heads=12",
                      "--set", "model.encoder_layers=0", "--set", "model.dropout=0.0",
-                     "--set", "train.feat_drop=0.0", "--set", "train.batch_episodes=1"])
+                     "--set", "train.feat_drop=0.0", "--set", "train.batch_episodes=1",
+                     "--set", "train.lr=0.0", "--set", "train.weight_decay=0.0",
+                     "--set", "train.divergence_limit=inf"])
         assert code == 0
 
     def test_resume_with_same_model_trains_on(self, trained, tmp_path):
@@ -635,6 +640,34 @@ class TestUsageErrors:
         err = capsys.readouterr().err
         assert code == 2
         assert err.startswith(f"error: cannot create output directory {taken}")
+
+    @pytest.mark.parametrize("level, split", [("node", "node"), ("link", "edge")])
+    @pytest.mark.parametrize("command", ["pretrain", "eval", "tokenize"])
+    def test_edge_list_dataset_has_no_splits(self, trained, tmp_path, capsys, command,
+                                             level, split):
+        # an edge-list entry carries no split tags and loading assigns none,
+        # so every command that draws episodes refuses it
+        data = tmp_path / "d"
+        data.mkdir()
+        (data / "edges.tsv").write_text("0\t1\n1\t2\n2\t3\n3\t0\n")
+        (data / "features.csv").write_text("1.0\n2.0\n3.0\n4.0\n")
+        (data / "labels.csv").write_text("0\n1\n0\n1\n")
+        registry = tmp_path / "registry.json"
+        registry.write_text(json.dumps({"e": {"path": "d", "format": "edge-list"}}))
+        argv = {
+            "pretrain": ["pretrain", str(trained / "run.cfg"),
+                         "--set", f"data.registry={registry}", "--set", "data.dataset=e",
+                         "--set", f"train.levels={level}"],
+            "eval": ["eval", str(trained / "a" / "final.ckpt"), "e",
+                     "--registry", str(registry), "--level", level, "--n", "2", "--k", "1"],
+            "tokenize": ["tokenize", "e", "--registry", str(registry), "--level", level,
+                         "--n", "2", "--k", "1"],
+        }[command]
+        code = main(argv + ["--out", str(tmp_path / "out")])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err == (f"error: protocol error: graph 0 has no {split} split; "
+                       f"assign one first\n")
 
     def test_argparse_usage_exit_code(self):
         with pytest.raises(SystemExit) as ei:

@@ -232,7 +232,7 @@ def encode_via_transpose(adj, x, params, n_layers, variant):
     # the propagation stack with a backward that multiplies by adj.T
     h = x
     for i in range(n_layers):
-        h = ad.const_matmul(adj, h)
+        h = ad.const_matmul(adj, h, mat_t=adj.T)
         if variant == "nonlinear":
             h = ad.relu(ad.matmul(h, params[f"enc_w{i}"]))
         h = ad.layernorm(h, params[f"enc_ln{i}_gamma"], params[f"enc_ln{i}_beta"])

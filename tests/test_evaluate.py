@@ -457,7 +457,7 @@ def _runs_alone(corpus, arrays, cfg, level, n_way, k_shot, episodes_per_run, see
         for _ in range(episodes_per_run):
             ep = sampler.sample()
             rows.append(ep.support_size + ep.query_size)
-            logp = batch_forward(bank, [ep], params, cfg).values[0]
+            logp = batch_forward(bank, [ep], params).values[0]
             accs.append(accuracy(np.argmax(logp, axis=1), ep.query_labels))
             if level == "link":
                 aucs.append(roc_auc(logp[:, 1], ep.query_labels))

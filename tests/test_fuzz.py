@@ -174,7 +174,8 @@ CONFIG_VALUES = {
     "model.encoder_variant": st.sampled_from(["linear", "nonlinear", "x"]),
     "model.unshared_attention": st.sampled_from(["true", "false", "x"]),
     "model.full_token_prediction": st.sampled_from(["true", "false", "x"]),
-    "train.lr": _floats(-0.01, 0.01), "train.weight_decay": _floats(-0.01, 0.01),
+    "train.lr": _floats(-0.01, 0.01) | st.sampled_from(["nan", "inf", "-5"]),
+    "train.weight_decay": _floats(-0.01, 0.01) | st.sampled_from(["nan", "inf"]),
     "train.epochs": _ints(-1, 2), "train.episodes_per_level": _ints(-1, 4),
     "train.batch_episodes": _ints(-1, 3), "train.n_way": _ints(-1, 4),
     "train.query_size": _ints(-1, 6), "train.shot_start": _ints(-1, 4),
@@ -314,6 +315,9 @@ def test_mutated_registry_exits_cleanly(text_root, command, text):
 @example(edits=[("train.n_way", "10")])
 @example(edits=[("train.levels", "graph")])
 @example(edits=[("train.shot_start", "50")])
+@example(edits=[("train.lr", "nan")])
+@example(edits=[("train.lr", "inf")])
+@example(edits=[("train.weight_decay", "nan")])
 def test_mutated_config_exits_cleanly(text_root, edits):
     _assert_clean_exit(_text_command("pretrain", text_root,
                                      text_root / "config" / "registry.json",

@@ -74,11 +74,15 @@ class TestValidation:
         ("edge_split", [0.5]),
         ("edge_split", [np.inf]),
         ("graph_split_tag", 1.5),
+        ("node_count", 2.7),
+        ("node_count", True),
+        ("node_labels", [True, False, True]),
+        ("graph_label", np.True_),
     ])
     def test_non_integral_value_rejected_not_truncated(self, field, value):
-        kwargs = {"edges": [[0, 1]], field: value}
+        kwargs = {"node_count": 3, "edges": [[0, 1]], field: value}
         with pytest.raises(DataError, match="must hold integers"):
-            make_graph(3, features=np.zeros((3, 1)), **kwargs)
+            make_graph(features=np.zeros((3, 1)), **kwargs)
 
     @pytest.mark.parametrize("field, value", [
         ("node_split", [0, 1, 7]),

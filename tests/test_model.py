@@ -1,11 +1,14 @@
 import dataclasses
+import inspect
 
 import numpy as np
 import pytest
 import scipy.sparse as sp
 
 from gilt import autodiff as ad
+from gilt import evaluate as evaluate_module
 from gilt import model
+from gilt import train as train_module
 from gilt.encoder import encode, normalize_adjacency
 from gilt.episodes import Episode, EpisodeSampler
 from gilt.evaluate import evaluate
@@ -33,10 +36,10 @@ CFG = ModelConfig(d=4, encoder_layers=2, transformer_layers=1, n_heads=2,
                   ffn_hidden=8, dropout=0.0, seed=0)
 
 
-def episode_forward(bank, episode, params, cfg, train=False):
+def episode_forward(bank, episode, params, train=False):
     """Class log-probabilities [Q x n_way] of one episode: the batch forward
     of a batch of one, its batch axis summed away."""
-    return ad.sum_(batch_forward(bank, [episode], params, cfg, train=train), axis=0)
+    return ad.sum_(batch_forward(bank, [episode], params, train=train), axis=0)
 
 
 @pytest.fixture(scope="module")
@@ -76,7 +79,7 @@ class TestForward:
     def test_node_probs_well_formed(self, node_setup):
         bank, sampler = node_setup
         params = params_to_tensors(init_params(CFG))
-        logp = episode_forward(bank, sampler.sample(), params, CFG)
+        logp = episode_forward(bank, sampler.sample(), params)
         assert logp.values.shape[1] == 2
         assert np.all(np.isfinite(logp.values))
         assert np.max(np.abs(np.exp(logp.values).sum(axis=1) - 1.0)) < 1e-10
@@ -84,7 +87,7 @@ class TestForward:
     def test_link_episode_runs(self, link_setup):
         bank, sampler = link_setup
         params = params_to_tensors(init_params(CFG))
-        logp, loss = episode_probs_and_loss(bank, sampler.sample(), params, CFG)
+        logp, loss = episode_probs_and_loss(bank, sampler.sample(), params)
         assert logp.values.shape[1] == 2
         assert np.isfinite(loss.values.item())
 
@@ -92,7 +95,7 @@ class TestForward:
         bank, sampler = graph_setup
         params = params_to_tensors(init_params(CFG))
         ep = sampler.sample()
-        logp = episode_forward(bank, ep, params, CFG)
+        logp = episode_forward(bank, ep, params)
         assert logp.values.shape == (ep.query_size, 2)
         assert np.max(np.abs(np.exp(logp.values).sum(axis=1) - 1.0)) < 1e-10
 
@@ -101,20 +104,20 @@ class TestForward:
         params = params_to_tensors(init_params(CFG))
         ep = sampler.sample()
         assert ep.feat_drop == 0.0 and ep.edge_drop == 0.0
-        a = episode_forward(bank, ep, params, CFG, train=True)
-        b = episode_forward(bank, ep, params, CFG, train=False)
+        a = episode_forward(bank, ep, params, train=True)
+        b = episode_forward(bank, ep, params, train=False)
         assert np.max(np.abs(a.values - b.values)) < 1e-12
 
     def test_same_episode_replays_identically_under_dropout(self, node_setup):
-        bank, sampler_plain = node_setup
         cfg = ModelConfig(d=4, encoder_layers=2, transformer_layers=1, n_heads=2,
                           ffn_hidden=8, dropout=0.2, seed=0)
+        bank = GraphBank(node_setup[0].corpus, cfg)
         sampler = EpisodeSampler(bank.corpus, "node", 2, 2, query_size=6,
                                  feat_drop=0.1, edge_drop=0.1, seed=11)
         params = params_to_tensors(init_params(cfg))
         ep = sampler.sample()
-        a = episode_forward(bank, ep, params, cfg, train=True)
-        b = episode_forward(bank, ep, params, cfg, train=True)
+        a = episode_forward(bank, ep, params, train=True)
+        b = episode_forward(bank, ep, params, train=True)
         assert a.values.tobytes() == b.values.tobytes()
 
     def test_keep_mask_batched_draw_matches_per_slice_draws(self):
@@ -132,7 +135,7 @@ class TestForward:
                           ffn_hidden=8, dropout=0.0, dtype="float32")
         bank32 = GraphBank(bank.corpus, cfg)
         params = params_to_tensors(init_params(cfg))
-        probs = episode_forward(bank32, sampler.sample(), params, cfg)
+        probs = episode_forward(bank32, sampler.sample(), params)
         assert probs.values.dtype == np.float32
 
 
@@ -167,15 +170,14 @@ class TestBatchForward:
         tol = self.TOL[dtype]
 
         params = params_to_tensors(arrays)
-        logp, loss, per_episode = batch_probs_and_loss(bank, episodes, params, cfg,
-                                                       train=True)
+        logp, loss, per_episode = batch_probs_and_loss(bank, episodes, params, train=True)
         loss.backward()
         assert logp.shape == (3, max(ep.query_size for ep in episodes), 2)
 
         alone = params_to_tensors(arrays)
         total = None
         for b, ep in enumerate(episodes):
-            logp_b, loss_b = episode_probs_and_loss(bank, ep, alone, cfg, train=True)
+            logp_b, loss_b = episode_probs_and_loss(bank, ep, alone, train=True)
             _assert_close(logp.values[b, :ep.query_size], logp_b.values, tol)
             assert abs(per_episode[b] - loss_b.values) <= tol * abs(loss_b.values)
             total = loss_b if total is None else ad.add(total, loss_b)
@@ -207,7 +209,22 @@ class TestBatchForward:
         params = params_to_tensors(init_params(CFG))
         episodes = [sampler.sample(), sampler.sample(k_shot=1)]
         with pytest.raises(ValueError, match="support size"):
-            batch_probs_and_loss(bank, episodes, params, CFG)
+            batch_probs_and_loss(bank, episodes, params)
+
+
+def test_no_forward_takes_a_bank_and_a_config():
+    # a forward's config is its bank's: a second config argument could
+    # disagree with the one the bank's caches were built with
+    funcs = [f for _, f in inspect.getmembers(model, inspect.isfunction)
+             if f.__module__ == model.__name__]
+    funcs += [f for name, f in inspect.getmembers(GraphBank, inspect.isfunction)
+              if not name.startswith("__")]
+    funcs += [evaluate_module._score_run, train_module._preflight]
+    assert model.batch_forward in funcs and GraphBank.encoded in funcs
+    for f in funcs:
+        names = list(inspect.signature(f).parameters)
+        if "bank" in names or f.__qualname__.startswith("GraphBank."):
+            assert not [n for n in names if "cfg" in n], f.__qualname__
 
 
 class TestModelConfig:
@@ -237,7 +254,7 @@ class TestLearnableProjection:
         bank_lp = GraphBank(bank.corpus, cfg)
         params = params_to_tensors(arrays)
         ep = sampler.sample()
-        _, loss = episode_probs_and_loss(bank_lp, ep, params, cfg, train=True)
+        _, loss = episode_probs_and_loss(bank_lp, ep, params, train=True)
         loss.backward()
         assert params["proj_w"].grad is not None
         assert np.any(params["proj_w"].grad != 0.0)
@@ -250,7 +267,7 @@ class TestGradients:
         ep = sampler.sample()
 
         def loss():
-            _, ell = episode_probs_and_loss(bank, ep, params, CFG, train=True)
+            _, ell = episode_probs_and_loss(bank, ep, params, train=True)
             return ell
 
         report = ad.grad_check(loss, params, tol=1e-4, max_coords_per_param=6,
@@ -260,16 +277,16 @@ class TestGradients:
     def test_grad_check_with_dropout_active(self, node_setup):
         # augmentation is reseeded per call, so finite differences see the
         # same masks and the check stays valid with dropout on
-        bank, _ = node_setup
         cfg = ModelConfig(d=4, encoder_layers=2, transformer_layers=1, n_heads=2,
                           ffn_hidden=8, dropout=0.1, seed=1)
+        bank = GraphBank(node_setup[0].corpus, cfg)
         sampler = EpisodeSampler(bank.corpus, "node", 2, 2, query_size=4,
                                  feat_drop=0.1, edge_drop=0.1, seed=13)
         params = params_to_tensors(init_params(cfg))
         ep = sampler.sample()
 
         def loss():
-            _, ell = episode_probs_and_loss(bank, ep, params, cfg, train=True)
+            _, ell = episode_probs_and_loss(bank, ep, params, train=True)
             return ell
 
         report = ad.grad_check(loss, params, tol=1e-4, max_coords_per_param=4,
@@ -295,7 +312,7 @@ class TestEvalCache:
         params = params_to_tensors(init_params(CFG))
         h = bank.encoded(0, params)
         assert not h.requires_grad and h._parents == ()
-        logp = batch_forward(bank, [sampler.sample()], params, CFG, train=False)
+        logp = batch_forward(bank, [sampler.sample()], params, train=False)
         ad.sum_(logp).backward()
         enc = [k for k in params if k.startswith("enc_")]
         assert enc and all(params[k].grad is None for k in enc)
@@ -306,8 +323,8 @@ class TestEvalCache:
         bank = GraphBank(sampler.corpus, CFG)
         params = params_to_tensors(init_params(CFG))
         ep = sampler.sample()
-        cached = episode_forward(bank, ep, params, CFG, train=False)
-        fresh = episode_forward(bank, ep, params, CFG, train=True)
+        cached = episode_forward(bank, ep, params, train=False)
+        fresh = episode_forward(bank, ep, params, train=True)
         assert np.max(np.abs(cached.values - fresh.values)) < 1e-12
 
 
@@ -321,19 +338,19 @@ def _encode_graph_oracle(g, aligned, params, cfg):
     return encode(adj, x, params, cfg.encoder_layers, cfg.encoder_variant)
 
 
-def _per_graph_item_rows(bank, episode, params, cfg, train, rng,
-                         _item_rows=model._item_rows):
+def _per_graph_item_rows(bank, episode, params, rng, _item_rows=model._item_rows):
     """The per-graph graph-level path that the block-diagonal union replaced,
     kept as an oracle: each referenced graph is encoded alone (training draws
     its feature mask, then its edge-keep mask) and pooled by its own mean
     (`ad.mean` then, written here as `mul(sum_)`); the item rows are the
     supports' pooled rows, then the queries'."""
     if episode.level != "graph":
-        return _item_rows(bank, episode, params, cfg, train, rng)
+        return _item_rows(bank, episode, params, rng)
+    cfg = bank.cfg
     dtype = cfg.np_dtype()
 
     def pooled_row(gi):
-        if not train:
+        if rng is None:
             h = bank.encoded(gi, params)
         else:
             g = bank.corpus.graphs[gi]
@@ -413,10 +430,10 @@ class TestBlockDiagonalGraphEpisode:
         def run(item_rows):
             monkeypatch.setattr(model, "_item_rows", item_rows)
             params = params_to_tensors(arrays)
-            pooled, sup, qry = item_rows(bank, ep, params, cfg, True,
+            pooled, sup, qry = item_rows(bank, ep, params,
                                          np.random.default_rng(ep.aug_seed))
             params = params_to_tensors(arrays)
-            logp, loss = episode_probs_and_loss(bank, ep, params, cfg, train=True)
+            logp, loss = episode_probs_and_loss(bank, ep, params, train=True)
             loss.backward()
             return [pooled.values, sup, qry], logp.values, params
 
@@ -473,7 +490,7 @@ class TestBlockDiagonalGraphEpisode:
 
         def run():
             bank = GraphBank(corpus, CFG)
-            logps = [episode_forward(bank, ep, params, CFG).values for ep in episodes]
+            logps = [episode_forward(bank, ep, params).values for ep in episodes]
             report = evaluate(corpus, arrays, CFG, "graph", n_way=2, k_shot=3,
                               episodes_per_run=4, seeds=(0, 1, 2))
             return logps, report.per_run
@@ -515,7 +532,7 @@ def sparse_desk():
     return Corpus(graphs=(_split_both(g, 21),))
 
 
-def _run_step(bank, episodes, arrays, cfg, monkeypatch, encode_fn):
+def _run_step(bank, episodes, arrays, monkeypatch, encode_fn):
     """A training forward and backward of `episodes` with `encode_fn` as the
     model's encoder: the log-probabilities, the loss and every gradient, plus
     the row count of each encoder output."""
@@ -528,7 +545,7 @@ def _run_step(bank, episodes, arrays, cfg, monkeypatch, encode_fn):
 
     monkeypatch.setattr(model, "encode", spy)
     params = params_to_tensors(arrays)
-    logp, loss, _ = batch_probs_and_loss(bank, episodes, params, cfg, train=True)
+    logp, loss, _ = batch_probs_and_loss(bank, episodes, params, train=True)
     loss.backward()
     monkeypatch.undo()
     return logp.values, loss.values, {k: p.grad for k, p in params.items()}, shapes
@@ -577,8 +594,8 @@ class TestRestrictedTrainingEncode:
             arrays[name] = arrays[name] + rng.normal(
                 0.0, 0.1, arrays[name].shape).astype(cfg.dtype)
         episodes = self.episodes(level)
-        got = _run_step(bank, episodes, arrays, cfg, monkeypatch, model.encode)
-        want = _run_step(bank, episodes, arrays, cfg, monkeypatch, _encode_all_rows)
+        got = _run_step(bank, episodes, arrays, monkeypatch, model.encode)
+        want = _run_step(bank, episodes, arrays, monkeypatch, _encode_all_rows)
         read = [len(np.union1d(ep.support_refs, ep.query_refs)) for ep in episodes]
         assert got[3] == [read[0], 10] and want[3] == [400, 10]
         tol = self.TOL[cfg.dtype]
@@ -620,8 +637,8 @@ class TestRestrictedTrainingEncode:
         episodes = [sampler.sample() for _ in range(train_cfg.batch_episodes)]
         bank = GraphBank(corpus, cfg)
         arrays = init_params(cfg)
-        got = _run_step(bank, episodes, arrays, cfg, monkeypatch, model.encode)
-        want = _run_step(bank, episodes, arrays, cfg, monkeypatch, _encode_all_rows)
+        got = _run_step(bank, episodes, arrays, monkeypatch, model.encode)
+        want = _run_step(bank, episodes, arrays, monkeypatch, _encode_all_rows)
         assert got[3] == want[3] == [160] * 4
         for g, w in zip(got[:2], want[:2]):
             assert g.tobytes() == w.tobytes()
@@ -685,8 +702,7 @@ class TestTapeBudget:
         sampler = self.sampler(corpora, level, train_cfg)
         params = params_to_tensors(init_params(model_cfg))
         bank = GraphBank(corpora[level], model_cfg)
-        _, loss = episode_probs_and_loss(bank, sampler.sample(), params, model_cfg,
-                                         train=True)
+        _, loss = episode_probs_and_loss(bank, sampler.sample(), params, train=True)
         assert _tape_nodes(loss) <= self.BUDGET[level]
         # every recorded parent takes a gradient: no constant is a tape node
         assert all(p.requires_grad for n in ad._topo_order(loss) for p in n._parents)
@@ -698,7 +714,7 @@ class TestTapeBudget:
         params = params_to_tensors(init_params(model_cfg))
         bank = GraphBank(corpora[level], model_cfg)
         episodes = [sampler.sample() for _ in range(train_cfg.batch_episodes)]
-        _, loss, _ = batch_probs_and_loss(bank, episodes, params, model_cfg, train=True)
+        _, loss, _ = batch_probs_and_loss(bank, episodes, params, train=True)
         assert _tape_nodes(loss) <= self.STEP_BUDGET[level]
         assert all(p.requires_grad for n in ad._topo_order(loss) for p in n._parents)
 
@@ -717,8 +733,7 @@ class TestTapeBudget:
         monkeypatch.setattr(model, "encode", spy)
         params = params_to_tensors(init_params(model_cfg))
         bank = GraphBank(sparse_desk, model_cfg)
-        _, loss = episode_probs_and_loss(bank, sampler.sample(), params, model_cfg,
-                                         train=True)
+        _, loss = episode_probs_and_loss(bank, sampler.sample(), params, train=True)
         assert shapes[0] < 2000 // 2
         assert _tape_nodes(loss) == self.BUDGET[level]
 
@@ -746,7 +761,7 @@ class TestNoTransposeInEncoderHops:
 
     def test_counter_sees_a_transpose_backward(self, transposes):
         adj = normalize_adjacency(3, np.array([[0, 1], [1, 2]]))
-        ad.const_matmul(adj, np.ones((3, 2)))
+        ad.const_matmul(adj, np.ones((3, 2)), mat_t=adj.T)
         assert transposes == ["csr_matrix"]
 
     def test_graph_training_step_builds_no_transpose(self, graph_setup, transposes):
@@ -754,7 +769,7 @@ class TestNoTransposeInEncoderHops:
         sampler = EpisodeSampler(bank.corpus, "graph", 2, 2, query_size=4, seed=7,
                                  feat_drop=0.1, edge_drop=0.2)
         params = params_to_tensors(init_params(CFG))
-        _, loss = episode_probs_and_loss(bank, sampler.sample(), params, CFG, train=True)
+        _, loss = episode_probs_and_loss(bank, sampler.sample(), params, train=True)
         loss.backward()
         assert all(p.grad is not None for p in params.values())
         assert transposes == []
@@ -765,7 +780,7 @@ class TestNoTransposeInEncoderHops:
         # the slice's own arrays, read as the transpose
         hops = []
 
-        def spy(mat, x, mat_t=None, _orig=ad.const_matmul):
+        def spy(mat, x, mat_t, _orig=ad.const_matmul):
             hops.append((mat, mat_t))
             return _orig(mat, x, mat_t=mat_t)
 
@@ -775,7 +790,7 @@ class TestNoTransposeInEncoderHops:
         params = params_to_tensors(init_params(model_cfg))
         bank = GraphBank(sparse_desk, model_cfg)
         episodes = [sampler.sample() for _ in range(train_cfg.batch_episodes)]
-        _, loss, _ = batch_probs_and_loss(bank, episodes, params, model_cfg, train=True)
+        _, loss, _ = batch_probs_and_loss(bank, episodes, params, train=True)
         loss.backward()
         assert all(p.grad is not None for p in params.values())
         assert transposes == []

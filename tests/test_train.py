@@ -350,7 +350,28 @@ class TestTrainingLoop:
         shots = shots_at(0, train_cfg.epochs, train_cfg.shot_start, train_cfg.shot_end)
         episode = _epoch_sampler(corpus, "node", train_cfg, 0).sample(k_shot=shots)
         _preflight(GraphBank(corpus, model_cfg), episode,
-                   params_to_tensors(init_params(model_cfg)), model_cfg)
+                   params_to_tensors(init_params(model_cfg)))
+
+    @pytest.mark.parametrize("dtype", ["float64", "float32"])
+    def test_preflight_aligns_no_extra_features(self, corpus, monkeypatch, dtype):
+        # the check's float64 view of the bank shares the bank's aligned
+        # features, so it fits no PCA of its own
+        def calls(preflight):
+            counted = []
+            real = gilt_model.align_features
+
+            def spy(*args, **kwargs):
+                counted.append(1)
+                return real(*args, **kwargs)
+
+            monkeypatch.setattr(gilt_model, "align_features", spy)
+            train(corpus, dataclasses.replace(SMALL_MODEL, dtype=dtype),
+                  small_train(epochs=1, preflight=preflight))
+            monkeypatch.undo()
+            return len(counted)
+
+        off = calls(False)
+        assert off > 0 and calls(True) == off
 
     def test_preflight_checks_the_batch_forward(self, corpus, monkeypatch):
         # the check runs the forward that training runs, on a batch of the
