@@ -6,9 +6,10 @@ A constant is a numpy operand or a ``Tensor`` with ``requires_grad=False``;
 it never enters the tape, and an op whose inputs are all constants makes
 another. There is no global mode: what an op records depends on its inputs
 alone. ``Tensor.backward`` replays the tape in reverse topological order.
-Values inherit the dtype of their inputs (tests and reproducible runs use
-64-bit, training may use 32-bit). Reductions go through numpy's pairwise
-summation, so single-threaded runs are bit-stable.
+Values inherit the dtype of their inputs (the desk and reference presets
+train in 32-bit; gradient checks run in 64-bit). Reductions go through
+numpy's own loops (pairwise sums, einsums), so single-threaded runs are
+bit-stable.
 """
 from __future__ import annotations
 
@@ -341,20 +342,28 @@ def layernorm(x, gamma, beta, eps: float = LAYERNORM_EPS) -> Tensor:
     floor and 0 on clipped rows, whose denominator is a constant.
     dgamma = sum over rows of g * xhat, dbeta = sum over rows of g.
 
-    One pass per quantity: row means are a BLAS matvec with the vector of
-    1/m, row dots are einsums. Every temporary, output and gradient keeps
-    x's dtype.
+    The forward first centres each row on its own first entry, xs = x -
+    x[..., :1], and takes the mean and variance of xs: shifted-data variance
+    (Chan, Golub & LeVeque 1983). Rows that share a large offset then keep
+    their float32 precision, which a direct x - mean loses. The shift leaves
+    xhat, and so the VJP, unchanged in exact arithmetic.
+
+    One pass per quantity, and every reduction is row-local: row sums and
+    row dots are einsums over the last axis, so a row's result is the same
+    bytes whatever rows sit beside it or how many there are (a BLAS matvec
+    does not promise that). Every temporary, output and gradient keeps x's
+    dtype.
     """
     x = _wrap(x)
     gamma = _wrap(gamma, x)
     beta = _wrap(beta, x)
-    m = x.values.shape[-1]
-    avg = np.full(m, 1.0 / m, dtype=x.values.dtype)
-    xhat = x.values - (x.values @ avg)[..., None]
-    var = np.einsum("...i,...i->...", xhat, xhat) * avg[0]
+    # 1/m as a scalar of x's dtype; a Python float would promote to float64
+    inv_m = x.values.dtype.type(1.0 / x.values.shape[-1])
+    xhat = x.values - x.values[..., :1]
+    xhat -= (np.einsum("...i->...", xhat) * inv_m)[..., None]
+    var = np.einsum("...i,...i->...", xhat, xhat) * inv_m
     inv = (1.0 / np.sqrt(np.maximum(var, eps)))[..., None]
-    # avg[0] is a scalar of x's dtype; a Python 1/m would promote to float64
-    keep = ((var > eps) * avg[0])[..., None]
+    keep = ((var > eps) * inv_m)[..., None]
     xhat *= inv
     out = xhat * gamma.values
     out += beta.values
@@ -362,7 +371,7 @@ def layernorm(x, gamma, beta, eps: float = LAYERNORM_EPS) -> Tensor:
     def grad_x(g):
         g = g * gamma.values
         dot = np.einsum("...i,...i->...", g, xhat)[..., None] * keep
-        g -= (g @ avg)[..., None]
+        g -= (np.einsum("...i->...", g) * inv_m)[..., None]
         g -= xhat * dot
         g *= inv
         return g

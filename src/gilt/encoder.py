@@ -13,7 +13,7 @@ of the LayerNorm) exists for ablation studies.
 The per-hop LayerNorm, over every row a hop computes, is the
 encoder's dominant cost: forward plus backward it takes at least as long as
 the sparse propagation it follows, even as the one-pass op that
-`autodiff.layernorm` is (BLAS row means, einsum row dots, an in-place
+`autodiff.layernorm` is (row-local einsum sums and dots, an in-place
 backward).
 
 The normalized adjacency is exactly symmetric, bit for bit: each entry is

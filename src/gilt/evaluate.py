@@ -42,11 +42,13 @@ from .graphs import TEST, TRAIN, Corpus
 from .model import GraphBank, ModelConfig, batch_forward, params_to_tensors
 
 DEFAULT_SEEDS = (0, 1, 2, 3, 4)
-# bytes of one pack's activation, B x (S + Q) x 2d x itemsize: 512 rows at
-# the desk width in float64. Measured on `train-small` node shapes (S = 20,
-# Q = 32, desk preset, float64, one thread, best of repeats): the forward
-# costs 0.70 ms per episode alone, 0.40 ms in a 104 KiB pack, and 0.31-0.34
-# ms from 208 KiB up to 1.2 MiB; only at 1.6 MiB did it rise (0.39-0.41 ms).
+# bytes of one pack's activation, B x (S + Q) x 2d x itemsize: 1024 rows at
+# the desk width in float32 (the desk preset), 512 in float64. Measured on
+# `train-small` node shapes (S = 20, Q = 32, desk preset, one thread, best of
+# 5, two sweeps): in float32 the forward costs 0.64 ms per episode alone,
+# 0.28 ms in a 104 KiB pack, and 0.23-0.26 ms from 156 KiB up to 1.6 MiB; in
+# float64, 0.78 ms alone, 0.33-0.36 ms from 208 to 520 KiB, and 0.43-0.50 ms
+# from 624 KiB up.
 PACK_BYTES = 256 * 1024
 
 
@@ -148,10 +150,11 @@ def pack_episodes(episodes, row_bytes: int, budget: int) -> list[list]:
     query sizes and the group's activation, len(group) x (S + Q) x row_bytes,
     stays within `budget`. An episode over the budget forms a group of one.
 
-    A group needs no pad rows, and that keeps it exact: a BLAS
-    matrix-vector product, such as LayerNorm's row means, can round a row
-    differently when the rows after it change in number, so padding would
-    move the last bits of an episode's log-probabilities."""
+    A group needs no pad rows, and that keeps it exact: a BLAS matrix
+    product, such as the head's cosine or a layer's weight product, can
+    round a row differently when the rows after it change in number, so
+    padding would move the last bits of an episode's log-probabilities.
+    (LayerNorm's reductions are row-local and would not.)"""
     packs = []
     for episode in episodes:
         shape = (episode.support_size, episode.query_size)

@@ -38,7 +38,14 @@ def _integers(values, what: str, dtype=np.int64) -> np.ndarray:
         arr = raw.astype(np.float64)
     except (TypeError, ValueError) as exc:
         raise DataError(f"non-numeric {what}: {exc}") from exc
-    if raw.dtype == bool:
+    # NumPy reads [True, 2, 0] as an int array: only a numeric ndarray is
+    # judged by its dtype, anything else element by element
+    if isinstance(values, np.ndarray) and raw.dtype != object:
+        has_bool = raw.dtype == bool
+    else:
+        has_bool = any(isinstance(v, (bool, np.bool_))
+                       for v in np.asarray(values, dtype=object).flat)
+    if has_bool:
         raise DataError(f"{what} must hold integers, got booleans")
     with np.errstate(invalid="ignore"):
         out = arr.astype(dtype)
@@ -47,6 +54,15 @@ def _integers(values, what: str, dtype=np.int64) -> np.ndarray:
         raise DataError(f"{what} must hold integers that fit {np.dtype(dtype).name}, "
                         f"got {float(arr[bad][0])!r}")
     return out
+
+
+def _scalar(value, what: str, check=_integers) -> int:
+    """`value` through `check` (`_integers`, `_class_ids` or `_checked_tags`),
+    which must give a single integer."""
+    arr = check(value, what)
+    if arr.ndim != 0:
+        raise DataError(f"{what} must be a single integer, got shape {arr.shape}")
+    return int(arr)
 
 
 def _checked_tags(values, what: str) -> np.ndarray:
@@ -166,7 +182,7 @@ def make_graph(
     name: str = "",
 ) -> Graph:
     """Validate and freeze a Graph; the only constructor the package uses."""
-    node_count = int(_integers(node_count, "node_count"))
+    node_count = _scalar(node_count, "node_count")
     if node_count < 1:
         raise DataError("node_count must be >= 1")
     features = np.asarray(features, dtype=np.float64)
@@ -198,11 +214,12 @@ def make_graph(
         edges=_frozen(edges),
         features=_frozen(features),
         node_labels=node_labels,
-        graph_label=None if graph_label is None else int(_class_ids(graph_label, "graph_label")),
+        graph_label=(None if graph_label is None
+                     else _scalar(graph_label, "graph_label", _class_ids)),
         node_split=node_split,
         edge_split=edge_split,
         graph_split_tag=(None if graph_split_tag is None
-                         else int(_checked_tags(graph_split_tag, "graph_split_tag"))),
+                         else _scalar(graph_split_tag, "graph_split_tag", _checked_tags)),
         name=name,
     )
 

@@ -15,10 +15,11 @@ batch runs once, on a leading batch axis: support tokens [B x S x 2d] and
 query tokens [B x Qmax x 2d]. An episode with Q_b < Qmax queries is padded
 with zero query rows, whose masks are 1 and whose loss weight is 0. No query
 reads another query, and the FFN and LayerNorm are row-wise, so in exact
-arithmetic pad rows change no real row. In floating point they can move its
-last bits, since a BLAS product such as LayerNorm's row means can round a row
-differently when the row count changes (see `evaluate.pack_episodes`); runs
-stay deterministic.
+arithmetic pad rows change no real row. LayerNorm is row-local in floating
+point too, but a GEMM (the head's cosine, a layer's weight product) can
+round a row differently when the row count changes, so pad rows can move a
+real row's last bits (see `evaluate.pack_episodes`); runs stay
+deterministic.
 
 Training-time stochasticity is a pure function of each episode, drawn here
 and nowhere else: `batch_forward` reseeds one rng per episode from its

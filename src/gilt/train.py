@@ -99,7 +99,7 @@ class TrainConfig:
 def desk_preset() -> tuple[ModelConfig, TrainConfig]:
     """Small CPU-friendly pair for experiments and the test suite."""
     model = ModelConfig(d=32, encoder_layers=4, transformer_layers=2, n_heads=4,
-                        ffn_hidden=128, dropout=0.1, dtype="float64")
+                        ffn_hidden=128, dropout=0.1, dtype="float32")
     # shots start at 10, not 20: desk-scale graphs rarely hold 21 labelled
     # training nodes per class once split 60/20/20
     train = TrainConfig(lr=1e-3, epochs=40, episodes_per_level=24,

@@ -18,8 +18,10 @@ episodes as support tokens [B x S x 2d] and query tokens [B x Qmax x 2d],
 and every op attends, normalizes or maps within one batch element. A query
 row past an episode's own query count is padding. No query reads another
 query and the FFN and LayerNorm are row-wise, so in exact arithmetic a pad
-row changes no real row; in floating point it can move a real row's last
-bits, because BLAS may round a row differently when the row count changes.
+row changes no real row. LayerNorm's reductions are row-local in floating
+point as well, but the weight products are BLAS GEMMs, which may round a row
+differently when the row count changes, so a pad row can still move a real
+row's last bits.
 
 The attention op holds its weights keys-major, [... x heads x S x Q]: a
 support set has 10-40 tokens while a stage-two query stream may have

@@ -2,9 +2,11 @@
 
 Nine checks, one printed verdict line each (written to the real stdout so
 they survive pytest's capture).  Checks 5 through 8 share a single desk-scale
-pre-training run on a frozen synthetic benchmark; everything upstream is
-validated against independent oracles first, so a red line here points at
-the pipeline stage named in the verdict, not at the harness.
+pre-training run on a frozen synthetic benchmark, in the desk preset's
+float32; checks 5 and 6 also judge the same run made in float64, so each
+arm prints its own line.  Everything upstream is validated against
+independent oracles first, so a red line here points at the pipeline stage
+named in the verdict, not at the harness.
 """
 
 import dataclasses
@@ -73,9 +75,8 @@ def _corpus(specs):
     return Corpus(graphs=tuple(graphs))
 
 
-@pytest.fixture(scope="module")
-def bench(tmp_path_factory):
-    """One pre-training run shared by the transfer/ablation/shot checks.
+def _pretrained(tmp_path_factory, **model_changes):
+    """One desk-preset pre-training run on the frozen benchmark.
 
     Two held-out graphs: a structurally strong one where a trained model
     should be near-perfect, and a weaker one (sparser communities, more
@@ -86,6 +87,7 @@ def bench(tmp_path_factory):
     hold_weak = _corpus([_spec(0.20, 0.04, 60, 777)])
 
     model_cfg, train_cfg = desk_preset()
+    model_cfg = dataclasses.replace(model_cfg, **model_changes)
     train_cfg = dataclasses.replace(train_cfg, levels=("node",), n_way=4, seed=0)
 
     out_dir = tmp_path_factory.mktemp("bench")
@@ -103,6 +105,19 @@ def bench(tmp_path_factory):
         out_dir=out_dir,
         train_seconds=wall,
     )
+
+
+@pytest.fixture(scope="module")
+def bench(tmp_path_factory):
+    """The run shared by the transfer/ablation/shot checks, in the desk
+    preset's own dtype (float32)."""
+    return _pretrained(tmp_path_factory)
+
+
+@pytest.fixture(scope="module")
+def bench64(tmp_path_factory):
+    """The same run in float64, for the float64 arm of checks 5 and 6."""
+    return _pretrained(tmp_path_factory, dtype="float64")
 
 
 # ---------------------------------------------------------------------------
@@ -331,7 +346,7 @@ def test_criterion_4_metric_oracles():
 # 5-8. transfer on the frozen benchmark
 # ---------------------------------------------------------------------------
 
-def test_criterion_5_node_transfer(bench):
+def _node_transfer(bench):
     rep = evaluate(bench.hold_strong, bench.trained, bench.model_cfg,
                    "node", 4, 5)
     base = evaluate(bench.hold_strong, bench.untrained, bench.model_cfg,
@@ -343,16 +358,24 @@ def test_criterion_5_node_transfer(bench):
           and rep.mean_accuracy >= 0.90
           and at_chance)
     assert _verdict(5, ok,
-                    f"held-out 4-way 5-shot node acc {rep.mean_accuracy:.4f} "
-                    f"(>=0.90), untrained {base.mean_accuracy:.4f} within "
-                    f"3 sd ({3 * sigma:.4f}) of 0.25, training took "
-                    f"{bench.train_seconds:.0f}s (<=600s)")
+                    f"{bench.model_cfg.dtype} held-out 4-way 5-shot node acc "
+                    f"{rep.mean_accuracy:.4f} (>=0.90), untrained "
+                    f"{base.mean_accuracy:.4f} within 3 sd ({3 * sigma:.4f}) of "
+                    f"0.25, training took {bench.train_seconds:.0f}s (<=600s)")
     assert bench.train_seconds <= 600.0
     assert rep.mean_accuracy >= 0.90
     assert at_chance
 
 
-def test_criterion_6_link_transfer(bench):
+def test_criterion_5_node_transfer(bench):
+    _node_transfer(bench)
+
+
+def test_criterion_5_node_transfer_float64(bench64):
+    _node_transfer(bench64)
+
+
+def _link_transfer(bench):
     rep = evaluate(bench.hold_strong, bench.trained, bench.model_cfg,
                    "link", 2, 10)
     base = evaluate(bench.hold_strong, bench.untrained, bench.model_cfg,
@@ -361,10 +384,19 @@ def test_criterion_6_link_transfer(bench):
 
     ok = rep.mean_auc >= 0.70 and near_half
     assert _verdict(6, ok,
-                    f"held-out 10-shot link AUC {rep.mean_auc:.4f} (>=0.70), "
-                    f"untrained {base.mean_auc:.4f} in [0.45, 0.55]")
+                    f"{bench.model_cfg.dtype} held-out 10-shot link AUC "
+                    f"{rep.mean_auc:.4f} (>=0.70), untrained {base.mean_auc:.4f} "
+                    f"in [0.45, 0.55]")
     assert rep.mean_auc >= 0.70
     assert near_half
+
+
+def test_criterion_6_link_transfer(bench):
+    _link_transfer(bench)
+
+
+def test_criterion_6_link_transfer_float64(bench64):
+    _link_transfer(bench64)
 
 
 def test_criterion_7_ablations(bench):

@@ -148,26 +148,91 @@ def test_layernorm_matches_reference(shape, dtype, tol):
             assert err <= tol, f"{name}: {err:.2e}"
 
 
-def test_layernorm_float32_near_constant_rows_as_accurate_as_reference():
-    # Off the grid, a clipped row's centring rounds, and the floor's
-    # 1/sqrt(eps) gain turns that into ~1e-3 relative error in float32 for
-    # either op. Against a float64 oracle the one-pass op stays within twice
-    # the reference's error (plus 8 float32 eps for errors at rounding level).
+def _blas_mean_layernorm(x, gamma, beta, g, eps=ad.LAYERNORM_EPS):
+    """The op as it was before its rows were shifted and its row means made
+    row-local: row means as BLAS matvecs with the vector of 1/m. Output,
+    then the x gradient for the output seed g."""
+    avg = np.full(x.shape[-1], 1.0 / x.shape[-1], dtype=x.dtype)
+    xhat = x - (x @ avg)[..., None]
+    var = np.einsum("...i,...i->...", xhat, xhat) * avg[0]
+    inv = (1.0 / np.sqrt(np.maximum(var, eps)))[..., None]
+    keep = ((var > eps) * avg[0])[..., None]
+    xhat *= inv
+    gg = g * gamma
+    dot = np.einsum("...i,...i->...", gg, xhat)[..., None] * keep
+    return xhat * gamma + beta, (gg - (gg @ avg)[..., None] - xhat * dot) * inv
+
+
+@pytest.mark.parametrize("shape", [(1, 32), (4800, 32), (7, 64), (2, 5, 8)])
+def test_layernorm_float64_matches_blas_mean_op(shape):
+    # the shift and the row-local means move float64 results at rounding level only
+    rng = np.random.default_rng(len(shape) + 70)
+    gamma, beta = rng.uniform(0.5, 2.0, shape[-1]), rng.standard_normal(shape[-1])
+    seed = rng.standard_normal(shape)
+    for x_v in _layernorm_inputs(shape, np.float64):
+        x = ad.Tensor(x_v, requires_grad=True)
+        out = ad.layernorm(x, gamma, beta)
+        out.backward(seed)
+        for name, got, ref in zip(("out", "dx"), (out.values, x.grad),
+                                  _blas_mean_layernorm(x_v, gamma, beta, seed)):
+            err = np.max(np.abs(got - ref)) / max(np.max(np.abs(ref)), 1e-300)
+            assert err <= 1e-12, f"{name}: {err:.2e}"
+
+
+def test_layernorm_float32_offset_rows_match_float64_oracle():
+    # Rows sharing the offset 2.5 (variance ~1e-8, under the eps floor, whose
+    # 1/sqrt(eps) gain magnifies any rounding in the centring). Centring on
+    # x - mean directly was 6.8e-4 off in float32; shifted by each row's first
+    # entry, every output and gradient stays within 8 float32 eps of float64.
     rng = np.random.default_rng(61)
-    x = (2.5 + 1e-4 * rng.standard_normal((256, 32))).astype(np.float32)
-    gamma_v = rng.uniform(0.5, 2.0, 32).astype(np.float32)
-    beta_v = rng.standard_normal(32).astype(np.float32)
-    seed = rng.standard_normal((256, 32)).astype(np.float32)
+    x = (2.5 + 1e-4 * rng.standard_normal((512, 64))).astype(np.float32)
+    gamma_v = rng.uniform(0.5, 2.0, 64).astype(np.float32)
+    beta_v = rng.standard_normal(64).astype(np.float32)
+    seed = rng.standard_normal((512, 64)).astype(np.float32)
     oracle = _reference_layernorm(*(a.astype(np.float64) for a in (x, gamma_v, beta_v, seed)))
-    ref = _reference_layernorm(x, gamma_v, beta_v, seed)
     leaves = [ad.Tensor(a, requires_grad=True) for a in (x, gamma_v, beta_v)]
     out = ad.layernorm(*leaves)
     out.backward(seed)
-    for name, got, r, o in zip(("out", "dx", "dgamma", "dbeta"),
-                               (out.values, *(t.grad for t in leaves)), ref, oracle):
-        scale = np.max(np.abs(o))
-        err_new, err_ref = (np.max(np.abs(a - o)) / scale for a in (got, r))
-        assert err_new <= 2 * err_ref + 8 * _F32_EPS, (name, err_new, err_ref)
+    for name, got, o in zip(("out", "dx", "dgamma", "dbeta"),
+                            (out.values, *(t.grad for t in leaves)), oracle):
+        err = np.max(np.abs(got - o)) / np.max(np.abs(o))
+        assert err <= 8 * _F32_EPS, (name, err)
+
+
+def _layernorm_rows(x, gamma, beta, g):
+    """Forward and x gradient of the op on x for the output seed g."""
+    leaf = ad.Tensor(x, requires_grad=True)
+    out = ad.layernorm(leaf, gamma, beta)
+    out.backward(g)
+    return out.values, leaf.grad
+
+
+@pytest.mark.parametrize("dtype", [np.float64, np.float32])
+@pytest.mark.parametrize("m", [32, 64])
+def test_layernorm_rows_do_not_depend_on_their_neighbours(m, dtype):
+    # Each row's output and gradient are the same bytes run in a 600-row
+    # batch, as a leading slice of it, alone, behind zero pad rows, or on a
+    # leading batch axis: the reductions are per row, never BLAS products
+    # whose rounding follows the row count.
+    rng = np.random.default_rng(m)
+    x = (rng.standard_normal((600, m)) * 1.5 + 0.3).astype(dtype)
+    g = rng.standard_normal((600, m)).astype(dtype)
+    gamma = rng.uniform(0.5, 2.0, m).astype(dtype)
+    beta = rng.standard_normal(m).astype(dtype)
+    out, dx = _layernorm_rows(x, gamma, beta, g)
+
+    def same(start, n, got):
+        for full, part in zip((out, dx), got):
+            assert full[start:start + n].tobytes() == part[:n].tobytes()
+
+    for n in range(1, 80):
+        same(0, n, _layernorm_rows(x[:n], gamma, beta, g[:n]))
+        padded = [np.concatenate([a[:n], np.zeros((80 - n, m), dtype)]) for a in (x, g)]
+        same(0, n, _layernorm_rows(padded[0], gamma, beta, padded[1]))
+    for i in range(0, 600, 37):
+        same(i, 1, _layernorm_rows(x[i:i + 1], gamma, beta, g[i:i + 1]))
+    batched = _layernorm_rows(x.reshape(6, 100, m), gamma, beta, g.reshape(6, 100, m))
+    same(0, 600, [a.reshape(600, m) for a in batched])
 
 
 def test_layernorm_is_one_pass():

@@ -335,6 +335,32 @@ class TestPretrainCommand:
                      "--set", "train.divergence_limit=inf"])
         assert code == 0
 
+    def test_float64_desk_checkpoint_resumes_only_as_float64(self, corpus_dir, tmp_path,
+                                                              capsys):
+        # --preset desk trains in float32, so a checkpoint from a float64 desk
+        # run is another model unless the resume names its dtype
+        cfg = tmp_path / "desk.cfg"
+        cfg.write_text(
+            "schema=1\n"
+            f"data.registry={corpus_dir / 'registry.json'}\n"
+            "data.dataset=synth\n"
+            "train.episodes_per_level=2\ntrain.batch_episodes=2\ntrain.n_way=2\n"
+            "train.query_size=6\ntrain.shot_start=2\ntrain.shot_end=1\n"
+            "train.levels=node\n")
+        desk = ["pretrain", str(cfg), "--preset", "desk"]
+        f64 = ["--set", "model.dtype=float64"]
+        assert main(desk + ["--out", str(tmp_path / "a"), "--epochs", "1"] + f64) == 0
+        resume = ["--resume", str(tmp_path / "a" / "final.ckpt"), "--epochs", "2"]
+        capsys.readouterr()
+
+        assert main(desk + ["--out", str(tmp_path / "b")] + resume) == 3
+        err = capsys.readouterr().err
+        assert "this run's model" in err and "float64" in err and "float32" in err
+        assert not (tmp_path / "b" / "final.ckpt").exists()
+
+        assert main(desk + ["--out", str(tmp_path / "c")] + resume + f64) == 0
+        assert (tmp_path / "c" / "final.ckpt").exists()
+
     def test_resume_with_same_model_trains_on(self, trained, tmp_path):
         out = tmp_path / "out"
         code = main(["pretrain", str(trained / "run.cfg"), "--out", str(out),

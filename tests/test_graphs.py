@@ -77,11 +77,17 @@ class TestValidation:
         ("node_count", 2.7),
         ("node_count", True),
         ("node_labels", [True, False, True]),
+        ("node_labels", [True, 2, 0]),
+        ("node_labels", np.array([2, False, 0], dtype=object)),
+        ("edges", [[0, True]]),
         ("graph_label", np.True_),
+        ("node_count", [2, 3]),
+        ("graph_label", [1, 2]),
+        ("graph_split_tag", [[0]]),
     ])
     def test_non_integral_value_rejected_not_truncated(self, field, value):
         kwargs = {"node_count": 3, "edges": [[0, 1]], field: value}
-        with pytest.raises(DataError, match="must hold integers"):
+        with pytest.raises(DataError, match="must hold integers|must be a single integer"):
             make_graph(features=np.zeros((3, 1)), **kwargs)
 
     @pytest.mark.parametrize("field, value", [
